@@ -20,13 +20,19 @@ vectorized :class:`~repro.quantum.tableau_batch.BatchedStabilizerSimulator`,
 which amortises per-circuit work across the batch while keeping counts
 bit-identical.  The resolved backend and the dispatch reason are recorded
 in every :class:`BackendJob`'s metadata.
+
+:meth:`NoisyBackend.run` and :meth:`NoisyBackend.run_batch` share one
+execution body (validate, dispatch, simulate, record jobs) and differ only in
+dispatching as a single-circuit or a whole-batch submission.  Either way
+dense circuits run compiled and the noise model's Pauli analysis is memoised
+(:func:`repro.quantum.dispatch.noise_model_mixtures`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from repro.device.counts import Counts
 from repro.device.device_model import DeviceModel
@@ -70,8 +76,9 @@ class NoisyBackend:
         Optional shared :class:`~repro.quantum.batch.PropagatorCache` for the
         dense simulator.  Sweeps that create one backend per point (for
         deterministic seeding) can pass a sweep-owned cache so points reuse
-        each other's compiled step propagators; safe for serial execution
-        only — the cache is not thread-safe.
+        each other's compiled step propagators.  The cache locks its own
+        state, so threaded sweeps may share it; a backend itself (its RNG
+        stream and job list) belongs to one thread.
     """
 
     def __init__(
@@ -124,15 +131,6 @@ class NoisyBackend:
             )
         return self._batched_stabilizer
 
-    def _dispatch(
-        self,
-        circuits: "QuantumCircuit | Sequence[QuantumCircuit]",
-        batch: bool = False,
-    ):
-        return select_backend(
-            self.simulator_backend, circuits, self._effective_noise, batch=batch
-        )
-
     # -- queries -----------------------------------------------------------------
     @property
     def name(self) -> str:
@@ -153,51 +151,26 @@ class NoisyBackend:
         """Execute *circuit* with *shots* repetitions and return the counts.
 
         The circuit routes through the backend resolved by the dispatch
-        layer (see the class docstring); a fixed seed yields bit-identical
-        counts whichever backend ``auto`` resolves to on noiseless Clifford
-        circuits.
+        layer for a single-circuit submission (see the class docstring); a
+        fixed seed yields bit-identical counts whichever backend ``auto``
+        resolves to on noiseless Clifford circuits.
         """
-        self._validate(circuit)
-        decision = self._dispatch(circuit)
-        if decision.backend == "stabilizer_batched":
-            result = self._batched_stabilizer_simulator().run(
-                circuit, shots=shots, rng=self._rng
-            )
-        elif decision.use_stabilizer:
-            result = self._stabilizer_simulator().run(
-                circuit, shots=shots, rng=self._rng
-            )
-        else:
-            result = self._simulator.run(circuit, shots=shots, rng=self._rng)
-        counts = Counts(result.counts, shots=shots)
-        metadata = dict(result.metadata)
-        metadata["backend"] = decision.backend
-        metadata["dispatch_reason"] = decision.reason
-        self.jobs.append(
-            BackendJob(
-                circuit_name=circuit.name,
-                shots=shots,
-                counts=counts,
-                metadata=metadata,
-            )
-        )
-        return counts
+        return self._execute([circuit], shots, batch=False)[0]
 
     def run_batch(
-        self, circuits: Sequence[QuantumCircuit], shots: int = 1024
+        self, circuits: Iterable[QuantumCircuit], shots: int = 1024
     ) -> list[Counts]:
-        """Execute several circuits through the batched simulator path.
+        """Execute several circuits as one whole-batch submission.
 
-        Each circuit is compiled once into a cached propagator (see
-        :mod:`repro.quantum.batch`) and sampled with a single multinomial
-        draw, which is the fast path the experiment sweeps use.  One
-        :class:`BackendJob` is recorded per circuit, exactly as with
-        repeated :meth:`run` calls.
+        Dense circuits share one propagator cache and are each sampled with
+        a single multinomial draw; stabilizer-eligible batches resolve to the
+        vectorized tableau engine.  One :class:`BackendJob` is recorded per
+        circuit, exactly as with repeated :meth:`run` calls.
 
         Parameters
         ----------
         circuits:
-            Circuits to execute, in order.
+            Circuits to execute, in order (any iterable, generators included).
         shots:
             Shots sampled per circuit.
 
@@ -206,35 +179,7 @@ class NoisyBackend:
         list of Counts
             One histogram per circuit, in submission order.
         """
-        for circuit in circuits:
-            self._validate(circuit)
-        decision = self._dispatch(circuits, batch=True)
-        if decision.backend == "stabilizer_batched":
-            batch = self._batched_stabilizer_simulator().run_batch(
-                circuits, shots=shots, rng=self._rng
-            )
-        elif decision.use_stabilizer:
-            batch = self._stabilizer_simulator().run_batch(
-                circuits, shots=shots, rng=self._rng
-            )
-        else:
-            batch = self._simulator.run_batch(circuits, shots=shots, rng=self._rng)
-        histograms: list[Counts] = []
-        for circuit, result in zip(circuits, batch):
-            counts = Counts(result.counts, shots=shots)
-            metadata = dict(result.metadata)
-            metadata["backend"] = decision.backend
-            metadata["dispatch_reason"] = decision.reason
-            self.jobs.append(
-                BackendJob(
-                    circuit_name=circuit.name,
-                    shots=shots,
-                    counts=counts,
-                    metadata=metadata,
-                )
-            )
-            histograms.append(counts)
-        return histograms
+        return self._execute(circuits, shots, batch=True)
 
     def run_result(self, circuit: QuantumCircuit, shots: int = 1024) -> SimulationResult:
         """Execute *circuit* and return the full simulator result (incl. the state).
@@ -265,6 +210,33 @@ class NoisyBackend:
         return total
 
     # -- internals -------------------------------------------------------------------
+    def _execute(
+        self, circuits: Iterable[QuantumCircuit], shots: int, batch: bool
+    ) -> list[Counts]:
+        """The one execution body: validate, dispatch, simulate, record jobs."""
+        circuits = list(circuits)
+        for circuit in circuits:
+            self._validate(circuit)
+        decision = select_backend(
+            self.simulator_backend, circuits, self._effective_noise, batch=batch
+        )
+        if decision.backend == "stabilizer_batched":
+            simulator = self._batched_stabilizer_simulator()
+        elif decision.use_stabilizer:
+            simulator = self._stabilizer_simulator()
+        else:
+            simulator = self._simulator
+        results = simulator.run_batch(circuits, shots=shots, rng=self._rng)
+        histograms = [Counts(result.counts, shots=shots) for result in results]
+        for circuit, result, counts in zip(circuits, results, histograms):
+            metadata = {
+                **result.metadata,
+                "backend": decision.backend,
+                "dispatch_reason": decision.reason,
+            }
+            self.jobs.append(BackendJob(circuit.name, shots, counts, metadata))
+        return histograms
+
     def _validate(self, circuit: QuantumCircuit) -> None:
         if circuit.num_qubits > self.device.num_qubits:
             raise DeviceError(

@@ -525,8 +525,8 @@ def compile_channel(
 
     Every :class:`~repro.quantum.noise_model.QuantumError` the noise model
     attaches to a gate is composed into that gate's step superoperator, so the
-    compiled map is exactly the channel the sequential simulator applies
-    instruction by instruction.
+    compiled map is exactly the channel the per-gate reference evolution
+    (``DensityMatrixSimulator._evolve_per_gate``) applies step by step.
     """
     num_qubits = circuit.num_qubits
     if noise_model is None:

@@ -13,6 +13,10 @@ accordingly:
   bit/phase flip, general Pauli channels …) and returns the underlying
   probability mixture; channels with coherent or damping components
   (e.g. thermal relaxation) return ``None`` and force the dense path.
+* :func:`noise_model_mixtures` — the one walk over the errors a noise model
+  attaches to a circuit (dispatcher and both stabilizer engines), memoised
+  per error under the propagator-cache key ``(cache_token, version)``: an
+  in-place ``add_*`` invalidates it, duck-typed models skip it.
 * :func:`select_backend` — the routing decision for a batch of circuits
   under a requested backend (``"auto"``, ``"dense"`` or ``"stabilizer"``).
   ``auto`` never changes semantics: it picks the tableau only when the
@@ -35,12 +39,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.quantum.batch import _noise_token
 from repro.quantum.channels import KrausChannel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, QuantumError
@@ -56,6 +63,7 @@ __all__ = [
     "circuit_is_clifford",
     "channel_is_pauli",
     "noise_model_is_pauli",
+    "noise_model_mixtures",
     "pauli_mixture",
     "pauli_twirl_channel",
     "pauli_twirl_noise_model",
@@ -77,6 +85,15 @@ from repro.quantum.stabilizer import CLIFFORD_GATE_NAMES  # noqa: E402
 _PAULI_1Q = {"I": I_MATRIX, "X": X_MATRIX, "Y": Y_MATRIX, "Z": Z_MATRIX}
 
 _ATOL = 1e-9
+
+#: Memoised error analysis, keyed like compiled propagators by
+#: ``(cache_token, version)``: per model state, ``id(error) -> (error,
+#: mixture)`` (holding the error keeps its id from being reused).  Tokens are
+#: process-unique, so callers never see each other's entries; entry writes
+#: are unlocked but deterministic, so a race costs a duplicate scan only.
+_MIXTURE_MEMO: OrderedDict[tuple, dict[int, tuple]] = OrderedDict()
+_MIXTURE_MEMO_MAX = 64
+_MIXTURE_MEMO_LOCK = threading.Lock()
 
 _log = get_logger("quantum.dispatch")
 
@@ -187,6 +204,56 @@ def circuit_is_clifford(circuit: QuantumCircuit) -> bool:
     )
 
 
+def noise_model_mixtures(
+    noise_model: NoiseModel | None, circuit: QuantumCircuit | None = None
+) -> dict[int, tuple[tuple[str, ...], tuple[float, ...]]]:
+    """Pauli mixtures of the gate errors *noise_model* attaches to *circuit*.
+
+    Returns ``id(error) -> (labels, probabilities)`` for every error that can
+    fire on the circuit's gates — every attached error when *circuit* is
+    ``None`` — and raises :class:`~repro.exceptions.SimulationError` naming
+    the first one that is not a Pauli mixture.  Each error's Kraus set is
+    scanned once per model state (see the module docstring).
+    """
+    if noise_model is None:
+        return {}
+    token = _noise_token(noise_model)
+    memo: dict[int, tuple] = {}
+    if token is not None:
+        with _MIXTURE_MEMO_LOCK:
+            memo = _MIXTURE_MEMO.setdefault(token, memo)
+            _MIXTURE_MEMO.move_to_end(token)
+            while len(_MIXTURE_MEMO) > _MIXTURE_MEMO_MAX:
+                _MIXTURE_MEMO.popitem(last=False)
+    if circuit is None:
+        attached = ((gate, error) for gate, _, error in noise_model.iter_errors())
+    else:
+        attached = (
+            (instruction.name, error)
+            for instruction in circuit.instructions
+            if instruction.kind == "gate"
+            for error in noise_model.errors_for(instruction.name, instruction.qubits)
+        )
+    mixtures: dict[int, tuple] = {}
+    for gate, error in attached:
+        key = id(error)
+        if key in mixtures:
+            continue
+        entry = memo.get(key)
+        if entry is None or entry[0] is not error:
+            mixture = pauli_mixture(error.channel)
+            if mixture is not None:
+                mixture = (tuple(mixture), tuple(mixture.values()))
+            entry = memo[key] = (error, mixture)
+        if entry[1] is None:
+            raise SimulationError(
+                f"error {error.name!r} on gate {gate!r} is not a Pauli channel; "
+                "the stabilizer backend cannot apply it"
+            )
+        mixtures[key] = entry[1]
+    return mixtures
+
+
 def noise_model_is_pauli(
     noise_model: NoiseModel | None, circuit: QuantumCircuit | None = None
 ) -> bool:
@@ -198,23 +265,10 @@ def noise_model_is_pauli(
     errors never disqualify — they are classical assignment flips the
     stabilizer backend applies exactly as the dense path does.
     """
-    if noise_model is None:
-        return True
-    if circuit is None:
-        return all(
-            pauli_mixture(error.channel) is not None
-            for _, _, error in noise_model.iter_errors()
-        )
-    checked: set[int] = set()
-    for instruction in circuit.instructions:
-        if instruction.kind != "gate":
-            continue
-        for error in noise_model.errors_for(instruction.name, instruction.qubits):
-            if id(error) in checked:
-                continue
-            checked.add(id(error))
-            if pauli_mixture(error.channel) is None:
-                return False
+    try:
+        noise_model_mixtures(noise_model, circuit)
+    except SimulationError:
+        return False
     return True
 
 

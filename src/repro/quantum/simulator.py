@@ -10,16 +10,16 @@ readout assignment errors — which is how the repository reproduces the
 ``ibm_brisbane`` executions of the paper's evaluation section without access
 to the hardware.
 
-Both simulators expose two execution paths:
-
-* :meth:`~StatevectorSimulator.run` — the sequential reference path, applying
-  one instruction at a time;
-* :meth:`~StatevectorSimulator.run_batch` — the batched path, which folds each
-  circuit into a cached propagator (see :mod:`repro.quantum.batch`) and
-  samples every circuit's counts with a single multinomial draw.  The batched
-  path computes the same final distribution as the sequential path up to
-  floating-point rounding; parity is asserted by
-  ``tests/quantum/test_batch.py``.
+:class:`DensityMatrixSimulator` has one execution path: ``run`` is the
+one-circuit case of ``run_batch``, which folds each circuit into a cached,
+run-length-compressed superoperator (see :mod:`repro.quantum.batch`) and
+samples its counts with one multinomial draw.  A private per-gate evolution
+serves registers wider than :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS`
+and is the independent reference ``tests/quantum/test_batch.py`` holds the
+compiled path to.  :class:`StatevectorSimulator` keeps a sequential ``run``
+(one instruction at a time; per shot under mid-circuit measurement or reset)
+beside a compiled ``run_batch``; both give the same distribution up to
+rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.quantum.batch import (
     compile_unitary,
     measurements_are_terminal,
 )
-from repro.quantum.circuit import Instruction, QuantumCircuit
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrix
 from repro.quantum.noise_model import NoiseModel
 from repro.quantum.operators import Operator
@@ -439,35 +439,13 @@ class DensityMatrixSimulator:
     ) -> SimulationResult:
         """Execute *circuit* under the configured noise model and sample counts.
 
-        Measurements must be terminal (the protocol circuits satisfy this);
-        mid-circuit measurement raises :class:`SimulationError`.
+        The one-circuit case of :meth:`run_batch`.  Measurements must be
+        terminal (the protocol circuits satisfy this); mid-circuit
+        measurement raises :class:`SimulationError`.
         """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
-        generator = as_rng(rng) if rng is not None else self._rng
-        state = self._initial_state(circuit, initial_state)
-
-        if not StatevectorSimulator._measurements_are_terminal(circuit):
-            raise SimulationError(
-                "DensityMatrixSimulator supports only terminal measurements"
-            )
-
-        measure_map: dict[int, int] = {}
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.gate is not None:
-                for _ in range(instruction.repetitions):
-                    state = self._apply_gate(state, instruction)
-            elif instruction.kind == "reset":
-                state = self._apply_reset(state, instruction.qubits[0])
-            elif instruction.kind == "measure":
-                for qubit, clbit in zip(instruction.qubits, instruction.clbits):
-                    measure_map[qubit] = clbit
-            elif instruction.kind == "barrier":
-                continue
-
-        return self._sample_measurements(
-            state, measure_map, circuit.num_clbits, shots, generator
-        )
+        return self.run_batch(
+            [circuit], shots=shots, initial_state=initial_state, rng=rng
+        )[0]
 
     def run_batch(
         self,
@@ -476,17 +454,16 @@ class DensityMatrixSimulator:
         initial_state: "DensityMatrix | Statevector | None" = None,
         rng=None,
     ) -> BatchResult:
-        """Execute a sequence of circuits through the batched (compiled) path.
+        """Execute a sequence of circuits through the compiled path.
 
-        Each eligible circuit — terminal measurements, at most
-        :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS` qubits — is folded
-        into a single cached superoperator (gates, attached noise-model
-        errors and resets included) and its counts are sampled with one
-        multinomial draw.  Runs of repeated instructions, such as the η
-        identity gates of the paper's channel emulation, are collapsed with
-        ``matrix_power``, so cost grows logarithmically rather than linearly
-        with η.  Circuits too large for a superoperator fall back to
-        :meth:`run`.
+        Each circuit with terminal measurements is folded into a single
+        cached superoperator (gates, attached noise-model errors and resets
+        included) and its counts are sampled with one multinomial draw.
+        Runs of repeated instructions, such as the η identity gates of the
+        paper's channel emulation, are collapsed with ``matrix_power``, so
+        cost grows logarithmically rather than linearly with η.  Registers
+        wider than :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS` evolve
+        one instruction at a time instead.
 
         Parameters
         ----------
@@ -512,25 +489,15 @@ class DensityMatrixSimulator:
         mark = telemetry.clock_mark()
         results = []
         for circuit in circuits:
-            if not StatevectorSimulator._measurements_are_terminal(circuit):
+            if not measurements_are_terminal(circuit):
                 raise SimulationError(
                     "DensityMatrixSimulator supports only terminal measurements"
                 )
-            if circuit.num_qubits > MAX_SUPEROP_QUBITS:
-                results.append(
-                    self.run(circuit, shots=shots, initial_state=initial_state, rng=generator)
-                )
-                continue
-            compiled = compile_channel(circuit, self.noise_model, self._cache)
             state = self._initial_state(circuit, initial_state)
-            final = DensityMatrix(compiled.propagate(state.matrix), validate=False)
+            final, measure_map = self._evolve(circuit, state)
             results.append(
                 self._sample_measurements(
-                    final,
-                    compiled.measure_map,
-                    circuit.num_clbits,
-                    shots,
-                    generator,
+                    final, measure_map, circuit.num_clbits, shots, generator
                 )
             )
         telemetry.record_span(
@@ -612,14 +579,11 @@ class DensityMatrixSimulator:
         initial_state: "DensityMatrix | Statevector | None" = None,
     ) -> DensityMatrix:
         """Final mixed state of the circuit (measurements ignored)."""
-        state = self._initial_state(circuit, initial_state)
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.gate is not None:
-                for _ in range(instruction.repetitions):
-                    state = self._apply_gate(state, instruction)
-            elif instruction.kind == "reset":
-                state = self._apply_reset(state, instruction.qubits[0])
-        return state
+        unmeasured = circuit.copy()
+        unmeasured.instructions[:] = [
+            instruction for instruction in circuit.instructions if instruction.kind != "measure"
+        ]
+        return self._evolve(unmeasured, self._initial_state(circuit, initial_state))[0]
 
     # -- internals -----------------------------------------------------------------
     @staticmethod
@@ -646,13 +610,43 @@ class DensityMatrixSimulator:
             "noise_model": None if self.noise_model is None else self.noise_model.name,
         }
 
-    def _apply_gate(self, state: DensityMatrix, instruction: Instruction) -> DensityMatrix:
-        state = state.evolve(Operator(instruction.gate.matrix), instruction.qubits)
-        if self.noise_model is None:
-            return state
-        for error in self.noise_model.errors_for(instruction.name, instruction.qubits):
-            state = self._apply_error(state, error, instruction.qubits)
-        return state
+    def _evolve(
+        self, circuit: QuantumCircuit, state: DensityMatrix
+    ) -> tuple[DensityMatrix, dict[int, int]]:
+        """Final state and ``qubit -> clbit`` measure map of a terminal-measurement circuit."""
+        if circuit.num_qubits > MAX_SUPEROP_QUBITS:
+            return self._evolve_per_gate(circuit, state)
+        compiled = compile_channel(circuit, self.noise_model, self._cache)
+        final = DensityMatrix(compiled.propagate(state.matrix), validate=False)
+        return final, compiled.measure_map
+
+    def _evolve_per_gate(
+        self, circuit: QuantumCircuit, state: DensityMatrix
+    ) -> tuple[DensityMatrix, dict[int, int]]:
+        """Reference evolution: every gate repetition, error and reset in turn.
+
+        Used for registers too wide for a superoperator, and by the parity
+        tests as the independent check on the compiled path.
+        """
+        measure_map: dict[int, int] = {}
+        for instruction in circuit.instructions:
+            if instruction.kind == "gate" and instruction.gate is not None:
+                operator = Operator(instruction.gate.matrix)
+                errors = (
+                    self.noise_model.errors_for(instruction.name, instruction.qubits)
+                    if self.noise_model is not None
+                    else ()
+                )
+                for _ in range(instruction.repetitions):
+                    state = state.evolve(operator, instruction.qubits)
+                    for error in errors:
+                        state = self._apply_error(state, error, instruction.qubits)
+            elif instruction.kind == "reset":
+                state = state.apply_kraus(RESET_KRAUS, [instruction.qubits[0]])
+            elif instruction.kind == "measure":
+                for qubit, clbit in zip(instruction.qubits, instruction.clbits):
+                    measure_map[qubit] = clbit
+        return state, measure_map
 
     @staticmethod
     def _apply_error(state: DensityMatrix, error, qubits: Sequence[int]) -> DensityMatrix:
@@ -666,7 +660,3 @@ class DensityMatrixSimulator:
             f"error on {error.num_qubits} qubits cannot be applied to a "
             f"{len(qubits)}-qubit instruction"
         )
-
-    @staticmethod
-    def _apply_reset(state: DensityMatrix, qubit: int) -> DensityMatrix:
-        return state.apply_kraus(RESET_KRAUS, [qubit])

@@ -473,7 +473,7 @@ class StabilizerSimulator:
     noise_model:
         Optional :class:`~repro.quantum.noise_model.NoiseModel` whose every
         gate error is a Pauli-diagonal channel (checked at run time through
-        :func:`repro.quantum.dispatch.pauli_mixture`); readout errors are
+        :func:`repro.quantum.dispatch.noise_model_mixtures`); readout errors are
         applied classically exactly as the dense path does.
     seed:
         Seed or generator for all sampling performed by this instance.
@@ -526,7 +526,7 @@ class StabilizerSimulator:
             raise SimulationError(f"unknown stabilizer method {method!r}")
         generator = as_rng(rng) if rng is not None else self._rng
         self._require_clifford(circuit)
-        self._noise_is_pauli(circuit)  # fail fast on non-Pauli noise
+        self._mixtures(circuit)  # fail fast on non-Pauli noise
 
         if method != "trajectory":
             analytic = self._analytic(circuit, allow_fail=(method == "auto"))
@@ -610,36 +610,15 @@ class StabilizerSimulator:
                     "repro.quantum.dispatch to route such circuits to a dense simulator"
                 )
 
-    def _noise_is_pauli(self, circuit: QuantumCircuit) -> dict:
-        """Pauli mixtures of every error the noise model attaches to *circuit*.
+    def _mixtures(self, circuit: QuantumCircuit) -> dict:
+        """Pauli mixtures of the errors attached to *circuit* (raises if any is not).
 
-        Returns a mapping ``id(error) -> (labels, probabilities)`` and raises
-        :class:`SimulationError` when any attached error is not a Pauli
-        mixture (the dispatcher filters those to the dense backend).
+        See :func:`repro.quantum.dispatch.noise_model_mixtures`; the dispatcher
+        filters ineligible circuits to the dense backend beforehand.
         """
-        from repro.quantum.dispatch import pauli_mixture
+        from repro.quantum.dispatch import noise_model_mixtures  # dispatch imports us
 
-        mixtures: dict[int, tuple] = {}
-        if self._noise_model is None:
-            return mixtures
-        for instruction in circuit.instructions:
-            if instruction.kind != "gate":
-                continue
-            for error in self._noise_model.errors_for(
-                instruction.name, instruction.qubits
-            ):
-                if id(error) in mixtures:
-                    continue
-                mixture = pauli_mixture(error.channel)
-                if mixture is None:
-                    raise SimulationError(
-                        f"error {error.name!r} on gate {instruction.name!r} is not a "
-                        "Pauli channel; the stabilizer backend cannot apply it"
-                    )
-                labels = tuple(mixture)
-                probs = tuple(mixture[label] for label in labels)
-                mixtures[id(error)] = (labels, probs)
-        return mixtures
+        return noise_model_mixtures(self._noise_model, circuit)
 
     # -- analytic path -------------------------------------------------------------------
     def _analytic(self, circuit: QuantumCircuit, allow_fail: bool):
@@ -764,7 +743,7 @@ class StabilizerSimulator:
         η-fold repeat of one insertion is a pointwise power — the stabilizer
         analogue of the dense path's ``matrix_power`` run compression.
         """
-        mixtures = self._noise_is_pauli(circuit)
+        mixtures = self._mixtures(circuit)
         if not mixtures:
             return probabilities
         m = len(measured_qubits)
@@ -882,7 +861,7 @@ class StabilizerSimulator:
         the analytic one (chi-squared-tested by the conformance suite) but
         consumes RNG per shot, so it makes no bit-parity claims.
         """
-        mixtures = self._noise_is_pauli(circuit)
+        mixtures = self._mixtures(circuit)
         noise_model = self._noise_model
         counts: dict[str, int] = {}
         has_measurements = circuit.has_measurements()

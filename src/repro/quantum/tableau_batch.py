@@ -549,7 +549,7 @@ class BatchedStabilizerSimulator:
         """Eligibility checks plus the (RNG-free) per-structure plan."""
         serial = self._serial
         serial._require_clifford(circuit)
-        serial._noise_is_pauli(circuit)
+        serial._mixtures(circuit)
         if method == "trajectory":
             return ("trajectory", circuit)
         analytic = serial._analytic(circuit, allow_fail=(method == "auto"))
@@ -598,7 +598,7 @@ class BatchedStabilizerSimulator:
         the RNG consumption pattern differs, so no bit-parity claim.
         """
         serial = self._serial
-        mixtures = serial._noise_is_pauli(circuit)
+        mixtures = serial._mixtures(circuit)
         noise_model = serial.noise_model
         metadata = self._metadata("trajectory")
         has_measurements = circuit.has_measurements()

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.device.backend import NoisyBackend
 from repro.device.calibration import ibm_brisbane_calibration
 from repro.device.device_model import DeviceModel
 from repro.device.topology import linear_coupling_map
-from repro.exceptions import DeviceError
+from repro.exceptions import DeviceError, SimulationError
+from repro.experiments.emulation import build_message_transfer_circuit
+from repro.quantum import dispatch
+from repro.quantum.channels import thermal_relaxation_channel
 from repro.quantum.circuit import QuantumCircuit
 
 
@@ -143,3 +148,87 @@ class TestNoisyBackend:
         device = DeviceModel.linear_chain(5, calibration=ibm_brisbane_calibration())
         backend = NoisyBackend(device, seed=8)
         assert backend.is_noisy()
+
+
+def pauli_only_device() -> DeviceModel:
+    return DeviceModel.ibm_brisbane(include_thermal_relaxation=False)
+
+
+def message_circuits(eta: int, repeats: int = 1) -> list[QuantumCircuit]:
+    return [
+        build_message_transfer_circuit(message, eta)
+        for message in ("00", "01", "10", "11") * repeats
+    ]
+
+
+class TestSharedExecutionBody:
+    @pytest.mark.parametrize(
+        "device, engine",
+        [(DeviceModel.ibm_brisbane, "dense"), (pauli_only_device, "stabilizer_batched")],
+        ids=["thermal", "pauli_only"],
+    )
+    def test_run_batch_accepts_a_generator(self, device, engine):
+        circuits = message_circuits(eta=10)
+        backend = NoisyBackend(device(), seed=5)
+        histograms = backend.run_batch((circuit for circuit in circuits), shots=64)
+        reference = NoisyBackend(device(), seed=5).run_batch(circuits, shots=64)
+        assert [dict(counts) for counts in histograms] == [
+            dict(counts) for counts in reference
+        ]
+        assert [job.circuit_name for job in backend.jobs] == [c.name for c in circuits]
+        assert {job.metadata["backend"] for job in backend.jobs} == {engine}
+
+
+@pytest.fixture
+def mixture_scans(monkeypatch) -> Counter:
+    """Count Pauli-mixture scans per Kraus channel object."""
+    scans: Counter = Counter()
+    scan = dispatch.pauli_mixture
+
+    def counting(channel, *args, **kwargs):
+        scans[id(channel)] += 1
+        return scan(channel, *args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "pauli_mixture", counting)
+    return scans
+
+
+class TestNoiseAnalysisMemo:
+    def test_each_attached_error_is_scanned_once(self, mixture_scans):
+        backend = NoisyBackend(pauli_only_device(), seed=8)
+        wave = message_circuits(eta=20, repeats=16)
+        backend.run_batch(wave, shots=64)
+        for circuit in message_circuits(eta=20):
+            backend.run(circuit, shots=64)
+        assert Counter(job.metadata["backend"] for job in backend.jobs) == {
+            "stabilizer_batched": 64,
+            "stabilizer": 4,
+        }
+        attached = {
+            id(error): error
+            for circuit in wave
+            for instruction in circuit.instructions
+            if instruction.kind == "gate"
+            for error in backend.noise_model.errors_for(
+                instruction.name, instruction.qubits
+            )
+        }
+        assert attached
+        assert mixture_scans == Counter(id(error.channel) for error in attached.values())
+
+    def test_in_place_mutation_invalidates_the_analysis(self):
+        device = pauli_only_device()
+        auto = NoisyBackend(device, seed=9)
+        forced = NoisyBackend(device, seed=9, simulator_backend="stabilizer")
+        assert auto.noise_model is forced.noise_model
+        circuit = build_message_transfer_circuit("11", eta=10)
+        auto.run(circuit, shots=32)
+        forced.run(circuit, shots=32)
+        assert auto.jobs[-1].metadata["backend"] == "stabilizer"
+        auto.noise_model.add_all_qubit_error(
+            thermal_relaxation_channel(100e-6, 80e-6, 60e-9), "id"
+        )
+        auto.run(circuit, shots=32)
+        assert auto.jobs[-1].metadata["backend"] == "dense"
+        with pytest.raises(SimulationError, match="forced"):
+            forced.run(circuit, shots=32)

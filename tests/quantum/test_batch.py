@@ -1,9 +1,11 @@
 """Parity and determinism tests for the batched simulation path.
 
-The batched path (``run_batch`` + compiled propagators) must produce the same
-final distributions as the sequential reference path (``run``) under
-identical seeds — bit-for-bit when the probability vectors agree to float
-precision, statistically always.
+The compiled path must produce the same final distributions as an
+independent one-instruction-at-a-time evolution under identical seeds —
+bit-for-bit when the probability vectors agree to float precision,
+statistically always.  For the statevector simulator the reference is its
+sequential ``run``; the density-matrix simulator's ``run`` *is* the compiled
+path, so its reference is the private per-gate evolution.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.quantum.batch import (
 )
 from repro.quantum.channels import depolarizing_channel
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.density import DensityMatrix
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
 
@@ -35,6 +38,18 @@ def _bell_circuit() -> QuantumCircuit:
     circuit.cx(0, 1)
     circuit.measure_all()
     return circuit
+
+
+def _per_gate_counts(
+    simulator: DensityMatrixSimulator, circuit: QuantumCircuit, shots: int, seed: int
+) -> dict[str, int]:
+    """Counts of the per-gate reference evolution, sampled as ``run`` samples."""
+    state, measure_map = simulator._evolve_per_gate(
+        circuit, DensityMatrix.zero_state(circuit.num_qubits)
+    )
+    return simulator._sample_measurements(
+        state, measure_map, circuit.num_clbits, shots, np.random.default_rng(seed)
+    ).counts
 
 
 def _total_variation(counts_a: dict[str, int], counts_b: dict[str, int]) -> float:
@@ -114,14 +129,15 @@ class TestCompiledPropagators:
         noise = device.noise_model()
         circuit = build_message_transfer_circuit("10", eta=60)
         simulator = DensityMatrixSimulator(noise_model=noise)
-        sequential = simulator.final_density_matrix(circuit)
+        sequential, _ = simulator._evolve_per_gate(circuit, DensityMatrix.zero_state(2))
         compiled = compile_channel(circuit, noise)
-        from repro.quantum.density import DensityMatrix
-
         batched = DensityMatrix(compiled.propagate(
             DensityMatrix.zero_state(2).matrix
         ), validate=False)
         assert np.allclose(sequential.matrix, batched.matrix, atol=1e-10)
+        assert np.allclose(
+            simulator.final_density_matrix(circuit).matrix, batched.matrix, atol=1e-10
+        )
 
     def test_cache_hits_on_structurally_identical_circuits(self):
         cache = PropagatorCache()
@@ -251,27 +267,29 @@ class TestDensityBatchParity:
         return DeviceModel.ibm_brisbane().noise_model()
 
     def test_counts_match_sequential_path_under_fixed_seed(self, noise):
-        # The compiled and sequential paths compute the same probability
-        # vector to ~1e-14, so the same generator state draws the same
-        # multinomial sample, readout errors included.
+        # The compiled path and the per-gate reference compute the same
+        # probability vector to ~1e-14, so the same generator state draws
+        # the same multinomial sample, readout errors included.
         circuit = build_message_transfer_circuit("11", eta=120)
         simulator = DensityMatrixSimulator(noise_model=noise)
-        sequential = simulator.run(circuit, shots=4096, rng=np.random.default_rng(23))
+        sequential = _per_gate_counts(simulator, circuit, 4096, seed=23)
         batched = simulator.run_batch(
             [circuit], shots=4096, rng=np.random.default_rng(23)
         )[0]
-        assert batched.counts == sequential.counts
+        single = simulator.run(circuit, shots=4096, rng=np.random.default_rng(23))
+        assert batched.counts == sequential
+        assert single.counts == sequential
 
     def test_statistical_consistency_across_seeds(self, noise):
-        # Different seeds: the two paths must still sample the same
+        # Different seeds: the two evolutions must still sample the same
         # distribution (TV distance small at large shot counts).
         circuit = build_message_transfer_circuit("00", eta=200)
         simulator = DensityMatrixSimulator(noise_model=noise)
-        sequential = simulator.run(circuit, shots=8192, rng=np.random.default_rng(1))
+        sequential = _per_gate_counts(simulator, circuit, 8192, seed=1)
         batched = simulator.run_batch(
             [circuit], shots=8192, rng=np.random.default_rng(2)
         )[0]
-        assert _total_variation(sequential.counts, batched.counts) < 0.03
+        assert _total_variation(sequential, batched.counts) < 0.03
 
     def test_reset_instruction_parity(self):
         circuit = QuantumCircuit(2)
@@ -280,11 +298,45 @@ class TestDensityBatchParity:
         circuit.reset(0)
         circuit.measure_all()
         simulator = DensityMatrixSimulator()
-        sequential = simulator.run(circuit, shots=512, rng=np.random.default_rng(9))
-        batched = simulator.run_batch(
-            [circuit], shots=512, rng=np.random.default_rng(9)
-        )[0]
-        assert batched.counts == sequential.counts
+        sequential = _per_gate_counts(simulator, circuit, 512, seed=9)
+        batched = simulator.run(circuit, shots=512, rng=np.random.default_rng(9))
+        assert batched.counts == sequential
+
+    def test_wide_registers_fall_back_to_the_per_gate_evolution(self, noise, monkeypatch):
+        # Five qubits exceed MAX_SUPEROP_QUBITS: run evolves gate by gate and
+        # compiles nothing.
+        circuit = QuantumCircuit(5)
+        circuit.h(0)
+        for qubit in range(4):
+            circuit.cx(qubit, qubit + 1)
+        circuit.measure_all()
+        simulator = DensityMatrixSimulator(noise_model=noise)
+        sequential = _per_gate_counts(simulator, circuit, 1024, seed=31)
+        walks = []
+        reference = simulator._evolve_per_gate
+        monkeypatch.setattr(
+            simulator,
+            "_evolve_per_gate",
+            lambda *args: walks.append(args) or reference(*args),
+        )
+        result = simulator.run(circuit, shots=1024, rng=np.random.default_rng(31))
+        assert len(walks) == 1
+        assert len(simulator._cache) == 0
+        assert simulator._cache.misses == 0
+        assert result.counts == sequential
+        assert result.counts.get("00000", 0) + result.counts.get("11111", 0) > 900
+
+    def test_structurally_equal_circuits_share_a_compiled_channel(self, noise):
+        # Two distinct circuit objects with one structure: the second run is
+        # a propagator-cache hit, not a recompile.
+        simulator = DensityMatrixSimulator(noise_model=noise, seed=3)
+        first = build_message_transfer_circuit("10", eta=40)
+        second = build_message_transfer_circuit("10", eta=40)
+        assert first is not second
+        simulator.run(first, shots=32)
+        assert (simulator._cache.hits, simulator._cache.misses) == (0, 1)
+        simulator.run(second, shots=32)
+        assert (simulator._cache.hits, simulator._cache.misses) == (1, 1)
 
     def test_readout_errors_are_applied(self):
         noise = NoiseModel("readout_only").add_readout_error(ReadoutError.symmetric(0.25))

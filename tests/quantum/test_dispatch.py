@@ -1,5 +1,8 @@
 """Tests for the static eligibility analysis and backend routing."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,19 +24,21 @@ from repro.quantum.channels import (
     phase_flip_channel,
     thermal_relaxation_channel,
 )
+from repro.quantum import dispatch
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.dispatch import (
     BACKEND_CHOICES,
     circuit_is_clifford,
     channel_is_pauli,
     noise_model_is_pauli,
+    noise_model_mixtures,
     pauli_mixture,
     pauli_twirl_channel,
     pauli_twirl_noise_model,
     protocol_eligibility,
     select_backend,
 )
-from repro.quantum.noise_model import NoiseModel, ReadoutError
+from repro.quantum.noise_model import NoiseModel, QuantumError, ReadoutError
 
 
 class TestPauliMixture:
@@ -129,6 +134,94 @@ class TestCircuitAnalysis:
         model = NoiseModel("readout_only")
         model.add_readout_error(ReadoutError.symmetric(0.05))
         assert noise_model_is_pauli(model)
+
+
+class TestNoiseModelMixtures:
+    @pytest.fixture
+    def scans(self, monkeypatch) -> list:
+        calls: list = []
+        scan = dispatch.pauli_mixture
+
+        def counting(channel, *args, **kwargs):
+            calls.append(channel)
+            return scan(channel, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "pauli_mixture", counting)
+        return calls
+
+    @staticmethod
+    def _bell() -> QuantumCircuit:
+        circuit = QuantumCircuit(2, name="bell")
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.measure_all()
+        return circuit
+
+    def test_mixtures_of_the_attached_errors(self):
+        error = QuantumError(bit_flip_channel(0.2))
+        model = NoiseModel("flip").add_all_qubit_error(error, ["h", "cx"])
+        labels, probabilities = noise_model_mixtures(model, self._bell())[id(error)]
+        assert dict(zip(labels, probabilities)) == pytest.approx({"I": 0.8, "X": 0.2})
+        assert noise_model_mixtures(None, self._bell()) == {}
+
+    def test_model_state_is_analysed_once(self, scans):
+        model = NoiseModel("pauli").add_all_qubit_error(depolarizing_channel(0.01), "h")
+        for _ in range(3):
+            noise_model_mixtures(model, self._bell())
+        assert len(scans) == 1
+        model.add_all_qubit_error(bit_flip_channel(0.1), "cx")  # bumps the version
+        noise_model_mixtures(model, self._bell())
+        assert len(scans) == 3
+        assert noise_model_is_pauli(model)
+        assert len(scans) == 3
+
+    def test_concurrent_analysis_under_memo_eviction(self):
+        # More models than the memo holds, analysed from more threads than
+        # cores with frequent switches: every answer must stay correct.
+        models = [
+            NoiseModel(f"m{i}").add_all_qubit_error(bit_flip_channel(i / 200), "h")
+            for i in range(1, 81)
+        ]
+        circuit = self._bell()
+        failures: list = []
+
+        def worker(offset: int) -> None:
+            for step in range(400):
+                index = (offset + step) % len(models)
+                (labels, probabilities), = noise_model_mixtures(
+                    models[index], circuit
+                ).values()
+                mixture = dict(zip(labels, probabilities))
+                if abs(mixture.get("X", 0.0) - (index + 1) / 200) > 1e-12:
+                    failures.append((index, mixture))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(17 * n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_duck_typed_models_are_analysed_every_call(self, scans):
+        error = QuantumError(depolarizing_channel(0.05))
+
+        class DuckNoise:
+            def errors_for(self, gate_name, qubits):
+                return [error]
+
+        duck = DuckNoise()
+        for calls in (1, 2, 3):
+            mixtures = noise_model_mixtures(duck, self._bell())
+            assert list(mixtures) == [id(error)]
+            assert len(scans) == calls
 
 
 class TestSelectBackend:
