@@ -49,7 +49,6 @@ from repro.api.fragmentation import (
     FragmentFrame,
     ParsedFrame,
     crc16,
-    derive_seed,
     fragment_payload,
     fragment_seed,
     reassemble,
@@ -82,7 +81,6 @@ __all__ = [
     "FragmentFrame",
     "ParsedFrame",
     "crc16",
-    "derive_seed",
     "fragment_payload",
     "fragment_seed",
     "reassemble",

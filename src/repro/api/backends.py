@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
-from repro.api.fragmentation import derive_seed
 from repro.api.report import AttemptRecord
 from repro.exceptions import ConfigurationError
 from repro.protocol.runner import SessionCaches, UADIQSDCProtocol
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits, bits_to_str, bitstring_to_bits
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, point_seed
 
 __all__ = [
     "FragmentJob",
@@ -109,7 +108,7 @@ def _execute_fragment(
     protocol_config = config.protocol_config(len(job.bits), seed=job.seed)
     attack = None
     if config.attack_factory is not None:
-        attack_rng = as_rng(derive_seed(job.seed, stream="attack"))
+        attack_rng = as_rng(point_seed(job.seed, {"stream": "attack"}))
         attack = config.attack_factory(job.index, job.attempt, attack_rng)
     with telemetry.span(
         "service.fragment_attempt",
@@ -166,9 +165,9 @@ class BatchBackend:
     def deliver(
         self, jobs: Sequence[FragmentJob], config: Any
     ) -> list[FragmentDelivery]:
-        # Imported lazily: the experiments package imports modules that are
-        # being rewired onto this API (e2e), so a module-level import would
-        # close an import cycle.
+        # Looked up at call time, not imported at module level: perfbench's
+        # tracer patches run_sweep on its module, and a name bound at import
+        # time would bypass the patch.
         from repro.experiments.sweep import run_sweep
 
         if not jobs:
@@ -238,7 +237,7 @@ class NetworkBackend:
             routing_policy=config.routing_policy,
             session_params=session_params,
             max_wait=config.max_wait,
-            seed=derive_seed(jobs[0].seed, stream="network"),
+            seed=point_seed(jobs[0].seed, {"stream": "network"}),
             executor=config.executor,
             max_workers=config.max_workers,
         )

@@ -20,28 +20,25 @@ channel bit errors into detected ones: a fragment whose delivered frame fails
 scheduled for retransmission.
 
 Seeds are derived per ``(fragment, attempt)`` with :func:`fragment_seed`, a
-SHA-256 construction in the style of
-:func:`repro.experiments.sweep.point_seed` (re-implemented here so the API
-layer does not import the experiments package at module scope): the same
-service seed always produces the same fragment seeds, the same retransmission
-seeds, and therefore a bit-identical delivery — the determinism contract the
-API tests pin.
+thin wrapper over :func:`repro.utils.rng.point_seed`: the same service seed
+always produces the same fragment seeds, the same retransmission seeds, and
+therefore a bit-identical delivery — the determinism contract the API tests
+pin.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError
 from repro.utils.bits import Bits, bits_to_int, int_to_bits, validate_bits
+from repro.utils.rng import point_seed
 
 __all__ = [
     "HEADER_BITS",
     "MAX_FRAGMENT_BITS",
     "MAX_FRAGMENTS",
     "crc16",
-    "derive_seed",
     "fragment_seed",
     "FragmentFrame",
     "ParsedFrame",
@@ -74,29 +71,6 @@ def crc16(bits: Bits) -> int:
     return register
 
 
-def derive_seed(base_seed: int, **tags: "int | str") -> int:
-    """Derive a deterministic 63-bit seed from a base seed and named tags.
-
-    Same construction as :func:`repro.experiments.sweep.point_seed`: a
-    SHA-256 digest of the base seed and the sorted ``(name, value)`` pairs.
-    The result depends only on its inputs — never on call order — which is
-    what makes retransmission schedules reproducible.
-    """
-    digest = hashlib.sha256()
-    digest.update(str(int(base_seed)).encode())
-    for name in sorted(tags):
-        value = tags[name]
-        if isinstance(value, str):
-            token = f"s:{value}"
-        else:
-            token = f"i:{int(value)}"
-        digest.update(b"\x00")
-        digest.update(str(name).encode())
-        digest.update(b"\x01")
-        digest.update(token.encode())
-    return int.from_bytes(digest.digest()[:8], "big") % (2**63 - 1)
-
-
 def fragment_seed(base_seed: int, index: int, attempt: int = 0) -> int:
     """The protocol seed for one delivery attempt of one fragment.
 
@@ -104,8 +78,8 @@ def fragment_seed(base_seed: int, index: int, attempt: int = 0) -> int:
     it, so a retried fragment re-runs the protocol with fresh (but still
     deterministic) randomness instead of replaying the aborted session.
     """
-    return derive_seed(
-        base_seed, stream="fragment", fragment=int(index), attempt=int(attempt)
+    return point_seed(
+        base_seed, {"stream": "fragment", "fragment": int(index), "attempt": int(attempt)}
     )
 
 

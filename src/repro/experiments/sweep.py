@@ -9,10 +9,10 @@ substrate those experiments now run on:
 
 * :func:`parameter_grid` expands named axes into the cartesian product of
   points (row-major, first axis slowest), preserving axis order;
-* :func:`point_seed` derives a deterministic, well-separated RNG seed for a
-  point from a base seed and the point's parameters, so a point's result
-  depends only on *its own* coordinates — never on execution order, worker
-  count or executor choice;
+* :func:`~repro.utils.rng.point_seed` (re-exported here) derives a
+  deterministic, well-separated RNG seed for a point from a base seed and
+  the point's parameters, so a point's result depends only on *its own*
+  coordinates — never on execution order, worker count or executor choice;
 * :func:`run_sweep` fans the points across ``concurrent.futures`` workers
   (process, thread, or serial execution) and aggregates the values back in
   grid order as a :class:`SweepResult`.
@@ -28,19 +28,16 @@ How to add a new sweep is documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import numbers
 import os
 from collections.abc import Callable, Mapping, Sequence
 
-import numpy as np
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import ExperimentError
-from repro.utils.rng import as_rng
+from repro.utils.rng import _canonical_value, as_rng, point_seed
 
 __all__ = [
     "SweepPoint",
@@ -90,69 +87,6 @@ def parameter_grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
         dict(zip(names, combination))
         for combination in itertools.product(*axes.values())
     ]
-
-
-def _canonical_value(value: Any) -> str:
-    """Stable text encoding of an axis value for seed derivation.
-
-    Numeric values are canonicalized through the Python ``numbers`` tower so
-    ``10``, ``numpy.int64(10)`` and any other integral type hash identically
-    (``repr`` alone would differ across numpy versions and dtypes);
-    sequences are encoded element-wise.  ``None`` encodes as its own token.
-
-    Axis values outside the supported set are rejected: a silent ``repr``
-    fallback would bake memory addresses (default object reprs) into the
-    per-point seeds and quietly break the module's reproducibility
-    guarantee.  Sweep rich objects by name and resolve them inside the
-    worker instead (the pattern the experiment harnesses use).
-    """
-    if value is None:
-        return "n:"
-    if isinstance(value, (bool, np.bool_)):
-        return f"b:{bool(value)}"
-    if isinstance(value, numbers.Integral):
-        return f"i:{int(value)}"
-    if isinstance(value, numbers.Real):
-        return f"f:{float(value)!r}"
-    if isinstance(value, complex):
-        return f"c:{complex(value)!r}"
-    if isinstance(value, str):
-        return f"s:{value}"
-    if isinstance(value, (tuple, list)):
-        return "t:[" + ",".join(_canonical_value(item) for item in value) + "]"
-    raise ExperimentError(
-        f"axis value {value!r} of type {type(value).__name__} cannot be "
-        "canonicalized for seed derivation; sweep a name or number and "
-        "resolve the object inside the worker"
-    )
-
-
-def point_seed(base_seed: int, params: Mapping[str, Any]) -> int:
-    """Derive a deterministic RNG seed for one sweep point.
-
-    The seed is a SHA-256 digest of the base seed and the point's sorted
-    ``(name, canonical value)`` pairs, truncated to 63 bits.  It therefore
-    depends only on the point's own coordinates: re-ordering the grid,
-    changing the worker count, or running points in isolation all reproduce
-    identical per-point randomness.  Numeric axis values are canonicalized
-    (see :func:`_canonical_value`), so ``numpy`` scalars and built-in
-    numbers derive the same seed.
-
-    Parameters
-    ----------
-    base_seed:
-        The sweep-level seed supplied by the caller.
-    params:
-        The point's parameters.
-    """
-    digest = hashlib.sha256()
-    digest.update(str(int(base_seed)).encode())
-    for name in sorted(params):
-        digest.update(b"\x00")
-        digest.update(str(name).encode())
-        digest.update(b"\x01")
-        digest.update(_canonical_value(params[name]).encode())
-    return int.from_bytes(digest.digest()[:8], "big") % (2**63 - 1)
 
 
 def resolve_base_seed(seed: "int | None") -> int:

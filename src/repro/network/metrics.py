@@ -26,7 +26,6 @@ property the determinism tests (serial vs. threaded execution) assert via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,6 +36,7 @@ from repro.network.sessions import (
     STATUS_REJECTED,
     HopReport,
 )
+from repro.runtime.loadgen import percentile
 
 __all__ = ["SessionRecord", "NetworkResult"]
 
@@ -120,14 +120,6 @@ def _mean(values: list[float]) -> float | None:
     if not values:
         return None
     return sum(values) / len(values)
-
-
-def _percentile(sorted_values: list[float], pct: float) -> float | None:
-    """Nearest-rank percentile of an ascending-sorted sample (None if empty)."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 @dataclass
@@ -341,9 +333,9 @@ class NetworkResult:
                 samples.setdefault(record.priority, []).append(record.latency)
         result: dict[str, dict[str, float]] = {}
         for name in sorted(samples):
-            values = sorted(samples[name])
             result[name] = {
-                f"p{pct:g}": _percentile(values, pct) for pct in percentiles
+                f"p{pct:g}": percentile(samples[name], pct / 100.0)
+                for pct in percentiles
             }
         return result
 

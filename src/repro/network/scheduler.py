@@ -16,7 +16,7 @@ both reproducible and parallel:
 
 2. **Execution pass (parallel).**  Every admitted session becomes one point
    of a :func:`repro.experiments.sweep.run_sweep` grid with a
-   :func:`~repro.experiments.sweep.point_seed`-derived seed, and the
+   :func:`~repro.utils.rng.point_seed`-derived seed, and the
    hop-by-hop protocol runs (:func:`repro.network.sessions.run_session`)
    fan out across the worker pool.  Because each session's randomness
    derives only from its own seed, serial and threaded execution produce
@@ -31,24 +31,23 @@ parallel at all.  Queueing delay is fed back into the quantum layer as
 memory hold time on the session's first hop, so congestion physically
 degrades stored qubits when node memories are non-ideal.
 
-**Time-varying conditions and QoS.**  When the scheduler is given a
+**Time-varying conditions and QoS.**  The reservation pass is one loop for
+every configuration.  It (a) evaluates channel conditions at each session's
+*admission* time and snapshots the per-hop channels for the execution pass,
+(b) re-routes sessions around elements whose failure windows intersect the
+reservation interval (growing an exclusion set to a fixed point), and
+(c) serves the waiting queue FIFO, or by per-class virtual time under a
+:class:`QoSPolicy`.  Conditions come from a
 :class:`~repro.network.dynamics.NetworkDynamics` (drift curves, calibration
-aging, failure/recovery windows) or a :class:`QoSPolicy` (weighted-fair
-priority classes), the reservation pass switches to a superset discrete-event
-loop that additionally (a) evaluates channel conditions at each session's
-*admission* time and snapshots the drifted per-hop channels for the execution
-pass, (b) re-routes sessions around elements whose failure windows intersect
-the reservation interval (growing an exclusion set to a fixed point), and
-(c) services the waiting queue by per-class virtual time instead of FIFO.
-The static path is kept verbatim and is taken whenever neither feature is
-configured, so existing simulations are bit-identical run to run; a dynamics
-object whose conditions are all trivial reproduces the static schedule
-exactly through the dynamic loop (the metamorphic tests pin this).
+aging, failure/recovery windows); without one the environment is frozen
+(:meth:`NetworkDynamics.static`): every snapshot is the link's own channel
+and nothing is ever re-routed.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -67,7 +66,7 @@ from repro.network.topology import NetworkTopology
 from repro.runtime.admission import NodeCapacityLedger, WeightedFairSelector
 from repro.telemetry import runtime as telemetry
 from repro.utils.logging import get_logger
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, point_seed
 
 _log = get_logger("network.scheduler")
 
@@ -89,16 +88,10 @@ SCHEDULER_EXECUTORS = ("serial", "thread")
 #: Default weighted-fair weights of the conventional priority classes.
 DEFAULT_QOS_WEIGHTS = {"control": 4.0, "interactive": 2.0, "bulk": 1.0}
 
-# Event-kind priorities at equal timestamps: completions free capacity before
-# timeouts give up on queued sessions, and both precede new arrivals.
-_COMPLETION, _TIMEOUT, _ARRIVAL = 0, 1, 2
-
-# Dynamic-pass event kinds.  Recovery (an outage window ending) slots between
-# completions and timeouts: freed elements are visible before any co-timed
-# patience expiry.  Static runs have no recovery events, so the relative
-# order completion < timeout < arrival — the one the static pass uses — is
-# preserved, which the bit-identity contract relies on.
-_DYN_COMPLETION, _DYN_RECOVERY, _DYN_TIMEOUT, _DYN_ARRIVAL = 0, 1, 2, 3
+# Event-kind priorities at equal timestamps: completions free capacity, then
+# recoveries (an outage window ending) free elements, both before timeouts
+# give up on queued sessions; new arrivals come last.
+_COMPLETION, _RECOVERY, _TIMEOUT, _ARRIVAL = 0, 1, 2, 3
 
 
 class PoissonTraffic:
@@ -128,15 +121,17 @@ class PoissonTraffic:
     ):
         if num_sessions < 1:
             raise NetworkError("num_sessions must be positive")
-        if rate <= 0:
-            raise NetworkError("rate must be positive")
+        if not (math.isfinite(rate) and rate > 0):
+            raise NetworkError("rate must be finite and positive")
         if message_length < 1:
             raise NetworkError("message_length must be positive")
         if priority_mix is not None:
             if not priority_mix:
                 raise NetworkError("priority_mix must name at least one class")
-            if any(weight <= 0 for weight in priority_mix.values()):
-                raise NetworkError("priority_mix weights must be positive")
+            if not all(
+                math.isfinite(weight) and weight > 0 for weight in priority_mix.values()
+            ):
+                raise NetworkError("priority_mix weights must be finite and positive")
         self.num_sessions = num_sessions
         self.rate = rate
         self.message_length = message_length
@@ -206,9 +201,10 @@ class TraceTraffic:
                     "trace entries are (time, source, target, length[, priority]) "
                     f"tuples, got {entry!r}"
                 )
-            normalized.append(
-                (float(time), str(source), str(target), int(length), str(priority))
-            )
+            time = float(time)
+            if not math.isfinite(time):
+                raise NetworkError(f"trace entry time must be finite, got {entry!r}")
+            normalized.append((time, str(source), str(target), int(length), str(priority)))
         self.entries = sorted(normalized)
 
     def generate(self, topology: NetworkTopology, rng: Any = None) -> list[SessionRequest]:
@@ -279,12 +275,13 @@ class QoSPolicy:
 class _Pending:
     """Scheduling state of one request during the reservation pass.
 
-    The dynamic pass additionally tracks admission-time channel snapshots
-    (``channels`` — the drifted per-hop channels the execution pass runs
-    over), whether the session left its originally prepared route
-    (``rerouted``), and whether its latest failed admission attempt was
-    blocked by an outage rather than capacity (``outage_blocked`` — which
-    turns a patience expiry into an ``outage_timeout`` rejection).
+    Besides the route and its capacity/duration needs, the pass tracks the
+    admission-time channel snapshots (``channels`` — the per-hop channels
+    the execution pass runs over), whether the session left its originally
+    prepared route (``rerouted``), and whether its latest failed admission
+    attempt was blocked by an outage rather than capacity
+    (``outage_blocked`` — which turns a patience expiry into an
+    ``outage_timeout`` rejection).
     """
 
     request: SessionRequest
@@ -330,8 +327,8 @@ class NetworkScheduler:
     dynamics:
         Optional :class:`~repro.network.dynamics.NetworkDynamics` — drift,
         aging and outage conditions evaluated at each session's admission
-        time.  ``None`` (default) keeps the environment frozen and takes
-        the original reservation pass verbatim.
+        time.  ``None`` (default) keeps the environment frozen
+        (:meth:`NetworkDynamics.static`).
     qos:
         Optional :class:`QoSPolicy` — weighted-fair service of priority
         classes in the waiting queue.  ``None`` (default) serves FIFO.
@@ -362,12 +359,12 @@ class NetworkScheduler:
                 f"{SCHEDULER_EXECUTORS} (session workers close over the live "
                 "topology and cannot be pickled for process pools)"
             )
-        if hop_overhead < 0:
-            raise NetworkError("hop_overhead must be non-negative")
-        if hold_time_unit <= 0:
-            raise NetworkError("hold_time_unit must be positive")
-        if max_wait is not None and max_wait < 0:
-            raise NetworkError("max_wait must be non-negative or None")
+        if not (math.isfinite(hop_overhead) and hop_overhead >= 0):
+            raise NetworkError("hop_overhead must be finite and non-negative")
+        if not (math.isfinite(hold_time_unit) and hold_time_unit > 0):
+            raise NetworkError("hold_time_unit must be finite and positive")
+        if max_wait is not None and not (math.isfinite(max_wait) and max_wait >= 0):
+            raise NetworkError("max_wait must be finite and non-negative, or None")
         if dynamics is not None and not isinstance(dynamics, NetworkDynamics):
             raise NetworkError(
                 f"dynamics must be a NetworkDynamics, got {type(dynamics).__name__}"
@@ -389,11 +386,6 @@ class NetworkScheduler:
     # -- public API --------------------------------------------------------------------
     def run(self, traffic: Any) -> NetworkResult:
         """Simulate the given traffic and return the aggregated result."""
-        # Imported here (not at module level): the experiments package pulls
-        # in the network-scale experiment, which imports this module — a
-        # top-level import of the sweep substrate would close that cycle.
-        from repro.experiments.sweep import point_seed
-
         traffic_rng = as_rng(point_seed(self.seed, {"stream": "traffic"}))
         with telemetry.span(
             "network.simulate",
@@ -404,14 +396,7 @@ class NetworkScheduler:
             requests = sorted(requests, key=lambda r: (r.arrival_time, r.session_id))
             pendings = [self._prepare(request) for request in requests]
             with telemetry.span("network.reservation", "network"):
-                # The original pass is kept verbatim for the frozen
-                # configuration (bit-identical to every earlier release);
-                # any dynamics/QoS — even trivial ones — take the superset
-                # loop, which the metamorphic tests hold to the same output.
-                if self.dynamics is None and self.qos is None:
-                    sim_time = self._reservation_pass(pendings)
-                else:
-                    sim_time = self._dynamic_reservation_pass(pendings)
+                sim_time = self._reservation_pass(pendings)
             with telemetry.span(
                 "network.execution",
                 "network",
@@ -472,127 +457,13 @@ class NetworkScheduler:
     def _reservation_pass(self, pendings: list[_Pending]) -> float:
         """Discrete-event admission/timing; fills scheduling fields of records.
 
-        Capacity accounting lives in
+        Events are ``(time, kind, sequence)`` heap entries; capacity
+        accounting lives in
         :class:`~repro.runtime.admission.NodeCapacityLedger` — the same
         ledger the delivery runtime uses — so both layers share one
-        definition of "this node can hold the session's pairs".
-        """
-        ledger = NodeCapacityLedger(self.topology)
-        events: list[tuple[float, int, int, _Pending]] = []
-        sequence = 0
-
-        def push(time: float, kind: int, pending: _Pending) -> None:
-            nonlocal sequence
-            heapq.heappush(events, (time, kind, sequence, pending))
-            sequence += 1
-
-        for pending in pendings:
-            if pending.route is None:
-                pending.resolved = True  # rejected outright: no route
-                continue
-            push(pending.request.arrival_time, _ARRIVAL, pending)
-            if self.max_wait is not None:
-                push(pending.request.arrival_time + self.max_wait, _TIMEOUT, pending)
-
-        queue: list[_Pending] = []
-        sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
-
-        def admit(pending: _Pending, now: float) -> None:
-            record = pending.record
-            session_id = pending.request.session_id
-            telemetry.counter_inc("scheduler.admitted")
-            telemetry.counter_inc(
-                "scheduler.qubits_reserved", sum(pending.qubits_needed.values())
-            )
-            _log.debug(
-                "session %d admitted at t=%g (queued %g, %d qubits)",
-                session_id,
-                now,
-                now - pending.request.arrival_time,
-                sum(pending.qubits_needed.values()),
-            )
-            ledger.reserve(session_id, pending.qubits_needed)
-            record.start_time = now
-            record.finish_time = now + pending.duration
-            record.hold_time = (now - pending.request.arrival_time) / self.hold_time_unit
-            pending.admitted = True
-            pending.resolved = True
-            for sender, receiver in pending.route.hops():
-                self.topology.link(sender, receiver).classical_channel.broadcast(
-                    "scheduler",
-                    "route_reserved",
-                    {"session": session_id, "start": now, "finish": record.finish_time},
-                )
-            push(record.finish_time, _COMPLETION, pending)
-
-        while events:
-            now, kind, _, pending = heapq.heappop(events)
-            if kind == _TIMEOUT and pending.resolved:
-                # Stale timeout of an already-scheduled session: must not
-                # advance sim_time, or every run with max_wait set would have
-                # its horizon padded to last_arrival + max_wait and all
-                # throughput figures silently deflated.
-                continue
-            sim_time = max(sim_time, now)
-            if kind == _ARRIVAL:
-                if not ledger.viable(pending.qubits_needed):
-                    pending.resolved = True
-                    pending.record.abort_reason = "insufficient_capacity"
-                    telemetry.counter_inc(
-                        "scheduler.rejections", reason="insufficient_capacity"
-                    )
-                    _log.debug(
-                        "session %d rejected: needs more qubits than any node has",
-                        pending.request.session_id,
-                    )
-                elif ledger.fits(pending.qubits_needed):
-                    admit(pending, now)
-                else:
-                    queue.append(pending)
-                    telemetry.observe("scheduler.queue_depth", len(queue))
-            elif kind == _COMPLETION:
-                session_id = pending.request.session_id
-                ledger.release(session_id, pending.qubits_needed)
-                for sender, receiver in pending.route.hops():
-                    self.topology.link(sender, receiver).classical_channel.broadcast(
-                        "scheduler", "route_released", {"session": session_id}
-                    )
-                still_waiting = []
-                for waiting in queue:
-                    if not waiting.resolved and ledger.fits(waiting.qubits_needed):
-                        admit(waiting, now)
-                    elif not waiting.resolved:
-                        still_waiting.append(waiting)
-                queue = still_waiting
-            elif kind == _TIMEOUT:
-                pending.resolved = True
-                pending.record.abort_reason = "capacity_timeout"
-                telemetry.counter_inc(
-                    "scheduler.rejections", reason="capacity_timeout"
-                )
-                _log.debug(
-                    "session %d rejected: queued past max_wait=%g",
-                    pending.request.session_id,
-                    self.max_wait,
-                )
-                queue = [waiting for waiting in queue if waiting is not pending]
-
-        # With max_wait=None a queued session is always admitted eventually
-        # (reservations drain, and unviable requests were rejected on
-        # arrival); this is a defensive sweep, not an expected path.
-        for pending in queue:
-            if not pending.resolved:
-                pending.resolved = True
-                pending.record.abort_reason = "capacity_timeout"
-        return sim_time
-
-    def _dynamic_reservation_pass(self, pendings: list[_Pending]) -> float:
-        """Reservation under time-varying conditions and/or priority QoS.
-
-        A superset of :meth:`_reservation_pass` — same heap discipline, same
-        ledger, same admission bookkeeping — plus three condition-aware
-        behaviours, each evaluated at the session's admission time ``now``
-        so the pass stays a pure serial function of the seed:
+        definition of "this node can hold the session's pairs".  Three
+        condition-aware behaviours are evaluated at the session's admission
+        time ``now``, so the pass stays a pure serial function of the seed:
 
         * **re-routing**: a session whose route has a failure window
           intersecting ``[now, now + duration]`` is re-routed around the
@@ -626,17 +497,20 @@ class NetworkScheduler:
             if pending.route is None:
                 pending.resolved = True  # rejected outright: no route
                 continue
-            push(pending.request.arrival_time, _DYN_ARRIVAL, pending)
+            push(pending.request.arrival_time, _ARRIVAL, pending)
             if self.max_wait is not None:
-                push(pending.request.arrival_time + self.max_wait, _DYN_TIMEOUT, pending)
+                push(pending.request.arrival_time + self.max_wait, _TIMEOUT, pending)
         for recovery_time in dynamics.recovery_times():
-            push(recovery_time, _DYN_RECOVERY, None)
+            push(recovery_time, _RECOVERY, None)
 
         queue: list[_Pending] = []
         sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
+        outage_free = not dynamics.outages
 
         def reroute(pending: _Pending, now: float) -> bool:
             """Settle a feasible route for *pending* at *now* (False = outage-blocked)."""
+            if outage_free:
+                return True  # no failure window can block any route
             request = pending.request
             if not dynamics.node_available(request.source, now) or not (
                 dynamics.node_available(request.target, now)
@@ -731,12 +605,12 @@ class NetworkScheduler:
                     "route_reserved",
                     {"session": session_id, "start": now, "finish": record.finish_time},
                 )
-            push(record.finish_time, _DYN_COMPLETION, pending)
+            push(record.finish_time, _COMPLETION, pending)
 
         def service_queue(now: float) -> None:
             nonlocal queue
             if selector is None:
-                # FIFO — the static pass's discipline, with outage checks.
+                # FIFO: admit every waiting session that fits, in order.
                 still_waiting = []
                 for waiting in queue:
                     if waiting.resolved:
@@ -745,8 +619,8 @@ class NetworkScheduler:
                         still_waiting.append(waiting)
                     elif not ledger.viable(waiting.qubits_needed):
                         # Only reachable when re-routing grew the capacity
-                        # footprint past every node (static runs never hit
-                        # this: queued sessions were viable on arrival).
+                        # footprint past every node (queued sessions were
+                        # viable on arrival).
                         reject(waiting, "insufficient_capacity")
                     elif ledger.fits(waiting.qubits_needed):
                         admit(waiting, now)
@@ -777,7 +651,7 @@ class NetworkScheduler:
 
         while events:
             now, kind, _, pending = heapq.heappop(events)
-            if kind == _DYN_RECOVERY:
+            if kind == _RECOVERY:
                 # An outage window ended: retry the queue.  Advances
                 # sim_time only when there is work to retry, so recovery
                 # events on an idle network don't pad the horizon.
@@ -786,12 +660,14 @@ class NetworkScheduler:
                     service_queue(now)
                 continue
             assert pending is not None
-            if kind == _DYN_TIMEOUT and pending.resolved:
-                # Stale timeout of an already-scheduled session (see the
-                # static pass for why it must not advance sim_time).
+            if kind == _TIMEOUT and pending.resolved:
+                # Stale timeout of an already-scheduled session: must not
+                # advance sim_time, or every run with max_wait set would have
+                # its horizon padded to last_arrival + max_wait and all
+                # throughput figures silently deflated.
                 continue
             sim_time = max(sim_time, now)
-            if kind == _DYN_ARRIVAL:
+            if kind == _ARRIVAL:
                 if not reroute(pending, now):
                     queue.append(pending)
                     telemetry.observe("scheduler.queue_depth", len(queue))
@@ -802,7 +678,7 @@ class NetworkScheduler:
                 else:
                     queue.append(pending)
                     telemetry.observe("scheduler.queue_depth", len(queue))
-            elif kind == _DYN_COMPLETION:
+            elif kind == _COMPLETION:
                 session_id = pending.request.session_id
                 ledger.release(session_id, pending.qubits_needed)
                 for sender, receiver in pending.route.hops():
@@ -810,15 +686,17 @@ class NetworkScheduler:
                         "scheduler", "route_released", {"session": session_id}
                     )
                 service_queue(now)
-            elif kind == _DYN_TIMEOUT:
+            elif kind == _TIMEOUT:
                 reject(
                     pending,
                     "outage_timeout" if pending.outage_blocked else "capacity_timeout",
                 )
                 queue = [waiting for waiting in queue if waiting is not pending]
 
-        # Defensive sweep (see the static pass); outage-blocked stragglers
-        # are labelled as such so the SLA decomposition attributes them.
+        # With max_wait=None a queued session is eventually admitted once
+        # reservations drain and outages recover, so this is a defensive
+        # sweep, not an expected path; outage-blocked stragglers are labelled
+        # as such so the SLA decomposition attributes them.
         for pending in queue:
             if not pending.resolved:
                 pending.resolved = True
@@ -830,7 +708,10 @@ class NetworkScheduler:
     # -- phase 2: execution ----------------------------------------------------------------
     def _execution_pass(self, pendings: list[_Pending]) -> None:
         """Run every admitted session through the sweep worker pool."""
-        from repro.experiments.sweep import run_sweep  # see run(): cycle guard
+        # Looked up at call time, not imported at module level: perfbench's
+        # tracer patches run_sweep on its module, and a name bound at import
+        # time would bypass the patch.
+        from repro.experiments.sweep import run_sweep
 
         admitted = [pending for pending in pendings if pending.admitted]
         if not admitted:
@@ -851,8 +732,8 @@ class NetworkScheduler:
                 self.session_params,
                 seed=seed,
                 hold_time=pending.record.hold_time,
-                # Admission-time condition snapshots (None for static runs;
-                # the links' own channel objects under trivial dynamics).
+                # Admission-time condition snapshots (the links' own channel
+                # objects while conditions are trivial).
                 channel_overrides=pending.channels,
             )
 

@@ -303,7 +303,7 @@ def run_session(
         Fleet-wide protocol parameters.
     seed:
         Deterministic session seed (the scheduler derives it with
-        :func:`repro.experiments.sweep.point_seed`); message bits, per-hop
+        :func:`repro.utils.rng.point_seed`); message bits, per-hop
         protocol randomness and attack randomness all flow from it.
     hold_time:
         Memory time units the source held its qubits while the session was

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.api.config import ServiceConfig
-from repro.api.fragmentation import derive_seed
 from repro.api.report import DeliveryReport
 from repro.api.service import MessagingService
 from repro.exceptions import ConfigurationError
@@ -51,6 +50,7 @@ from repro.runtime import interrupt
 from repro.runtime.admission import AdmissionQueue, QueueEntry, TokenBucket
 from repro.telemetry import runtime as telemetry
 from repro.utils.logging import get_logger
+from repro.utils.rng import point_seed
 
 __all__ = [
     "AsyncDeliveryEngine",
@@ -80,7 +80,9 @@ DELIVERY_STATUSES = (
 
 def request_seed(engine_seed: int, request_id: int) -> int:
     """Deterministic per-request protocol seed: the replay-mode derivation."""
-    return derive_seed(engine_seed, stream="runtime.request", request=request_id)
+    return point_seed(
+        engine_seed, {"stream": "runtime.request", "request": int(request_id)}
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from repro.api.fragmentation import (
     FragmentFrame,
     ParsedFrame,
     crc16,
-    derive_seed,
     fragment_payload,
     fragment_seed,
     reassemble,
@@ -109,15 +108,3 @@ class TestSeedDerivation:
     def test_attempts_draw_distinct_seeds(self, base, index):
         seeds = {fragment_seed(base, index, attempt) for attempt in range(4)}
         assert len(seeds) == 4
-
-    @SETTINGS
-    @given(st.integers(0, 2**62))
-    def test_derive_seed_independent_of_tag_order(self, base):
-        assert derive_seed(base, alpha=1, beta="x") == derive_seed(
-            base, beta="x", alpha=1
-        )
-
-    @SETTINGS
-    @given(st.integers(0, 2**62))
-    def test_string_and_int_tags_do_not_collide(self, base):
-        assert derive_seed(base, tag=1) != derive_seed(base, tag="1")

@@ -8,9 +8,11 @@ retransmission, Local/Batch parity — are parameter-independent.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import MessagingService, ServiceConfig
+from repro.api.backends import FragmentJob, LocalBackend, NetworkBackend
 from repro.attacks import InterceptResendAttack
 from repro.channel.quantum_channel import NoiselessChannel
 from repro.network import SessionParameters, line_topology
@@ -234,3 +236,33 @@ class TestNetworkBackend:
                 "alice_authentication_failed",
                 "message_integrity_failed",
             }
+
+
+class TestStreamSeedPins:
+    """The backends' derived stream seeds may never move: recorded runs replay them."""
+
+    JOB = FragmentJob(index=0, bits=(1, 0, 1, 1), seed=7, attempt=0)
+
+    def test_attack_stream_seed_pinned(self):
+        states = []
+
+        def recording_factory(index, attempt, rng):
+            states.append(rng.bit_generator.state)
+            return None
+
+        LocalBackend().deliver([self.JOB], fast_config().with_attack_factory(recording_factory))
+        assert states == [np.random.default_rng(5690286135174873592).bit_generator.state]
+
+    def test_network_stream_seed_pinned(self, monkeypatch):
+        import repro.network.scheduler as scheduler_module
+
+        seeds = []
+
+        class RecordingScheduler(scheduler_module.NetworkScheduler):
+            def __init__(self, *args, seed=0, **kwargs):
+                seeds.append(seed)
+                super().__init__(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "NetworkScheduler", RecordingScheduler)
+        NetworkBackend().deliver([self.JOB], network_config())
+        assert seeds == [3631921844853186589]

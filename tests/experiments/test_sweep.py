@@ -57,6 +57,10 @@ class TestPointSeed:
     def test_base_seed_separates_sweeps(self):
         assert point_seed(1, {"eta": 10}) != point_seed(2, {"eta": 10})
 
+    def test_int_and_str_values_do_not_collide(self):
+        for base in (0, 5, 2**62):
+            assert point_seed(base, {"tag": 1}) != point_seed(base, {"tag": "1"})
+
     def test_seed_fits_in_63_bits(self):
         assert 0 <= point_seed(0, {"x": "y"}) < 2**63 - 1
 

@@ -52,6 +52,35 @@ class TestTrafficModels:
         with pytest.raises(NetworkError):
             PoissonTraffic(num_sessions=1, rate=0.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PoissonTraffic(num_sessions=1, rate=float("nan")),
+            lambda: PoissonTraffic(num_sessions=1, rate=float("inf")),
+            lambda: PoissonTraffic(num_sessions=1, priority_mix={"bulk": float("nan")}),
+            lambda: TraceTraffic([(float("nan"), "n0", "n1", 8)]),
+            lambda: NetworkScheduler(line_topology(2), max_wait=float("nan")),
+            lambda: NetworkScheduler(line_topology(2), hop_overhead=float("nan")),
+            lambda: NetworkScheduler(line_topology(2), hold_time_unit=float("nan")),
+            lambda: NetworkScheduler(line_topology(2), hold_time_unit=float("inf")),
+        ],
+        ids=[
+            "rate-nan",
+            "rate-inf",
+            "priority-weight-nan",
+            "trace-time-nan",
+            "max-wait-nan",
+            "hop-overhead-nan",
+            "hold-time-unit-nan",
+            "hold-time-unit-inf",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        # NaN fails every ``x < 0`` comparison, so sign checks alone let it
+        # through to the event heap, where tuple ordering is undefined.
+        with pytest.raises(NetworkError):
+            build()
+
     def test_trace_traffic_sorted_and_validated(self):
         topology = line_topology(3)
         traffic = TraceTraffic([(0.2, "n2", "n0", 8), (0.1, "n0", "n2", 8)])
@@ -162,6 +191,47 @@ class TestCapacityAccounting:
         assert result.rejected_count == 1
         rejected = [r for r in result.records if r.status == STATUS_REJECTED]
         assert rejected[0].abort_reason == "capacity_timeout"
+
+    def test_static_schedule_pinned(self):
+        """The frozen configuration's exact schedule (no dynamics, no QoS).
+
+        One trace covers FIFO queueing, a patience expiry, an unviable
+        request and an unroutable one; the rows are literals so the
+        reservation loop is held to fixed output, not to another copy of
+        itself.
+        """
+        topology = line_topology(3, channel_factory=lambda length: NoiselessChannel())
+        topology.node("n1").qubit_capacity = 2 * QUICK.pairs_per_hop(8)
+        topology.add_node("x")
+        traffic = TraceTraffic(
+            [
+                (0.0, "n0", "n2", 8),
+                (0.0, "n0", "n2", 8),
+                (0.0005, "n2", "n0", 8),
+                (0.001, "n0", "n2", 64),
+                (0.002, "n0", "x", 8),
+                (0.0025, "n1", "n2", 8),
+                (0.003, "n0", "n1", 8),
+            ]
+        )
+        result = simulate_network(
+            topology, traffic, session_params=QUICK, seed=3, hop_overhead=1e-3,
+            max_wait=0.003,
+        )
+        rows = [
+            (r.session_id, r.admitted, r.start_time, r.finish_time, r.hold_time, r.abort_reason)
+            for r in result.records
+        ]
+        assert rows == [
+            (0, True, 0.0, 0.002, 0.0, None),
+            (1, True, 0.002, 0.004, 2.0, "round2_chsh_failed"),
+            (2, False, None, None, 0.0, "capacity_timeout"),
+            (3, False, None, None, 0.0, "insufficient_capacity"),
+            (4, False, None, None, 0.0, "no_route"),
+            (5, True, 0.004, 0.005, 1.5, None),
+            (6, True, 0.004, 0.005, 1.0, None),
+        ]
+        assert result.sim_time == 0.005
 
     def test_no_route_is_rejected(self):
         from repro.network.topology import NetworkTopology

@@ -11,9 +11,8 @@ Pins the contracts the ``fig_sla`` experiment relies on:
 * **outage safety** — no admitted session's reservation interval crosses a
   link or node inside a failure window, and blocked sessions are rejected
   with the ``outage_timeout`` reason;
-* **metamorphic identities** — trivial dynamics reproduce the static
-  scheduler byte-for-byte, and uniformly scaling QoS weights changes
-  nothing;
+* **metamorphic identities** — trivial dynamics reproduce ``dynamics=None``
+  byte-for-byte, and uniformly scaling QoS weights changes nothing;
 * **input normalization** — ``TraceTraffic`` results are independent of
   entry order, including duplicate timestamps.
 """
@@ -215,7 +214,7 @@ class TestMetamorphic:
         )
 
     def test_trivial_dynamics_bit_identical_to_static(self):
-        """The dynamic reservation pass degenerates exactly to the static one."""
+        """An explicit trivial dynamics object schedules exactly like ``dynamics=None``."""
         static = self._run()
         trivial = self._run(dynamics=NetworkDynamics.static())
         assert json.dumps(static.summary(), sort_keys=True) == json.dumps(

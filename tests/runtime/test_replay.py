@@ -50,6 +50,10 @@ class TestReplayParity:
         assert len(set(seeds)) == 100
         assert seeds == [request_seed(7, index) for index in range(100)]
 
+    def test_request_seed_pinned(self):
+        """Replay-mode seeds of recorded runs may never move."""
+        assert request_seed(7, 5) == 1104830041243273672
+
     def test_explicit_per_request_seed_overrides_replay_derivation(self):
         config = ServiceConfig.ideal()
         with replay_engine(config, seed=1, max_workers=2) as engine:
