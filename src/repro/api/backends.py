@@ -30,7 +30,7 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.api.report import AttemptRecord
 from repro.exceptions import ConfigurationError
-from repro.protocol.runner import SessionCaches, UADIQSDCProtocol
+from repro.protocol.runner import UADIQSDCProtocol
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits, bits_to_str, bitstring_to_bits
 from repro.utils.rng import as_rng, point_seed
@@ -93,17 +93,11 @@ class Backend(Protocol):
         ...
 
 
-def _execute_fragment(
-    job: FragmentJob, config: Any, caches: "SessionCaches | None" = None
-) -> FragmentDelivery:
+def _execute_fragment(job: FragmentJob, config: Any) -> FragmentDelivery:
     """Run one fragment as a single protocol session (Local/Batch shared path).
 
     Keeping this as the one code path both single-link backends call is what
-    makes Local-vs-Batch parity exact rather than statistical.  An optional
-    :class:`~repro.protocol.runner.SessionCaches` fuses the wave's sessions
-    through one memo state; each session still consumes only its own
-    seed-derived randomness, so deliveries are bit-identical with or
-    without it.
+    makes Local-vs-Batch parity exact rather than statistical.
     """
     protocol_config = config.protocol_config(len(job.bits), seed=job.seed)
     attack = None
@@ -116,9 +110,7 @@ def _execute_fragment(
         {"fragment": job.index, "attempt": job.attempt},
     ) as span:
         telemetry.counter_inc("service.fragment_attempts")
-        result = UADIQSDCProtocol(protocol_config, attack=attack, caches=caches).run(
-            job.bits
-        )
+        result = UADIQSDCProtocol(protocol_config, attack=attack).run(job.bits)
         span.attributes["success"] = result.success
     return FragmentDelivery(
         job=job,
@@ -129,21 +121,14 @@ def _execute_fragment(
 
 
 class LocalBackend:
-    """Sequential single-link sessions — the reference backend.
-
-    The wave's sessions share one :class:`SessionCaches`, so state-dependent
-    measurement statistics are computed once per wave instead of once per
-    fragment (bit-identical either way; see
-    :class:`~repro.protocol.runner.SessionCaches`).
-    """
+    """Sequential single-link sessions — the reference backend."""
 
     name = "local"
 
     def deliver(
         self, jobs: Sequence[FragmentJob], config: Any
     ) -> list[FragmentDelivery]:
-        caches = SessionCaches()
-        return [_execute_fragment(job, config, caches=caches) for job in jobs]
+        return [_execute_fragment(job, config) for job in jobs]
 
 
 class BatchBackend:
@@ -153,11 +138,6 @@ class BatchBackend:
     grid; the worker ignores the sweep-derived seed and uses the job's own,
     so results are bit-identical to :class:`LocalBackend` whatever executor
     or worker count runs the pool.
-
-    The wave shares one :class:`SessionCaches`: fully across sessions on the
-    serial and thread executors, per worker process otherwise.  Caches only
-    memoise state-dependent floats that every session would compute
-    identically, so the executor choice cannot affect delivery outcomes.
     """
 
     name = "batch"
@@ -173,11 +153,10 @@ class BatchBackend:
         if not jobs:
             return []
         by_key = {(job.index, job.attempt): job for job in jobs}
-        caches = SessionCaches()
 
         def worker(params: dict[str, Any], _sweep_seed: int) -> FragmentDelivery:
             job = by_key[(params["fragment"], params["attempt"])]
-            return _execute_fragment(job, config, caches=caches)
+            return _execute_fragment(job, config)
 
         grid = [{"fragment": job.index, "attempt": job.attempt} for job in jobs]
         sweep = run_sweep(

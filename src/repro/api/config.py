@@ -85,12 +85,13 @@ class ServiceConfig:
     simulator_backend:
         Per-fragment protocol parameters, mapped one-to-one onto
         :class:`~repro.protocol.config.ProtocolConfig` (``num_check_bits``
-        None = the ``ProtocolConfig.default`` quarter-length rule;
-        ``simulator_backend`` selects the pair-state engine — ``"auto"``
-        fast paths, ``"dense"`` reference, ``"stabilizer"`` statically
-        verified Pauli physics).  On the network backend it applies to
-        every hop unless an explicit ``session_params`` is supplied, which
-        then owns the per-hop engine choice.
+        None = the ``ProtocolConfig.default`` quarter-length rule).
+        ``simulator_backend`` no longer selects a session path: ``"auto"``
+        and ``"dense"`` sessions run the same code, and ``"stabilizer"``
+        adds its statically verified Pauli-physics check.  On the network
+        backend it applies to every hop unless an explicit
+        ``session_params`` is supplied, which then owns the per-hop
+        choice.
     attack_factory:
         Optional ``(fragment_index, attempt, rng) -> attack | None`` hook for
         security studies through the facade (local/batch backends; network

@@ -19,7 +19,7 @@ import numpy as np
 from repro.exceptions import AttackError
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.results import ProtocolResult
-from repro.protocol.runner import SessionCaches, UADIQSDCProtocol
+from repro.protocol.runner import UADIQSDCProtocol
 from repro.utils.rng import as_rng
 
 __all__ = ["AttackEvaluation", "evaluate_attack", "detection_rate"]
@@ -118,19 +118,12 @@ def evaluate_attack(
     results: list[ProtocolResult] = []
     abort_counter: Counter = Counter()
     attack_name = "none"
-    # Attack construction consumes the trial RNG sequentially, so trials must
-    # stay a loop — but their sessions share one memo state, which computes
-    # each distinct measurement statistic once per evaluation instead of once
-    # per trial (bit-identical results; see SessionCaches).
-    caches = SessionCaches()
     for _ in range(trials):
         attack = attack_factory(generator) if attack_factory is not None else None
         if attack is not None:
             attack_name = getattr(attack, "name", "attack")
         session_config = config.with_seed(int(generator.integers(0, 2**31 - 1)))
-        result = UADIQSDCProtocol(session_config, attack=attack, caches=caches).run(
-            message
-        )
+        result = UADIQSDCProtocol(session_config, attack=attack).run(message)
         results.append(result)
         if result.aborted:
             abort_counter[result.abort_reason.value] += 1

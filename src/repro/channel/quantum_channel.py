@@ -37,7 +37,7 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density import DensityMatrix
+from repro.quantum.density import DensityMatrix, map_distinct
 
 __all__ = [
     "QuantumChannel",
@@ -81,7 +81,7 @@ class QuantumChannel:
         (:mod:`repro.quantum.dispatch`) consults when a protocol session
         forces the stabilizer backend: a channel whose single-use map is a
         stochastic Pauli channel keeps Bell pairs Bell-diagonal, the
-        structure the fast paths exploit.
+        structure that backend promises.
         """
         from repro.quantum.dispatch import pauli_mixture
 
@@ -96,19 +96,17 @@ class QuantumChannel:
     ) -> list[DensityMatrix]:
         """Send qubit *qubit* of every state through the channel in one pass.
 
-        The channel map is applied once per *distinct* input state (keyed by
-        the raw matrix bytes) and the result is shared between identical
-        inputs.  Protocol sessions transmit hundreds of pairs that are all
-        the same ``|Φ+⟩`` emission, so the hot loop collapses to a single
-        Kraus application; the output order matches the input order.
-        Sharing is safe because :class:`~repro.quantum.density.DensityMatrix`
-        operations never mutate in place — **and** because :meth:`transmit`
-        is deterministic (a CPTP map application), which every channel in
-        this module is.  A subclass whose ``transmit`` samples a random
-        error realization per use MUST override ``transmit_batch`` too
-        (e.g. with a per-pair loop), or all identical pairs of a session
-        would silently share one realization instead of drawing
-        independently.
+        :meth:`transmit` runs once per *distinct* input state (through
+        :func:`~repro.quantum.density.map_distinct`) and identical inputs
+        share the result.  Protocol sessions transmit hundreds of pairs that
+        are all the same ``|Φ+⟩`` emission, so the pass collapses to a
+        single Kraus application; the output order matches the input order.
+        Sharing is safe because :meth:`transmit` is deterministic (a CPTP map
+        application), which every channel in this module is.  A subclass
+        whose ``transmit`` samples a random error realization per use MUST
+        override ``transmit_batch`` too (e.g. with a per-pair loop), or all
+        identical pairs of a session would silently share one realization
+        instead of drawing independently.
 
         Parameters
         ----------
@@ -122,16 +120,7 @@ class QuantumChannel:
         list of DensityMatrix
             Transmitted states, aligned with *states*.
         """
-        transformed: dict[bytes, DensityMatrix] = {}
-        output: list[DensityMatrix] = []
-        for state in states:
-            key = state.matrix.tobytes()
-            result = transformed.get(key)
-            if result is None:
-                result = self.transmit(state, qubit)
-                transformed[key] = result
-            output.append(result)
-        return output
+        return map_distinct(states, lambda state: self.transmit(state, qubit))
 
     def survival_probability(self) -> float:
         """Probability that a traversal applies no error at all (analytic estimate)."""

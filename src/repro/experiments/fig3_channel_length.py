@@ -194,11 +194,13 @@ def run_fig3(
         Worker count for the parallel executors.
     simulator_backend:
         Passed to each point's :class:`~repro.device.backend.NoisyBackend`
-        (``"auto"``/``"dense"``/``"stabilizer"``).  With the default
-        ``ibm_brisbane`` device model, ``auto`` resolves to the dense path
-        (thermal relaxation is not a Pauli channel) and the figures stay
-        bit-identical to earlier releases; Pauli-diagonal device models
-        take the stabilizer fast path automatically.
+        (``"auto"``/``"dense"``/``"stabilizer"``), where it picks the
+        circuit engine; protocol sessions no longer have a ``"dense"``
+        path of their own.  With the default ``ibm_brisbane`` device
+        model, ``auto`` resolves to the dense path (thermal relaxation is
+        not a Pauli channel) and the figures stay bit-identical to earlier
+        releases; Pauli-diagonal device models take the stabilizer fast
+        path automatically.
     """
     if shots < 1:
         raise ExperimentError("shots must be positive")

@@ -149,10 +149,11 @@ class SessionParameters:
 
     The per-hop quantum channel always comes from the link; these are the
     remaining :class:`~repro.protocol.config.ProtocolConfig` tunables a
-    network operator would fix fleet-wide.  ``simulator_backend`` selects
-    every hop's pair-state engine (``"auto"`` fast paths by default — the
-    dominant lever behind network-throughput performance; ``"dense"``
-    reference; ``"stabilizer"`` statically verified Pauli physics per hop).
+    network operator would fix fleet-wide.  ``simulator_backend`` is
+    forwarded to every hop's :class:`~repro.protocol.config.ProtocolConfig`;
+    it no longer selects a session path (``"auto"`` and ``"dense"`` hops run
+    the same code), and ``"stabilizer"`` adds its statically verified Pauli
+    physics check per hop.
     """
 
     identity_pairs: int = 2

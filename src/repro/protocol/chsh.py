@@ -25,13 +25,8 @@ from collections.abc import Sequence
 
 from repro.exceptions import NonPhysicalStateError, ProtocolError
 from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
-from repro.quantum.density import DensityMatrix
-from repro.quantum.measurement import (
-    equatorial_observable,
-    measure_observable,
-    observable_branches,
-    observable_probability,
-)
+from repro.quantum.density import DensityMatrix, state_statistic
+from repro.quantum.measurement import equatorial_observable, observable_branches
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng
 
@@ -135,32 +130,9 @@ class DISecurityCheck:
     ----------
     settings:
         The :class:`CHSHSettings` to use; defaults to the paper's settings.
-    memoize:
-        If True (default), branch statistics — Alice's outcome probability
-        and Bob's conditional outcome probabilities — are computed once per
-        distinct (pair state, setting pair) and reused.  A protocol session
-        measures hundreds of *identical* Bell-pair states, so this
-        collapses the dominant per-session cost (an eigendecomposition and
-        two projector applications per pair) to a handful of evaluations.
-        The cached statistics are produced by the same
-        :func:`~repro.quantum.measurement.observable_branches` code the
-        reference path runs and the per-pair RNG consumption is unchanged
-        (two uniform draws), so memoised estimates are bit-identical to
-        ``memoize=False`` — asserted by
-        ``tests/protocol/test_simulator_backend.py``.
-    shared_branch_cache:
-        Optional externally owned cache used instead of the per-call one
-        when ``memoize`` is enabled.  A batch of sessions measuring the same
-        pair states (``run_session_batch``, ``BatchBackend``) shares one
-        dict so the branch statistics are computed once per batch rather
-        than once per session; entries are keyed by the full ``(settings,
-        alice setting, bob setting, state bytes)`` tuple, so checks with
-        different settings can safely share one cache.
     """
 
     settings: CHSHSettings = field(default_factory=CHSHSettings)
-    memoize: bool = True
-    shared_branch_cache: "dict[tuple, tuple] | None" = None
 
     def estimate(
         self,
@@ -182,25 +154,13 @@ class DISecurityCheck:
             (j, k): 0 for j in (1, 2) for k in (1, 2)
         }
         counts: dict[tuple[int, int], int] = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
-        branch_cache: dict[tuple, tuple] | None = None
-        if self.memoize:
-            branch_cache = (
-                self.shared_branch_cache
-                if self.shared_branch_cache is not None
-                else {}
-            )
 
         for pair in pairs:
             alice_setting = self._draw_alice_setting(generator)
             bob_setting = int(generator.integers(1, 3))
-            if branch_cache is None:
-                alice_outcome, bob_outcome = self._measure_pair(
-                    pair, alice_setting, bob_setting, generator
-                )
-            else:
-                alice_outcome, bob_outcome = self._measure_pair_memoized(
-                    pair, alice_setting, bob_setting, generator, branch_cache
-                )
+            alice_outcome, bob_outcome = self._measure_pair(
+                pair, alice_setting, bob_setting, generator
+            )
             if alice_setting == 0:
                 continue  # A0 rounds are not part of the CHSH combination.
             key = (alice_setting, bob_setting)
@@ -238,66 +198,23 @@ class DISecurityCheck:
         bob_setting: int,
         generator,
     ) -> tuple[int, int]:
-        if pair.num_qubits != 2:
-            raise ProtocolError("security-check pairs must be two-qubit states")
-        alice_angle = self.settings.alice_angles[alice_setting]
-        bob_angle = self.settings.bob_angles[bob_setting - 1]
-        alice_observable = equatorial_observable(alice_angle)
-        bob_observable = equatorial_observable(
-            bob_angle, conjugate=self.settings.conjugate_bob
-        )
-        alice_outcome, post = measure_observable(pair, alice_observable, [0], rng=generator)
-        bob_outcome, _ = measure_observable(post, bob_observable, [1], rng=generator)
-        return alice_outcome, bob_outcome
+        """Measure one pair: Alice's observable on qubit 0, then Bob's on qubit 1.
 
-    @staticmethod
-    def _state_key(pair: "Statevector | DensityMatrix") -> tuple:
-        if isinstance(pair, DensityMatrix):
-            return ("dm", pair.matrix.tobytes())
-        return ("sv", pair.vector.tobytes())
-
-    def _measure_pair_memoized(
-        self,
-        pair: "Statevector | DensityMatrix",
-        alice_setting: int,
-        bob_setting: int,
-        generator,
-        branch_cache: dict[tuple, tuple],
-    ) -> tuple[int, int]:
-        """Measure one pair using per-state cached branch statistics.
-
-        The cache maps ``(settings, alice setting, bob setting, state
-        bytes)`` to ``(p_alice_plus, p_bob_plus | alice=+1, p_bob_plus |
-        alice=−1)``, computed on first sight by exactly the operations the
-        reference ``_measure_pair`` performs — so subsequent pairs sharing
-        the state draw from bit-identical floats with the same two uniform
-        draws.  The settings component makes the key safe for caches shared
-        across checks (``shared_branch_cache``).  ``None`` marks a
-        zero-probability branch (only an error if drawn).
+        The branch statistics ``(p_alice_plus, p_bob_plus | alice=+1,
+        p_bob_plus | alice=−1)`` are computed once per distinct (pair state,
+        setting pair) by :func:`~repro.quantum.density.state_statistic`; each
+        pair then consumes the two uniform draws two
+        :func:`~repro.quantum.measurement.measure_observable` calls would,
+        against the same floats.  ``None`` marks a zero-probability branch
+        (only an error if drawn).
         """
         if pair.num_qubits != 2:
             raise ProtocolError("security-check pairs must be two-qubit states")
-        key = (self.settings, alice_setting, bob_setting, self._state_key(pair))
-        entry = branch_cache.get(key)
-        if entry is None:
-            alice_observable = equatorial_observable(
-                self.settings.alice_angles[alice_setting]
-            )
-            bob_observable = equatorial_observable(
-                self.settings.bob_angles[bob_setting - 1],
-                conjugate=self.settings.conjugate_bob,
-            )
-            p_alice, post_plus, post_minus = observable_branches(
-                pair, alice_observable, [0]
-            )
-            conditionals = [
-                None if post is None else observable_probability(post, bob_observable, [1])
-                for post in (post_plus, post_minus)
-            ]
-            entry = (p_alice, conditionals[0], conditionals[1])
-            branch_cache[key] = entry
-
-        p_alice, p_bob_plus, p_bob_minus = entry
+        p_alice, p_bob_plus, p_bob_minus = state_statistic(
+            ("chsh", self.settings, alice_setting, bob_setting),
+            pair,
+            lambda state: self._branch_statistics(state, alice_setting, bob_setting),
+        )
         alice_outcome = 1 if generator.random() < p_alice else -1
         p_bob = p_bob_plus if alice_outcome == 1 else p_bob_minus
         if p_bob is None:
@@ -306,6 +223,24 @@ class DISecurityCheck:
             )
         bob_outcome = 1 if generator.random() < p_bob else -1
         return alice_outcome, bob_outcome
+
+    def _branch_statistics(
+        self,
+        pair: "Statevector | DensityMatrix",
+        alice_setting: int,
+        bob_setting: int,
+    ) -> tuple[float, float | None, float | None]:
+        alice_observable = equatorial_observable(self.settings.alice_angles[alice_setting])
+        bob_observable = equatorial_observable(
+            self.settings.bob_angles[bob_setting - 1],
+            conjugate=self.settings.conjugate_bob,
+        )
+        p_alice, *posts = observable_branches(pair, alice_observable, [0])
+        p_bob_plus, p_bob_minus = (
+            None if post is None else observable_branches(post, bob_observable, [1])[0]
+            for post in posts
+        )
+        return p_alice, p_bob_plus, p_bob_minus
 
     @staticmethod
     def required_pairs(target_std_error: float = 0.1) -> int:

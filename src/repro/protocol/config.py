@@ -9,6 +9,7 @@ configuration with the paper's parameters for a given message length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
@@ -56,16 +57,17 @@ class ProtocolConfig:
     source:
         The entanglement source (default: ideal ``|Φ+⟩`` source).
     memory_decoherence:
-        Optional single-qubit Kraus channel applied (via
-        :class:`~repro.channel.memory.QuantumMemory`) to Alice's stored halves
-        once per unit of hold time between the first DI security check and
-        the encoding step.  ``None`` models the paper's ideal memory.
+        Optional single-qubit Kraus channel applied to Alice's stored halves
+        once per whole unit of hold time between the first DI security
+        check and the encoding step (as
+        :meth:`~repro.channel.memory.QuantumMemory.retrieve` would).
+        ``None`` models the paper's ideal memory.
     memory_hold_time:
         How long (in memory time units) Alice holds her halves before
-        encoding.  With an ideal memory this has no physical effect; with
-        ``memory_decoherence`` set, the channel is applied
-        ``int(memory_hold_time)`` times per stored qubit.  Network schedulers
-        map session queueing delay onto this knob.
+        encoding; finite and non-negative.  With an ideal memory this has
+        no physical effect; with ``memory_decoherence`` set, the channel is
+        applied ``int(memory_hold_time)`` times per stored qubit.  Network
+        schedulers map session queueing delay onto this knob.
     alice_identity, bob_identity:
         Pre-shared identities; generated from the seed when omitted.
     seed:
@@ -74,12 +76,13 @@ class ProtocolConfig:
         If True the runner raises :class:`~repro.exceptions.ProtocolAbort`
         instead of returning an aborted result.
     simulator_backend:
-        Pair-state simulation engine: ``"auto"`` (default) engages the
-        structure-sharing fast paths — memoised CHSH branch statistics,
-        memoised Bell-measurement distributions, shared source emissions —
-        which are bit-identical to the reference path by construction;
-        ``"dense"`` forces the unmemoised reference path; ``"stabilizer"``
-        additionally *requires* (at :meth:`validate` time, via
+        One of :data:`repro.quantum.dispatch.BACKEND_CHOICES`, recorded in
+        the result metadata.  It does not select a session path: every
+        session shares work between equal pair states through
+        :mod:`repro.quantum.density`, bit-identically to per-pair loops,
+        so ``"auto"`` (default) and ``"dense"`` run the same code.
+        ``"stabilizer"`` (and ``"stabilizer_batched"``) additionally
+        *requires* (at :meth:`validate` time, via
         :func:`repro.quantum.dispatch.protocol_eligibility`) that every
         quantum process of the session is a Pauli channel, i.e. that pair
         states provably stay Bell-diagonal — failing loudly on non-Pauli
@@ -207,8 +210,12 @@ class ProtocolConfig:
             raise ConfigurationError("authentication_tolerance must lie in [0, 1)")
         if not 0.0 <= self.check_bit_tolerance < 1.0:
             raise ConfigurationError("check_bit_tolerance must lie in [0, 1)")
-        if self.memory_hold_time < 0:
-            raise ConfigurationError("memory_hold_time cannot be negative")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not 0.0 <= self.memory_hold_time < math.inf:
+            raise ConfigurationError(
+                f"memory_hold_time must be finite and non-negative, "
+                f"got {self.memory_hold_time!r}"
+            )
         if self.memory_decoherence is not None and self.memory_decoherence.num_qubits != 1:
             raise ConfigurationError("memory_decoherence must be a single-qubit channel")
         if self.alice_identity is not None and self.alice_identity.num_pairs != self.identity_pairs:

@@ -26,12 +26,8 @@ from repro.protocol.encoding import (
 )
 from repro.protocol.identity import Identity
 from repro.quantum.bell import BellState
-from repro.quantum.density import DensityMatrix
-from repro.quantum.measurement import (
-    bell_basis_probability_vector,
-    bell_measurement,
-    sample_bell_outcome,
-)
+from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
+from repro.quantum.measurement import bell_basis_probability_vector, sample_bell_outcome
 from repro.utils.bits import Bits
 from repro.utils.rng import as_rng
 
@@ -44,11 +40,34 @@ ALICE_QUBIT = 0
 BOB_QUBIT = 1
 
 
-def _apply_pauli(state: DensityMatrix, label: str, qubit: int) -> DensityMatrix:
-    """Apply a single-qubit Pauli by label to one half of a pair state."""
-    if label.upper() == "I":
-        return state
-    return state.evolve(pauli_operator(label), [qubit])
+def _apply_plan(
+    pairs: dict[int, DensityMatrix], plan: dict[int, str], qubit: int
+) -> dict[int, DensityMatrix]:
+    """Apply a position → Pauli plan to one half of the given pairs.
+
+    Positions are grouped by label, and each label's Pauli is applied once
+    per distinct pair state among its positions.
+    """
+    by_label: dict[str, list[int]] = {}
+    for position, label in plan.items():
+        if position not in pairs:
+            raise ProtocolError(f"no pair at position {position}")
+        by_label.setdefault(label, []).append(position)
+    updated = dict(pairs)
+    for label, positions in by_label.items():
+        if label.upper() == "I":
+            continue
+        pauli = pauli_operator(label)
+        evolved = map_distinct(
+            [pairs[position] for position in positions],
+            lambda state: state.evolve(pauli, [qubit]),
+        )
+        updated.update(zip(positions, evolved))
+    return updated
+
+
+def _bell_probabilities(state: DensityMatrix):
+    return bell_basis_probability_vector(state, [ALICE_QUBIT, BOB_QUBIT])
 
 
 @dataclass
@@ -108,12 +127,7 @@ class Alice:
         pairs: dict[int, DensityMatrix], plan: dict[int, str]
     ) -> dict[int, DensityMatrix]:
         """Apply a position → Pauli plan to Alice's halves of the given pairs."""
-        updated = dict(pairs)
-        for position, label in plan.items():
-            if position not in updated:
-                raise ProtocolError(f"no pair at position {position}")
-            updated[position] = _apply_pauli(updated[position], label, ALICE_QUBIT)
-        return updated
+        return _apply_plan(pairs, plan, ALICE_QUBIT)
 
     # -- verification of Bob --------------------------------------------------------------
     def expected_authentication_outcomes(
@@ -152,30 +166,11 @@ class Alice:
 
 @dataclass
 class Bob:
-    """The receiver: encodes his identity, measures Bell states, decodes the message.
-
-    ``memoize`` (default True) caches the Bell-outcome probability vector per
-    distinct pair state during :meth:`bell_measure`: the pairs of one session
-    carry only a handful of distinct states (four Pauli encodings of one
-    channel output), so the Bell-basis projections collapse to a few
-    evaluations.  Sampling consumes the same single draw per pair from the
-    same floats, so outcomes are bit-identical to the unmemoised path
-    (``memoize=False``, the reference used by the protocol's ``dense``
-    simulator backend).
-
-    ``shared_probability_cache`` optionally replaces the per-call cache with
-    an externally owned dict so a batch of sessions (``run_session_batch``,
-    ``BatchBackend``) computes each distinct state's Bell-outcome
-    probability vector once per batch.  The key — the state's matrix bytes —
-    is configuration-independent, so sharing across sessions with different
-    identities or seeds is exact.
-    """
+    """The receiver: encodes his identity, measures Bell states, decodes the message."""
 
     identity: Identity
     peer_identity: Identity
     rng: object = None
-    memoize: bool = True
-    shared_probability_cache: "dict[bytes, object] | None" = None
 
     def __post_init__(self):
         self.rng = as_rng(self.rng)
@@ -198,42 +193,25 @@ class Bob:
         pairs: dict[int, DensityMatrix], plan: dict[int, str]
     ) -> dict[int, DensityMatrix]:
         """Apply a position → Pauli plan to Bob's halves of the given pairs."""
-        updated = dict(pairs)
-        for position, label in plan.items():
-            if position not in updated:
-                raise ProtocolError(f"no pair at position {position}")
-            updated[position] = _apply_pauli(updated[position], label, BOB_QUBIT)
-        return updated
+        return _apply_plan(pairs, plan, BOB_QUBIT)
 
     # -- measurements ----------------------------------------------------------------------------
     def bell_measure(
         self, pairs: dict[int, DensityMatrix], positions: tuple[int, ...]
     ) -> dict[int, BellState]:
-        """Bell-state measurement of the listed pairs (one shot per pair)."""
+        """Bell-state measurement of the listed pairs (one shot per pair).
+
+        Each distinct pair state's Bell-outcome probabilities are computed
+        once (:func:`~repro.quantum.density.state_statistic`); every pair
+        then draws one outcome from them, exactly as
+        :func:`~repro.quantum.measurement.bell_measurement` would.
+        """
         outcomes: dict[int, BellState] = {}
-        probability_cache: dict[bytes, object] | None = None
-        if self.memoize:
-            probability_cache = (
-                self.shared_probability_cache
-                if self.shared_probability_cache is not None
-                else {}
-            )
         for position in positions:
             if position not in pairs:
                 raise ProtocolError(f"no pair at position {position}")
-            state = pairs[position]
-            if probability_cache is None:
-                result = bell_measurement(state, [ALICE_QUBIT, BOB_QUBIT], rng=self.rng)
-            else:
-                key = state.matrix.tobytes()
-                probabilities = probability_cache.get(key)
-                if probabilities is None:
-                    probabilities = bell_basis_probability_vector(
-                        state, [ALICE_QUBIT, BOB_QUBIT]
-                    )
-                    probability_cache[key] = probabilities
-                result = sample_bell_outcome(probabilities, rng=self.rng)
-            outcomes[position] = result.bell_state
+            probabilities = state_statistic("bell", pairs[position], _bell_probabilities)
+            outcomes[position] = sample_bell_outcome(probabilities, rng=self.rng).bell_state
         return outcomes
 
     # -- verification of Alice ----------------------------------------------------------------------

@@ -23,10 +23,8 @@ party impersonation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.channel.memory import QuantumMemory
 from repro.exceptions import (
     AuthenticationFailure,
     ProtocolAbort,
@@ -40,59 +38,12 @@ from repro.protocol.pairs import EPRPairRegister
 from repro.protocol.parties import ALICE_QUBIT, Alice, Bob
 from repro.protocol.results import AbortReason, ProtocolResult
 from repro.protocol.transcript import ProtocolTranscript
-from repro.quantum.density import DensityMatrix
+from repro.quantum.density import DensityMatrix, map_distinct
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits, bits_to_str, bitstring_to_bits, hamming_distance, validate_bits
 from repro.utils.rng import as_rng, derive_rng
 
-__all__ = ["SessionCaches", "UADIQSDCProtocol", "run_session_batch"]
-
-
-@dataclass
-class SessionCaches:
-    """Memoisation state shared by a batch of protocol sessions.
-
-    A sweep or service wave runs many sessions whose pairs carry the same
-    handful of quantum states (the Pauli encodings of one channel output) and
-    whose security checks measure the same states under the same settings.
-    Each session's fast path already memoises those statistics *within* the
-    session; threading one :class:`SessionCaches` through a batch hoists the
-    memo across sessions, so the eigendecompositions and projector
-    applications run once per batch instead of once per session.
-
-    Sharing is exact: cache keys are configuration-independent (state bytes,
-    plus the CHSH settings for branch statistics), the cached floats are the
-    very values a solo session would compute, and per-pair RNG consumption is
-    unchanged — so batched sessions are bit-identical to unbatched ones
-    (asserted by ``tests/protocol/test_simulator_backend.py``).
-
-    Only engaged on the fast path (``simulator_backend != "dense"``); dense
-    reference sessions never memoise.
-    """
-
-    chsh_branches: dict = field(default_factory=dict)
-    bell_probabilities: dict = field(default_factory=dict)
-
-
-def run_session_batch(
-    sessions: "list[tuple[ProtocolConfig, Any, str | Bits]]",
-    caches: SessionCaches | None = None,
-) -> list:
-    """Run ``(config, attack, message)`` sessions sharing one memo state.
-
-    The fused counterpart of a per-session loop over
-    ``UADIQSDCProtocol(config, attack).run(message)``: each session still
-    consumes only its own seed-derived randomness (results are bit-identical
-    to solo runs), but state-dependent measurement statistics are computed
-    once per batch through *caches* (a fresh :class:`SessionCaches` when not
-    supplied).
-    """
-    if caches is None:
-        caches = SessionCaches()
-    return [
-        UADIQSDCProtocol(config, attack=attack, caches=caches).run(message)
-        for config, attack, message in sessions
-    ]
+__all__ = ["UADIQSDCProtocol"]
 
 
 class UADIQSDCProtocol:
@@ -105,21 +56,11 @@ class UADIQSDCProtocol:
     attack:
         Optional attack model implementing any subset of the hooks documented
         in :class:`repro.attacks.base.Attack`.  ``None`` runs an honest session.
-    caches:
-        Optional :class:`SessionCaches` shared with other sessions of a
-        batch (see :func:`run_session_batch`).  Only consulted on the fast
-        path; bit-identical to running without it.
     """
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        attack: Any | None = None,
-        caches: "SessionCaches | None" = None,
-    ):
+    def __init__(self, config: ProtocolConfig, attack: Any | None = None):
         self.config = config.validate()
         self.attack = attack
-        self.caches = caches
 
     # -- public API ----------------------------------------------------------------
     def run(self, message: "str | Bits") -> ProtocolResult:
@@ -159,20 +100,11 @@ class UADIQSDCProtocol:
             identity_alice, identity_bob, attack_rng, attack
         )
 
-        # "dense" runs the unmemoised reference engines; "auto"/"stabilizer"
-        # engage the structure-sharing fast paths, which are bit-identical to
-        # the reference by construction (see ProtocolConfig.simulator_backend).
-        fast_path = self.config.simulator_backend != "dense"
-        caches = self.caches if fast_path else None
         alice = Alice(
             identity=encoding_identity_alice, peer_identity=identity_bob, rng=alice_rng
         )
         bob = Bob(
-            identity=encoding_identity_bob,
-            peer_identity=identity_alice,
-            rng=bob_rng,
-            memoize=fast_path,
-            shared_probability_cache=None if caches is None else caches.bell_probabilities,
+            identity=encoding_identity_bob, peer_identity=identity_alice, rng=bob_rng
         )
 
         transcript = ProtocolTranscript()
@@ -194,11 +126,7 @@ class UADIQSDCProtocol:
         # ----- Step 2: first DI security check ------------------------------------------
         round1_positions = register.assign_round1_check(rng=alice_rng)
         transcript.announce("alice", "round1_check_positions", list(round1_positions))
-        security_check = DISecurityCheck(
-            self.config.chsh_settings,
-            memoize=fast_path,
-            shared_branch_cache=None if caches is None else caches.chsh_branches,
-        )
+        security_check = DISecurityCheck(self.config.chsh_settings)
         chsh_round1 = security_check.estimate(
             [pairs[p] for p in round1_positions], rng=chsh_rng
         )
@@ -440,36 +368,25 @@ class UADIQSDCProtocol:
     ) -> dict[int, DensityMatrix]:
         """Hold Alice's halves in quantum memory while the round-1 check runs.
 
-        Every surviving pair is stored in a :class:`QuantumMemory`, the memory
-        clock advances by ``config.memory_hold_time``, and the pairs are
-        retrieved again — which applies the configured storage-decoherence
-        channel once per stored qubit per elapsed time unit.  With the default
-        ideal memory (no decoherence channel, zero hold time) the retrieval
-        is an exact pass-through and no phase is recorded, so results stay
-        bit-identical to the paper's ideal-memory sessions.
-
-        The decoherence application is batched over *distinct* pair states
-        (same structure-sharing trick as ``transmit_batch``): after step 2 all
-        surviving pairs carry the same post-distribution state, so a
-        decohering hold costs one Kraus application instead of one per pair.
+        The configured storage-decoherence channel is applied to Alice's
+        qubit once per whole unit of ``config.memory_hold_time`` — the
+        arithmetic of :meth:`~repro.channel.memory.QuantumMemory.retrieve` —
+        once per *distinct* pair state.  With the default ideal memory (no
+        decoherence channel, zero hold time) the pairs pass through untouched
+        and no phase is recorded, so results stay bit-identical to the
+        paper's ideal-memory sessions.
         """
         decoherence = self.config.memory_decoherence
         hold_time = self.config.memory_hold_time
-        memory = QuantumMemory(decoherence)
-        for position in pairs:
-            memory.store(position, (ALICE_QUBIT,))
-        memory.advance_time(hold_time)
-        evolved_cache: dict[bytes, DensityMatrix] = {}
-        held: dict[int, DensityMatrix] = {}
-        for position, state in pairs.items():
-            key = state.matrix.tobytes()
-            cached = evolved_cache.get(key)
-            if cached is None:
-                _, cached = memory.retrieve(position, state)
-                evolved_cache[key] = cached
-            else:
-                memory.retrieve(position)
-            held[position] = cached
+        held = pairs
+        if decoherence is not None:
+
+            def hold(state: DensityMatrix) -> DensityMatrix:
+                for _ in range(int(hold_time)):
+                    state = decoherence.apply(state, [ALICE_QUBIT])
+                return state
+
+            held = dict(zip(pairs, map_distinct(list(pairs.values()), hold)))
         if decoherence is not None or hold_time > 0:
             transcript.record_phase(
                 "memory_hold",
@@ -509,7 +426,6 @@ class UADIQSDCProtocol:
             "message_length": self.config.message_length,
             "num_check_bits": self.config.num_check_bits,
             "simulator_backend": self.config.simulator_backend,
-            "session_fast_path": self.config.simulator_backend != "dense",
         }
 
     def _abort(

@@ -8,12 +8,18 @@ von Neumann entropy and computational-basis sampling.
 
 The qubit order convention matches :class:`repro.quantum.states.Statevector`
 (big-endian).
+
+A protocol session handles hundreds of pair states that take only a handful
+of distinct values.  :func:`map_distinct` and :func:`state_statistic` are the
+one place that shares work between states of equal content.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Hashable, Sequence
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -22,9 +28,11 @@ from repro.quantum.operators import Operator, embed_operator
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng
 
-__all__ = ["DensityMatrix"]
+__all__ = ["DensityMatrix", "map_distinct", "state_statistic"]
 
 _ATOL = 1e-8
+
+_T = TypeVar("_T")
 
 
 class DensityMatrix:
@@ -286,3 +294,77 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self.num_qubits}, purity={self.purity():.4f})"
+
+
+# -- sharing work between states of equal content -----------------------------------
+
+
+def _content_key(state: "DensityMatrix | Statevector") -> tuple[type, bytes]:
+    """The state's type and raw bytes.
+
+    Without the type, a 1-qubit density matrix and a 2-qubit statevector
+    (both 64 bytes) would be equal.
+    """
+    if isinstance(state, DensityMatrix):
+        return DensityMatrix, state.matrix.tobytes()
+    return type(state), state.vector.tobytes()
+
+
+def map_distinct(
+    states: Sequence["DensityMatrix | Statevector"],
+    fn: Callable[[Any], _T],
+) -> list[_T]:
+    """``[fn(state) for state in states]``, calling *fn* once per distinct content.
+
+    Equal inputs share one output object, and the output order matches the
+    input order.  *fn* must be deterministic: a map that samples a random
+    realization per call would hand one draw to every equal input.  Sharing
+    is safe because state operations never mutate in place.
+    """
+    outputs: dict[tuple[type, bytes], _T] = {}
+    mapped: list[_T] = []
+    for state in states:
+        key = _content_key(state)
+        if key in outputs:
+            output = outputs[key]
+        else:
+            output = outputs[key] = fn(state)
+        mapped.append(output)
+    return mapped
+
+
+#: Entries kept by :func:`state_statistic`; the memo is cleared when full, as
+#: the projector memos in :mod:`repro.quantum.measurement` are.  At 1024
+#: entries of one 2-qubit state each it holds ≲0.5 MB.
+_STATISTIC_MEMO_MAX = 1024
+_STATISTIC_MEMO: dict[tuple, Any] = {}
+#: Makes the size check and the insertion one step, so concurrent misses
+#: cannot push the memo past its bound.  Lookups need no lock.
+_STATISTIC_MEMO_LOCK = threading.Lock()
+
+
+def state_statistic(
+    tag: Hashable,
+    state: "DensityMatrix | Statevector",
+    compute: Callable[[Any], _T],
+) -> _T:
+    """``compute(state)``, memoised by *tag* and the state's content.
+
+    The memo is shared by every caller in the process, so sessions that meet
+    the same pair state under the same *tag* compute the statistic once.
+    *tag* must name everything besides the state that the result depends on
+    (e.g. measurement settings).  On a miss the statistic is computed from
+    the live *state*, so a hit returns exactly the floats the uncached call
+    would.  Cached arrays are made read-only.
+    """
+    key = (tag, *_content_key(state))
+    value = _STATISTIC_MEMO.get(key)
+    if value is None:
+        value = compute(state)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        with _STATISTIC_MEMO_LOCK:
+            if len(_STATISTIC_MEMO) >= _STATISTIC_MEMO_MAX:
+                _STATISTIC_MEMO.clear()
+            _STATISTIC_MEMO[key] = value
+    return value

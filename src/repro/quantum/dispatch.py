@@ -416,11 +416,11 @@ def protocol_eligibility(config) -> ProtocolEligibility:
     """Analyse a :class:`~repro.protocol.config.ProtocolConfig` statically.
 
     Used when a session forces ``simulator_backend="stabilizer"``: the
-    session's pair states then remain Bell-diagonal throughout, which is the
-    structure the protocol fast paths exploit.  ``auto`` does not need this
-    check (its memoised engines are exact for arbitrary channels); the
-    analysis exists so that a forced ``stabilizer`` request fails loudly on
-    non-Pauli physics instead of implying a guarantee it cannot keep.
+    session's pair states then remain Bell-diagonal throughout.  Sessions
+    run one code path, exact for arbitrary channels, so ``auto`` does not
+    need this check; the analysis exists so that a forced ``stabilizer``
+    request fails loudly on non-Pauli physics instead of implying a
+    guarantee it cannot keep.
     """
     source = config.source
     if getattr(source, "override", None) is not None:

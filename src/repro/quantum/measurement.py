@@ -31,7 +31,6 @@ __all__ = [
     "projective_measurement",
     "measure_observable",
     "observable_branches",
-    "observable_probability",
     "bell_measurement",
     "bell_measurement_probabilities",
     "bell_basis_probability_vector",
@@ -182,10 +181,9 @@ def observable_branches(
 
     Returns ``(prob_plus, post_plus, post_minus)``; a zero-probability
     branch's post state is ``None``.  :func:`measure_observable` is exactly
-    this followed by one uniform draw, and the CHSH fast path caches these
-    branch statistics per distinct pair state — both paths therefore consume
-    identical floats and identical RNG draws, which is what keeps memoised
-    and reference sessions bit-identical.
+    this followed by one uniform draw, so a caller that keeps these
+    statistics per distinct state (the CHSH check) draws from identical
+    floats with identical RNG consumption.
     """
     op = observable if isinstance(observable, Operator) else Operator(observable)
     projector_plus, projector_minus = _embedded_projectors(
@@ -221,31 +219,6 @@ def observable_branches(
         return prob_plus, posts_dm[0], posts_dm[1]
 
     raise DimensionError(f"cannot measure object of type {type(state).__name__}")
-
-
-def observable_probability(
-    state: "Statevector | DensityMatrix",
-    observable: "Operator | np.ndarray",
-    qubits: Sequence[int],
-) -> float:
-    """Probability of the ``+1`` outcome of a ±1-valued observable.
-
-    The same float :func:`observable_branches` and :func:`measure_observable`
-    compute, without materialising either post-measurement state — for
-    callers (e.g. the CHSH memoisation) that only need the statistic.
-    """
-    op = observable if isinstance(observable, Operator) else Operator(observable)
-    projector_plus, _ = _embedded_projectors(
-        op, tuple(int(q) for q in qubits), state.num_qubits
-    )
-    if isinstance(state, Statevector):
-        vec = state.vector
-        prob_plus = float(np.real(vec.conj() @ (projector_plus @ vec)))
-    elif isinstance(state, DensityMatrix):
-        prob_plus = float(np.real(np.trace(projector_plus @ state.matrix)))
-    else:
-        raise DimensionError(f"cannot measure object of type {type(state).__name__}")
-    return min(max(prob_plus, 0.0), 1.0)
 
 
 def measure_observable(
@@ -307,10 +280,15 @@ BELL_OUTCOME_ORDER = (
 )
 
 
-def _bell_basis_probabilities(
+def bell_basis_probability_vector(
     state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
 ) -> np.ndarray:
-    """Probabilities of the four Bell outcomes (ordered Φ+, Φ−, Ψ+, Ψ−)."""
+    """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
+
+    Callers that measure many pairs of one state (Bob's Bell measurement)
+    compute the vector once and sample each outcome from it via
+    :func:`sample_bell_outcome`.
+    """
     from repro.quantum.bell import bell_projector
 
     probs = []
@@ -323,18 +301,6 @@ def _bell_basis_probabilities(
     if total <= 0:
         raise NonPhysicalStateError("state has no support on the Bell basis")
     return probs / total
-
-
-def bell_basis_probability_vector(
-    state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
-) -> np.ndarray:
-    """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
-
-    Public variant of the internal helper so callers (e.g. Bob's memoised
-    Bell-measurement loop) can compute the vector once per distinct pair
-    state and sample many outcomes from it via :func:`sample_bell_outcome`.
-    """
-    return _bell_basis_probabilities(state, qubit_pair)
 
 
 def sample_bell_outcome(
@@ -356,7 +322,7 @@ def bell_measurement_probabilities(
     state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
 ) -> dict[BellState, float]:
     """Probability of each Bell outcome when measuring *qubit_pair* in the Bell basis."""
-    probs = _bell_basis_probabilities(state, qubit_pair)
+    probs = bell_basis_probability_vector(state, qubit_pair)
     return {which: float(p) for which, p in zip(BELL_OUTCOME_ORDER, probs)}
 
 
@@ -374,7 +340,7 @@ def bell_measurement(
     """
     if len(qubit_pair) != 2:
         raise DimensionError("Bell-state measurement requires exactly two qubits")
-    probs = _bell_basis_probabilities(state, qubit_pair)
+    probs = bell_basis_probability_vector(state, qubit_pair)
     return sample_bell_outcome(probs, rng=rng)
 
 
@@ -388,7 +354,7 @@ def bell_measurement_counts(
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
     generator = as_rng(rng)
-    probs = _bell_basis_probabilities(state, qubit_pair)
+    probs = bell_basis_probability_vector(state, qubit_pair)
     samples = generator.multinomial(shots, probs)
     return {
         which: int(count)

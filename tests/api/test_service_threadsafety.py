@@ -4,7 +4,8 @@ This pins the contract documented on :class:`MessagingService`: a single
 service instance may serve concurrent ``send()`` calls, and with pinned
 per-send seeds every concurrent report is byte-identical to the one a serial
 loop produces.  Shared infrastructure exercised on purpose: one backend,
-one (locked) propagator cache inside the simulator stack, the telemetry
+one (locked) propagator cache inside the simulator stack, the process-wide
+pair-state statistic memo (also shrunk so it clears mid-send), the telemetry
 module state, and — in the networked variant — one topology with its
 channels.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from repro.api.config import ServiceConfig
 from repro.api.service import MessagingService
+from repro.quantum import density
 
 NUM_THREADS = 16
 SENDS_PER_THREAD = 3
@@ -28,6 +30,16 @@ def _seed_for(thread: int, index: int) -> int:
 
 def _payload_for(thread: int, index: int) -> str:
     return f"thread {thread} message {index}"
+
+
+class _CountingMemo(dict):
+    """A statistic memo that counts how often it was cleared."""
+
+    clears = 0
+
+    def clear(self) -> None:
+        self.clears += 1
+        super().clear()
 
 
 def _canonical(report) -> str:
@@ -55,17 +67,26 @@ def _hammer(service: MessagingService) -> dict[tuple[int, int], str]:
 
 
 @pytest.mark.parametrize(
-    "make_config",
+    "make_config, memo_bound",
     [
-        pytest.param(lambda: ServiceConfig.ideal(), id="local-backend"),
+        pytest.param(lambda: ServiceConfig.ideal(), None, id="local-backend"),
         pytest.param(
-            lambda: ServiceConfig.ideal().with_backend("batch"), id="batch-backend"
+            lambda: ServiceConfig.ideal().with_backend("batch"), None, id="batch-backend"
         ),
+        # Four entries hold less than one session needs, so the statistic
+        # memo is cleared again and again while the threads send.
+        pytest.param(lambda: ServiceConfig.ideal(), 4, id="local-backend-memo-bound-4"),
     ],
 )
-def test_sixteen_threads_match_serial_reference(make_config):
+def test_sixteen_threads_match_serial_reference(make_config, memo_bound, monkeypatch):
+    memo = _CountingMemo()
+    if memo_bound is not None:
+        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", memo_bound)
+        monkeypatch.setattr(density, "_STATISTIC_MEMO", memo)
     concurrent = _hammer(MessagingService(make_config()))
     assert len(concurrent) == NUM_THREADS * SENDS_PER_THREAD
+    if memo_bound is not None:
+        assert memo.clears > 0
 
     serial_service = MessagingService(make_config())
     for (thread, index), concurrent_report in sorted(concurrent.items()):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.api.config import ServiceConfig
 from repro.exceptions import ConfigurationError
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runner import UADIQSDCProtocol
@@ -86,6 +89,23 @@ class TestValidation:
     def test_negative_hold_rejected(self):
         with pytest.raises(ConfigurationError):
             _config(decoherence=None, hold=-1.0).validate()
+
+    @pytest.mark.parametrize("hold", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "decoherence", [None, depolarizing_channel(0.05)], ids=["ideal", "decohering"]
+    )
+    def test_non_finite_hold_rejected(self, hold, decoherence):
+        """NaN and ±inf are rejected up front, on both config paths.
+
+        Unchecked, NaN used to crash a decohering session mid-run with a bare
+        ``ValueError`` and pass an ideal one with no hold phase recorded;
+        ``inf`` raised ``OverflowError`` or recorded an infinite hold.
+        """
+        with pytest.raises(ConfigurationError, match="memory_hold_time"):
+            _config(decoherence=decoherence, hold=hold).validate()
+        service = ServiceConfig.paper_default(seed=1).with_memory(decoherence, hold)
+        with pytest.raises(ConfigurationError, match="memory_hold_time"):
+            service.validate()
 
     def test_multi_qubit_decoherence_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,16 @@
-"""Parity and eligibility tests for ``ProtocolConfig.simulator_backend``.
+"""Session results pinned to literals and checked against per-pair references.
 
-The protocol's ``auto`` fast path (memoised CHSH branch statistics, memoised
-Bell-measurement distributions, shared source emissions) must be
-*bit-identical* to the ``dense`` reference path: identical results, identical
-RNG consumption, for honest and attacked sessions alike.
+``ProtocolConfig.simulator_backend`` selects no session path: ``auto``,
+``dense`` and a forced ``stabilizer`` run the same code, which shares work
+between pair states of equal content through
+:mod:`repro.quantum.density`'s ``map_distinct`` and ``state_statistic``.
+So the checks here do not compare backends with each other.  Instead:
+
+* whole sessions must reproduce fingerprints recorded before the sharing was
+  centralised (``SESSION_PINS``), whatever the backend and memo state;
+* ``DISecurityCheck.estimate`` and ``Bob.bell_measure`` must match
+  test-local per-pair loops over the public references
+  (``measure_observable``, ``bell_measurement``), RNG consumption included.
 """
 
 import numpy as np
@@ -11,21 +18,29 @@ import pytest
 
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
-from repro.protocol.chsh import DISecurityCheck
+from repro.protocol.chsh import CHSHSettings, DISecurityCheck
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.identity import Identity
 from repro.protocol.parties import Bob
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.protocol.source import EntanglementSource
+from repro.quantum import density
 from repro.quantum.bell import BellState, bell_state
 from repro.quantum.channels import depolarizing_channel
+from repro.quantum.measurement import (
+    bell_measurement,
+    equatorial_observable,
+    measure_observable,
+)
+from repro.quantum.operators import PAULI_X, PAULI_Z
+from repro.utils.bits import bits_to_str
 
 
 def _session_fingerprint(result):
     return (
         result.success,
-        result.abort_reason,
-        result.delivered_message,
+        result.abort_reason.value,
+        None if result.delivered_message is None else bits_to_str(result.delivered_message),
         None if result.chsh_round1 is None else result.chsh_round1.value,
         None if result.chsh_round2 is None else result.chsh_round2.value,
         result.bob_authentication_error,
@@ -35,98 +50,182 @@ def _session_fingerprint(result):
     )
 
 
-class TestFastPathParity:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    def test_honest_session_bit_identical(self, seed):
-        message = "0110" * 8
-        base = ProtocolConfig.default(len(message), seed=seed)
-        fast = UADIQSDCProtocol(base).run(message)
-        dense = UADIQSDCProtocol(base.with_simulator_backend("dense")).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
+def _honest(seed):
+    message = "0110" * 8
+    return ProtocolConfig.default(len(message), seed=seed), None, message
 
-    def test_attacked_session_bit_identical(self):
-        message = "10" * 8
-        base = ProtocolConfig.default(len(message), seed=11)
-        attack_a = InterceptResendAttack()
-        attack_b = InterceptResendAttack()
-        fast = UADIQSDCProtocol(base, attack=attack_a).run(message)
-        dense = UADIQSDCProtocol(
-            base.with_simulator_backend("dense"), attack=attack_b
-        ).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
 
-    def test_noisy_channel_session_bit_identical(self):
-        message = "1100" * 4
-        base = ProtocolConfig.default(len(message), seed=3, eta=50)
-        fast = UADIQSDCProtocol(base).run(message)
-        dense = UADIQSDCProtocol(base.with_simulator_backend("dense")).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
+def _intercepted(seed=11):
+    message = "10" * 8
+    return (
+        ProtocolConfig.default(len(message), seed=seed),
+        InterceptResendAttack(rng=seed),
+        message,
+    )
+
+
+def _noisy_channel(seed=3):
+    message = "1100" * 4
+    return ProtocolConfig.default(len(message), seed=seed, eta=50), None, message
+
+
+def _forced_stabilizer(seed=5):
+    channel = IdentityChainChannel(eta=20, include_thermal_relaxation=False)
+    config = (
+        ProtocolConfig.default(8, seed=seed)
+        .with_channel(channel)
+        .with_simulator_backend("stabilizer")
+    )
+    return config, None, "01010101"
+
+
+#: ``(session factory, fingerprint)`` recorded from the per-session code
+#: that predates the shared helpers; equal for its unmemoised ``dense``
+#: reference and its memoised ``auto`` path.
+SESSION_PINS = {
+    "honest-0": (
+        lambda: _honest(0),
+        (True, "none", "0110" * 8, 2.94510547035666, 2.840909090909091, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "honest-1": (
+        lambda: _honest(1),
+        (True, "none", "0110" * 8, 2.475950486295314, 2.6594451687672027, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "honest-7": (
+        lambda: _honest(7),
+        (True, "none", "0110" * 8, 2.5601049906377775, 2.9020448993497787, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "honest-2024": (
+        lambda: _honest(2024),
+        (True, "none", "0110" * 8, 2.71205522971652, 3.024863294600137, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "intercept-resend-11": (
+        _intercepted,
+        (
+            False,
+            "alice_authentication_failed",
+            None,
+            2.8592638216389603,
+            None,
+            0.125,
+            0.375,
+            None,
+            None,
+        ),
+    ),
+    "eta50-3": (
+        _noisy_channel,
+        (True, "none", "1100" * 4, 2.8216754006227687, 2.9851755956619934, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "forced-stabilizer-5": (
+        _forced_stabilizer,
+        (True, "none", "01010101", 2.7415620457248577, 2.8701762599766893, 0.0, 0.0, 0.0, 0.0),
+    ),
+}
+
+
+def _run(factory, backend=None):
+    config, attack, message = factory()
+    if backend is not None:
+        config = config.with_simulator_backend(backend)
+    return UADIQSDCProtocol(config, attack=attack).run(message)
+
+
+class TestSessionPins:
+    @pytest.mark.parametrize("name", sorted(SESSION_PINS))
+    def test_session_matches_pin(self, name):
+        factory, pinned = SESSION_PINS[name]
+        assert _session_fingerprint(_run(factory)) == pinned
+
+    @pytest.mark.parametrize("name", ["honest-0", "intercept-resend-11", "eta50-3"])
+    def test_dense_backend_matches_pin(self, name):
+        factory, pinned = SESSION_PINS[name]
+        assert _session_fingerprint(_run(factory, "dense")) == pinned
 
     def test_metadata_reports_backend(self):
         config = ProtocolConfig.default(8, seed=0)
         result = UADIQSDCProtocol(config).run("01010101")
         assert result.metadata["simulator_backend"] == "auto"
-        assert result.metadata["session_fast_path"] is True
         dense = UADIQSDCProtocol(config.with_simulator_backend("dense")).run("01010101")
-        assert dense.metadata["session_fast_path"] is False
+        assert dense.metadata["simulator_backend"] == "dense"
 
-    def test_forced_stabilizer_runs_on_pauli_channel(self):
-        channel = IdentityChainChannel(eta=20, include_thermal_relaxation=False)
-        config = (
-            ProtocolConfig.default(8, seed=5)
-            .with_channel(channel)
-            .with_simulator_backend("stabilizer")
+
+def _mixed_pairs(count):
+    """Pairs taking a few distinct values, both kinds of state object."""
+    phi_plus = bell_state(BellState.PHI_PLUS)
+    clean = phi_plus.density_matrix()
+    noisy = depolarizing_channel(0.05).apply(clean, [0])
+    flipped = clean.evolve(PAULI_X, [0])
+    cycle = [clean, noisy, phi_plus, flipped, bell_state(BellState.PSI_MINUS)]
+    return [cycle[index % len(cycle)] for index in range(count)]
+
+
+def _reference_estimate(settings, pairs, generator):
+    """The CHSH estimate from two ``measure_observable`` calls per pair."""
+    sums = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
+    counts = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
+    for pair in pairs:
+        low = 0 if settings.use_a0 else 1
+        alice_setting = int(generator.integers(low, 3))
+        bob_setting = int(generator.integers(1, 3))
+        alice_observable = equatorial_observable(settings.alice_angles[alice_setting])
+        bob_observable = equatorial_observable(
+            settings.bob_angles[bob_setting - 1], conjugate=settings.conjugate_bob
         )
-        reference = UADIQSDCProtocol(
-            config.with_simulator_backend("dense")
-        ).run("01010101")
-        forced = UADIQSDCProtocol(config).run("01010101")
-        assert _session_fingerprint(forced) == _session_fingerprint(reference)
+        alice_outcome, post = measure_observable(pair, alice_observable, [0], rng=generator)
+        bob_outcome, _ = measure_observable(post, bob_observable, [1], rng=generator)
+        if alice_setting == 0:
+            continue
+        sums[(alice_setting, bob_setting)] += alice_outcome * bob_outcome
+        counts[(alice_setting, bob_setting)] += 1
+    correlations = {key: sums[key] / counts[key] if counts[key] else 0.0 for key in counts}
+    value = (
+        correlations[(1, 1)]
+        + correlations[(1, 2)]
+        + correlations[(2, 1)]
+        - correlations[(2, 2)]
+    )
+    return value, correlations, counts
 
 
-class TestDISecurityCheckMemoization:
-    def _pairs(self, count=64):
-        noisy = depolarizing_channel(0.05).apply(
-            bell_state(BellState.PHI_PLUS).density_matrix(), [0]
-        )
-        clean = bell_state(BellState.PHI_PLUS).density_matrix()
-        return [clean if index % 2 else noisy for index in range(count)]
-
-    def test_memoized_estimate_bit_identical_to_reference(self):
-        pairs = self._pairs()
-        memoized = DISecurityCheck(memoize=True).estimate(
-            pairs, rng=np.random.default_rng(42)
-        )
-        reference = DISecurityCheck(memoize=False).estimate(
-            pairs, rng=np.random.default_rng(42)
-        )
-        assert memoized.value == reference.value
-        assert memoized.correlations == reference.correlations
-        assert memoized.counts == reference.counts
-
-    def test_rng_consumption_identical(self):
-        pairs = self._pairs(32)
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        DISecurityCheck(memoize=True).estimate(pairs, rng=rng_a)
-        DISecurityCheck(memoize=False).estimate(pairs, rng=rng_b)
-        assert rng_a.integers(0, 2**31) == rng_b.integers(0, 2**31)
+class TestDISecurityCheckReference:
+    @pytest.mark.parametrize(
+        "settings", [CHSHSettings(), CHSHSettings(use_a0=True)], ids=["paper", "use-a0"]
+    )
+    @pytest.mark.parametrize("seed", [9, 42])
+    def test_estimate_matches_per_pair_reference(self, settings, seed):
+        pairs = _mixed_pairs(64)
+        generator = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        estimate = DISecurityCheck(settings).estimate(pairs, rng=generator)
+        value, correlations, counts = _reference_estimate(settings, pairs, reference)
+        assert estimate.value == value
+        assert estimate.correlations == correlations
+        assert estimate.counts == counts
+        # Both consumed exactly the same draws.
+        assert generator.integers(0, 2**31) == reference.integers(0, 2**31)
 
 
-class TestBobMemoization:
-    def _bob(self, memoize, seed=4):
+class TestBobBellMeasureReference:
+    def _bob(self, seed):
         identity = Identity.random(2, owner="bob", rng=np.random.default_rng(0))
         peer = Identity.random(2, owner="alice", rng=np.random.default_rng(1))
-        return Bob(identity=identity, peer_identity=peer, rng=seed, memoize=memoize)
+        return Bob(identity=identity, peer_identity=peer, rng=seed)
 
-    def test_bell_measure_bit_identical(self):
-        pairs = {
-            index: bell_state(BellState.PHI_PLUS).density_matrix()
-            for index in range(48)
+    def test_bell_measure_matches_per_pair_reference(self):
+        clean = bell_state(BellState.PHI_PLUS).density_matrix()
+        noisy = depolarizing_channel(0.2).apply(clean, [0])
+        cycle = [clean, noisy, clean.evolve(PAULI_Z, [0]), noisy.evolve(PAULI_X, [0])]
+        pairs = {index: cycle[index % len(cycle)] for index in range(48)}
+        positions = tuple(reversed(pairs))
+        bob = self._bob(seed=4)
+        reference = np.random.default_rng(4)
+        expected = {
+            position: bell_measurement(pairs[position], [0, 1], rng=reference).bell_state
+            for position in positions
         }
-        fast = self._bob(True).bell_measure(pairs, tuple(pairs))
-        reference = self._bob(False).bell_measure(pairs, tuple(pairs))
-        assert fast == reference
+        assert bob.bell_measure(pairs, positions) == expected
+        assert bob.rng.integers(0, 2**31) == reference.integers(0, 2**31)
 
 
 class TestNetworkBackendPlumbing:
@@ -165,15 +264,19 @@ class TestNetworkBackendPlumbing:
         with pytest.raises(ConfigurationError, match="Pauli"):
             service.send("1010", kind="bits")
 
-    def test_dense_and_auto_network_deliveries_identical(self):
+    @pytest.mark.parametrize("backend", ["auto", "dense"])
+    def test_network_delivery_matches_pin(self, backend):
+        """Both names reach every hop and give the recorded delivery."""
         from repro.api.service import MessagingService
 
-        fast = MessagingService(self._networked_config("auto")).send("1010", kind="bits")
-        dense = MessagingService(self._networked_config("dense")).send(
-            "1010", kind="bits"
-        )
-        assert fast.success == dense.success
-        assert fast.delivered_payload == dense.delivered_payload
+        report = MessagingService(self._networked_config(backend)).send("1010", kind="bits")
+        assert report.metadata["simulator_backend"] == backend
+        assert (report.success, report.delivered_payload) == (False, None)
+        assert report.summary()["abort_reasons"] == {
+            "frame_verification_failed": 2,
+            "round1_chsh_failed": 1,
+        }
+        assert report.summary()["mean_chsh_round1"] == 2.3925685425685423
 
     def test_explicit_session_params_own_the_engine(self):
         from repro.api.service import MessagingService
@@ -253,62 +356,35 @@ class TestSourceEmissionSharing:
         assert np.array_equal(shared.matrix, single.matrix)
 
 
-class TestSessionBatchFusion:
-    """Cross-session cache sharing must be invisible in the results.
+class TestWarmMemo:
+    """Sessions sharing the process-wide statistic memo stay bit-identical.
 
-    ``run_session_batch`` threads one :class:`SessionCaches` through every
-    fast-path session; the caches memoize only configuration-keyed pure
-    measurement statistics, so fused sessions are bit-identical to solo runs.
+    A cold memo computes every statistic from the session's own states; a
+    warm one hands over the entries earlier sessions left.  Either way the
+    session draws the same floats.
     """
 
-    def _sessions(self, seeds, message="0110" * 4):
-        return [
-            (ProtocolConfig.default(len(message), seed=seed), None, message)
-            for seed in seeds
-        ]
+    @pytest.mark.parametrize("name", ["honest-1", "intercept-resend-11", "eta50-3"])
+    def test_cold_and_warm_memo_sessions_identical(self, name):
+        factory, pinned = SESSION_PINS[name]
+        density._STATISTIC_MEMO.clear()
+        cold = _session_fingerprint(_run(factory))
+        warm = _session_fingerprint(_run(factory))
+        assert cold == warm == pinned
 
-    def test_fused_batch_bit_identical_to_solo_sessions(self):
-        from repro.protocol.runner import run_session_batch
+    def test_second_session_adds_no_memo_entries(self):
+        factory, _ = SESSION_PINS["honest-0"]
+        density._STATISTIC_MEMO.clear()
+        _run(factory)
+        entries = len(density._STATISTIC_MEMO)
+        assert entries > 0
+        _run(factory)
+        assert len(density._STATISTIC_MEMO) == entries
 
-        seeds = [0, 1, 7, 11, 2024]
-        message = "0110" * 4
-        solo = [
-            UADIQSDCProtocol(config).run(msg)
-            for config, _attack, msg in self._sessions(seeds, message)
-        ]
-        fused = run_session_batch(self._sessions(seeds, message))
-        assert [_session_fingerprint(r) for r in fused] == [
-            _session_fingerprint(r) for r in solo
-        ]
-
-    def test_fused_attacked_batch_bit_identical(self):
-        from repro.protocol.runner import run_session_batch
-
-        message = "10" * 8
-        config = ProtocolConfig.default(len(message), seed=11)
-        solo = UADIQSDCProtocol(config, attack=InterceptResendAttack()).run(message)
-        fused = run_session_batch(
-            [(config, InterceptResendAttack(), message)] * 3
-        )
-        for result in fused:
-            assert _session_fingerprint(result) == _session_fingerprint(solo)
-
-    def test_shared_caches_populate_across_sessions(self):
-        from repro.protocol.runner import SessionCaches, run_session_batch
-
-        caches = SessionCaches()
-        run_session_batch(self._sessions([0, 1]), caches=caches)
-        assert caches.chsh_branches  # CHSH branch statistics were shared
-        assert caches.bell_probabilities  # Bob's Bell distributions were shared
-
-    def test_caches_are_ignored_on_the_dense_path(self):
-        from repro.protocol.runner import SessionCaches
-
-        message = "01010101"
-        config = ProtocolConfig.default(len(message), seed=0).with_simulator_backend(
-            "dense"
-        )
-        caches = SessionCaches()
-        result = UADIQSDCProtocol(config, caches=caches).run(message)
-        assert result.metadata["session_fast_path"] is False
-        assert not caches.chsh_branches and not caches.bell_probabilities
+    def test_bound_smaller_than_a_session_keeps_results(self, monkeypatch):
+        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", 2)
+        density._STATISTIC_MEMO.clear()
+        for name in ("honest-2024", "forced-stabilizer-5"):
+            factory, pinned = SESSION_PINS[name]
+            assert _session_fingerprint(_run(factory)) == pinned
+            assert len(density._STATISTIC_MEMO) <= 2

@@ -1,0 +1,139 @@
+"""The contract of ``map_distinct`` and ``state_statistic`` in repro.quantum.density."""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.quantum import density
+from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
+from repro.quantum.states import Statevector
+
+
+def _diagonal(p: float) -> DensityMatrix:
+    return DensityMatrix(np.diag([p, 1.0 - p]).astype(complex))
+
+
+class _YieldingMemo(dict):
+    """A memo that lets other threads run right after reporting its size,
+    which widens any gap between a size check and the insertion after it."""
+
+    def __len__(self) -> int:
+        size = super().__len__()
+        time.sleep(0)
+        return size
+
+
+@pytest.fixture
+def empty_memo():
+    density._STATISTIC_MEMO.clear()
+    yield density._STATISTIC_MEMO
+    density._STATISTIC_MEMO.clear()
+
+
+class TestMapDistinct:
+    def test_one_call_per_distinct_content_in_input_order(self):
+        first, second, third = _diagonal(0.1), _diagonal(0.2), _diagonal(0.3)
+        first_copy = DensityMatrix(first)  # equal content, another object
+        calls = []
+
+        def fn(state):
+            calls.append(state)
+            return float(state.matrix[0, 0].real)
+
+        mapped = map_distinct([first, second, first_copy, second, third], fn)
+        assert mapped == [0.1, 0.2, 0.1, 0.2, 0.3]
+        assert calls == [first, second, third]
+
+    def test_equal_inputs_share_one_output_object(self):
+        first, second = _diagonal(0.25), _diagonal(0.75)
+        mapped = map_distinct(
+            [first, second, DensityMatrix(first)], lambda state: state.evolve(np.eye(2))
+        )
+        assert mapped[0] is mapped[2]
+        assert mapped[0] is not mapped[1]
+
+    def test_empty_input(self):
+        assert map_distinct([], lambda state: state) == []
+
+
+class TestStateStatistic:
+    def test_statevector_and_density_matrix_with_equal_bytes_do_not_share(self, empty_memo):
+        vector = Statevector(np.full(4, 0.5, dtype=complex))  # 2 qubits
+        matrix = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))  # 1 qubit
+        assert vector.vector.tobytes() == matrix.matrix.tobytes()
+        assert state_statistic("kind", vector, lambda state: "statevector") == "statevector"
+        assert state_statistic("kind", matrix, lambda state: "density") == "density"
+        assert map_distinct([vector, matrix], lambda state: type(state)) == [
+            Statevector,
+            DensityMatrix,
+        ]
+
+    def test_tag_separates_statistics_of_one_state(self, empty_memo):
+        state = _diagonal(0.4)
+        assert state_statistic("a", state, lambda s: 1) == 1
+        assert state_statistic("b", state, lambda s: 2) == 2
+        assert state_statistic("a", DensityMatrix(state), lambda s: 3) == 1
+
+    def test_computes_from_the_live_state(self, empty_memo):
+        state = _diagonal(0.4)
+        seen = []
+        state_statistic("live", state, seen.append)
+        assert seen[0] is state
+
+    def test_cached_arrays_reject_writes(self, empty_memo):
+        state = _diagonal(0.4)
+        value = state_statistic("array", state, lambda s: np.real(np.diag(s.matrix)))
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+        assert state_statistic("array", state, lambda s: None) is value
+
+    def test_more_distinct_states_than_the_bound(self, empty_memo):
+        bound = density._STATISTIC_MEMO_MAX
+        states = [_diagonal(p) for p in np.linspace(0.0, 1.0, bound + 100)]
+        for state in states:
+            value = state_statistic("p0", state, lambda s: float(s.matrix[0, 0].real))
+            assert value == float(state.matrix[0, 0].real)
+            assert len(empty_memo) <= bound
+        # Entries that survived the last clear still answer correctly.
+        for state in states[-50:]:
+            value = state_statistic("p0", state, lambda s: -1.0)
+            assert value == float(state.matrix[0, 0].real)
+
+    def test_concurrent_misses_never_exceed_the_bound(self, monkeypatch):
+        """Many threads missing at once keep the memo within its bound."""
+        bound = 8
+        memo = _YieldingMemo()
+        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", bound)
+        monkeypatch.setattr(density, "_STATISTIC_MEMO", memo)
+        states = [_diagonal(p) for p in np.linspace(0.0, 1.0, 64)]
+        sizes: list[int] = []
+        wrong: list[float] = []
+
+        def worker(offset: int) -> None:
+            for index in range(200):
+                state = states[(offset + index) % len(states)]
+                value = state_statistic("p0", state, lambda s: float(s.matrix[0, 0].real))
+                if value != float(state.matrix[0, 0].real):
+                    wrong.append(value)
+                sizes.append(dict.__len__(memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sizes) == 8 * 200
+        assert max(sizes) <= bound
+        assert not wrong
