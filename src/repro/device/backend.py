@@ -14,17 +14,17 @@ Clifford-only circuits whose applicable noise is Pauli-diagonal to the
 :class:`~repro.quantum.stabilizer.StabilizerSimulator` — same counts
 contract, polynomial cost — and everything else (including the default
 ``ibm_brisbane`` model, whose thermal relaxation is not a Pauli channel) to
-the dense density-matrix path.  Whole-batch submissions
-(:meth:`NoisyBackend.run_batch`) on that same eligible class resolve to the
-vectorized :class:`~repro.quantum.tableau_batch.BatchedStabilizerSimulator`,
-which amortises per-circuit work across the batch while keeping counts
-bit-identical.  The resolved backend and the dispatch reason are recorded
-in every :class:`BackendJob`'s metadata.
+the dense density-matrix path.  For whole-batch submissions
+(:meth:`NoisyBackend.run_batch`) the dispatcher reports
+``"stabilizer_batched"``, a synonym that runs the same simulator.  The
+resolved backend and the dispatch reason are recorded in every
+:class:`BackendJob`'s metadata.
 
 :meth:`NoisyBackend.run` and :meth:`NoisyBackend.run_batch` share one
 execution body (validate, dispatch, simulate, record jobs) and differ only in
-dispatching as a single-circuit or a whole-batch submission.  Either way
-dense circuits run compiled and the noise model's Pauli analysis is memoised
+dispatching as a single-circuit or a whole-batch submission.  Either way one
+simulator ``run_batch`` call executes the circuits, dense circuits run
+compiled, and the noise model's Pauli analysis is memoised
 (:func:`repro.quantum.dispatch.noise_model_mixtures`).
 """
 
@@ -68,10 +68,10 @@ class NoisyBackend:
     seed:
         Seed or generator for all sampling performed by this backend.
     simulator_backend:
-        ``"auto"`` (default: stabilizer fast path when provably exact —
-        vectorized-batched on ``run_batch`` — dense otherwise), ``"dense"``
-        (always the density-matrix simulator), ``"stabilizer"`` or
-        ``"stabilizer_batched"`` (forced; raise on ineligible circuits).
+        ``"auto"`` (default: stabilizer fast path when provably exact, dense
+        otherwise), ``"dense"`` (always the density-matrix simulator),
+        ``"stabilizer"`` or its synonym ``"stabilizer_batched"`` (forced;
+        raise on ineligible circuits).
     cache:
         Optional shared :class:`~repro.quantum.batch.PropagatorCache` for the
         dense simulator.  Sweeps that create one backend per point (for
@@ -109,7 +109,6 @@ class NoisyBackend:
             cache=cache,
         )
         self._stabilizer: StabilizerSimulator | None = None
-        self._batched_stabilizer = None
         self.jobs: list[BackendJob] = []
 
     def _stabilizer_simulator(self) -> StabilizerSimulator:
@@ -118,18 +117,6 @@ class NoisyBackend:
                 noise_model=self._effective_noise, seed=self._rng
             )
         return self._stabilizer
-
-    def _batched_stabilizer_simulator(self):
-        if self._batched_stabilizer is None:
-            from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
-            # Wraps (and shares the analytic-distribution cache of) the
-            # serial stabilizer engine, so serial and batched submissions
-            # reuse each other's resolved circuit structures.
-            self._batched_stabilizer = BatchedStabilizerSimulator(
-                serial=self._stabilizer_simulator(), seed=self._rng
-            )
-        return self._batched_stabilizer
 
     # -- queries -----------------------------------------------------------------
     @property
@@ -151,9 +138,13 @@ class NoisyBackend:
         """Execute *circuit* with *shots* repetitions and return the counts.
 
         The circuit routes through the backend resolved by the dispatch
-        layer for a single-circuit submission (see the class docstring); a
-        fixed seed yields bit-identical counts whichever backend ``auto``
-        resolves to on noiseless Clifford circuits.
+        layer for a single-circuit submission (see the class docstring).
+        Whichever backend ``auto`` resolves to, a noiseless Clifford circuit
+        run on a fresh generator of a fixed seed gives bit-identical counts.
+        The claim is per circuit: later circuits on one stream may differ
+        between backends, because a dense probability vector can carry
+        rounding residues where the tableau has exact zeros, and that
+        changes how ``multinomial`` consumes the generator.
         """
         return self._execute([circuit], shots, batch=False)[0]
 
@@ -163,9 +154,10 @@ class NoisyBackend:
         """Execute several circuits as one whole-batch submission.
 
         Dense circuits share one propagator cache and are each sampled with
-        a single multinomial draw; stabilizer-eligible batches resolve to the
-        vectorized tableau engine.  One :class:`BackendJob` is recorded per
-        circuit, exactly as with repeated :meth:`run` calls.
+        a single multinomial draw; stabilizer-eligible batches share the
+        stabilizer's distribution cache the same way.  One
+        :class:`BackendJob` is recorded per circuit, exactly as with
+        repeated :meth:`run` calls.
 
         Parameters
         ----------
@@ -220,21 +212,18 @@ class NoisyBackend:
         decision = select_backend(
             self.simulator_backend, circuits, self._effective_noise, batch=batch
         )
-        if decision.backend == "stabilizer_batched":
-            simulator = self._batched_stabilizer_simulator()
-        elif decision.use_stabilizer:
-            simulator = self._stabilizer_simulator()
-        else:
-            simulator = self._simulator
+        simulator = (
+            self._stabilizer_simulator() if decision.use_stabilizer else self._simulator
+        )
         results = simulator.run_batch(circuits, shots=shots, rng=self._rng)
-        histograms = [Counts(result.counts, shots=shots) for result in results]
+        histograms = [Counts(result.counts, shots=results.shots) for result in results]
         for circuit, result, counts in zip(circuits, results, histograms):
             metadata = {
                 **result.metadata,
                 "backend": decision.backend,
                 "dispatch_reason": decision.reason,
             }
-            self.jobs.append(BackendJob(circuit.name, shots, counts, metadata))
+            self.jobs.append(BackendJob(circuit.name, results.shots, counts, metadata))
         return histograms
 
     def _validate(self, circuit: QuantumCircuit) -> None:

@@ -32,6 +32,7 @@ compiled path makes relative to the sequential reference implementation.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
@@ -49,6 +50,8 @@ __all__ = [
     "CompiledUnitary",
     "PropagatorCache",
     "RESET_KRAUS",
+    "check_shots",
+    "circuit_measure_map",
     "circuit_structure_key",
     "instruction_signature",
     "measurements_are_terminal",
@@ -69,6 +72,25 @@ RESET_KRAUS = (
     np.array([[1, 0], [0, 0]], dtype=complex),
     np.array([[0, 1], [0, 0]], dtype=complex),
 )
+
+
+def check_shots(shots) -> int:
+    """Validate a per-circuit shot count and return it as an ``int``.
+
+    Accepts any integer type (``operator.index``: ``int``, ``np.int64`` …)
+    and rejects negatives, fractions, NaN and strings with
+    :class:`~repro.exceptions.SimulationError` — so counts always sum to the
+    recorded ``shots``.
+    """
+    try:
+        value = operator.index(shots)
+    except TypeError:
+        raise SimulationError(
+            f"shots must be a non-negative integer, got {shots!r}"
+        ) from None
+    if value < 0:
+        raise SimulationError(f"shots must be non-negative, got {value}")
+    return value
 
 
 # -- structure keys -------------------------------------------------------------------
@@ -125,6 +147,16 @@ def measurements_are_terminal(circuit: QuantumCircuit) -> bool:
             if measured.intersection(instruction.qubits):
                 return False
     return True
+
+
+def circuit_measure_map(circuit: QuantumCircuit) -> dict[int, int]:
+    """The ``qubit -> clbit`` map of a circuit's measurements (last one wins)."""
+    return {
+        qubit: clbit
+        for instruction in circuit.instructions
+        if instruction.kind == "measure"
+        for qubit, clbit in zip(instruction.qubits, instruction.clbits)
+    }
 
 
 # -- superoperator algebra -------------------------------------------------------------
@@ -433,16 +465,13 @@ def _compile(
 
     n = circuit.num_qubits
     matrix = np.eye(identity_dim, dtype=complex)
-    measure_map: dict[int, int] = {}
     active = [
         instruction
         for instruction in circuit.instructions
         if instruction.kind != "barrier"
     ]
     for instruction, signature, count in _run_length_segments(active):
-        if instruction.kind == "measure":
-            for qubit, clbit in zip(instruction.qubits, instruction.clbits):
-                measure_map[qubit] = clbit
+        if instruction.kind == "measure":  # skipped, but it still ends a run
             continue
         step_key = (scope, n, signature)
         step = (
@@ -458,7 +487,7 @@ def _compile(
             )
         matrix = step @ matrix
 
-    compiled = wrap(matrix, measure_map)
+    compiled = wrap(matrix, circuit_measure_map(circuit))
     if cache is not None:
         cache.put(key, compiled)
     return compiled

@@ -14,11 +14,12 @@ accordingly:
   probability mixture; channels with coherent or damping components
   (e.g. thermal relaxation) return ``None`` and force the dense path.
 * :func:`noise_model_mixtures` — the one walk over the errors a noise model
-  attaches to a circuit (dispatcher and both stabilizer engines), memoised
+  attaches to a circuit (dispatcher and stabilizer engine), memoised
   per error under the propagator-cache key ``(cache_token, version)``: an
   in-place ``add_*`` invalidates it, duck-typed models skip it.
 * :func:`select_backend` — the routing decision for a batch of circuits
-  under a requested backend (``"auto"``, ``"dense"`` or ``"stabilizer"``).
+  under a requested backend (``"auto"``, ``"dense"``, ``"stabilizer"`` or
+  its synonym ``"stabilizer_batched"``).
   ``auto`` never changes semantics: it picks the tableau only when the
   result is provably distribution-identical to the dense simulators.
   Requesting ``"stabilizer"`` outright raises on ineligible input instead
@@ -74,7 +75,9 @@ __all__ = [
 #: The backend names every ``simulator_backend`` knob accepts.
 BACKEND_CHOICES = ("auto", "dense", "stabilizer", "stabilizer_batched")
 
-#: The two stabilizer-engine flavours (serial CHP and vectorized batch).
+#: Names of the one stabilizer engine.  ``"stabilizer_batched"`` is a
+#: synonym of ``"stabilizer"``; ``auto`` reports it for whole-batch
+#: submissions, so job metadata still tell a batch from a single run.
 _STABILIZER_BACKENDS = ("stabilizer", "stabilizer_batched")
 
 #: Gate names the stabilizer tableau implements (single source of truth is
@@ -117,8 +120,9 @@ class DispatchDecision:
     Attributes
     ----------
     backend:
-        ``"stabilizer"``, ``"stabilizer_batched"`` or ``"dense"`` — the
-        resolved execution backend.
+        ``"stabilizer"``, ``"stabilizer_batched"`` (the same engine, for a
+        whole-batch submission) or ``"dense"`` — the resolved execution
+        backend.
     reason:
         Human-readable explanation (surfaced in result/job metadata so a
         user can see *why* a workload did or did not take the fast path).
@@ -129,7 +133,7 @@ class DispatchDecision:
 
     @property
     def use_stabilizer(self) -> bool:
-        """True when a tableau backend (serial or batched) was selected."""
+        """True when the tableau backend was selected (under either name)."""
         return self.backend in _STABILIZER_BACKENDS
 
 
@@ -285,9 +289,8 @@ def select_backend(
     fire on them is a Pauli mixture — the class on which the tableau is
     provably distribution-identical to the dense simulators — and falls
     back to dense otherwise; with ``batch=True`` (a whole-batch submission,
-    i.e. a ``run_batch`` call) the vectorized ``"stabilizer_batched"``
-    engine is chosen over the serial one, since both are exact on this
-    class and the batched engine amortises per-circuit work.
+    i.e. a ``run_batch`` call) it reports ``"stabilizer_batched"``, a
+    synonym of ``"stabilizer"`` that runs the same engine.
     ``"stabilizer"`` / ``"stabilizer_batched"`` raise
     :class:`~repro.exceptions.SimulationError` on ineligible input so that
     misconfiguration fails loudly rather than silently approximating.
@@ -337,7 +340,7 @@ def select_backend(
         return _decide(
             requested,
             "stabilizer_batched",
-            "Clifford circuits with Pauli-diagonal noise (vectorized batch)",
+            "Clifford circuits with Pauli-diagonal noise (whole batch)",
         )
     return _decide(
         requested, "stabilizer", "Clifford circuits with Pauli-diagonal noise"

@@ -10,16 +10,17 @@ readout assignment errors — which is how the repository reproduces the
 ``ibm_brisbane`` executions of the paper's evaluation section without access
 to the hardware.
 
-:class:`DensityMatrixSimulator` has one execution path: ``run`` is the
-one-circuit case of ``run_batch``, which folds each circuit into a cached,
+In both simulators ``run`` is the one-circuit case of ``run_batch``.
+:class:`DensityMatrixSimulator` folds each circuit into a cached,
 run-length-compressed superoperator (see :mod:`repro.quantum.batch`) and
 samples its counts with one multinomial draw.  A private per-gate evolution
 serves registers wider than :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS`
 and is the independent reference ``tests/quantum/test_batch.py`` holds the
-compiled path to.  :class:`StatevectorSimulator` keeps a sequential ``run``
-(one instruction at a time; per shot under mid-circuit measurement or reset)
-beside a compiled ``run_batch``; both give the same distribution up to
-rounding.
+compiled path to.  :class:`StatevectorSimulator` routes per circuit: a
+cached compiled unitary for terminal, reset-free circuits of at most
+:data:`~repro.quantum.batch.MAX_UNITARY_QUBITS` qubits, gate-by-gate
+evolution for wider ones, and per-shot execution under mid-circuit
+measurement or reset.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.quantum.batch import (
     MAX_UNITARY_QUBITS,
     PropagatorCache,
     RESET_KRAUS,
+    check_shots,
+    circuit_measure_map,
     compile_channel,
     compile_unitary,
     measurements_are_terminal,
@@ -65,8 +68,8 @@ def renormalize_readout_probabilities(probabilities: np.ndarray) -> np.ndarray:
     backend that samples from a folded distribution must repair it the same
     way — clip to zero, then divide by the sum — or fixed-seed multinomial
     draws diverge between backends.  This helper is that single byte-exact
-    sequence, shared by the dense, stabilizer and batched-stabilizer
-    samplers (parity asserted by the cross-backend conformance suite).
+    sequence, shared by the dense and stabilizer samplers (parity asserted
+    by the cross-backend conformance suite).
     """
     probabilities = np.clip(probabilities, 0.0, None)
     total = probabilities.sum()
@@ -159,23 +162,14 @@ class StatevectorSimulator:
     ) -> SimulationResult:
         """Execute *circuit* and sample *shots* measurement outcomes.
 
-        Circuits whose measurements are all terminal (no gate touches a
-        measured qubit afterwards) are simulated once and sampled
-        analytically; circuits with mid-circuit measurement or reset fall back
-        to per-shot Monte Carlo execution.
+        The one-circuit case of :meth:`run_batch`.  Circuits whose
+        measurements are all terminal (no gate touches a measured qubit
+        afterwards) are simulated once and sampled with one multinomial
+        draw; circuits with mid-circuit measurement or reset run per shot.
         """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
-        generator = as_rng(rng) if rng is not None else self._rng
-        state = self._initial_state(circuit, initial_state)
-
-        if not circuit.has_measurements() and not self._has_nonunitary(circuit):
-            final = self._apply_gates(circuit, state)
-            return SimulationResult(counts={}, shots=0, statevector=final)
-
-        if self._measurements_are_terminal(circuit) and not self._has_nonunitary(circuit):
-            return self._run_terminal(circuit, state, shots, generator)
-        return self._run_per_shot(circuit, state, shots, generator)
+        return self.run_batch(
+            [circuit], shots=shots, initial_state=initial_state, rng=rng
+        )[0]
 
     def run_batch(
         self,
@@ -184,12 +178,13 @@ class StatevectorSimulator:
         initial_state: Statevector | None = None,
         rng=None,
     ) -> BatchResult:
-        """Execute a sequence of circuits through the batched (compiled) path.
+        """Execute a sequence of circuits, routing each to its cheapest exact path.
 
-        Each eligible circuit — terminal measurements, no resets, at most
-        :data:`~repro.quantum.batch.MAX_UNITARY_QUBITS` qubits — is folded
-        into a single cached unitary and its counts are sampled with one
-        multinomial draw; ineligible circuits fall back to :meth:`run`.
+        A terminal-measurement, reset-free circuit of at most
+        :data:`~repro.quantum.batch.MAX_UNITARY_QUBITS` qubits is folded into
+        a single cached unitary; a wider one evolves gate by gate.  Either
+        way its counts are one multinomial draw.  Circuits with mid-circuit
+        measurement or reset run per shot.
 
         Parameters
         ----------
@@ -208,32 +203,26 @@ class StatevectorSimulator:
         BatchResult
             One :class:`SimulationResult` per circuit, in submission order.
         """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
+        shots = check_shots(shots)
         generator = as_rng(rng) if rng is not None else self._rng
         hits_before, misses_before = self._cache.hits, self._cache.misses
         mark = telemetry.clock_mark()
         results = []
         for circuit in circuits:
-            if (
-                circuit.num_qubits > MAX_UNITARY_QUBITS
-                or self._has_nonunitary(circuit)
-                or not self._measurements_are_terminal(circuit)
-            ):
-                results.append(
-                    self.run(circuit, shots=shots, initial_state=initial_state, rng=generator)
-                )
-                continue
-            compiled = compile_unitary(circuit, self._cache)
             state = self._initial_state(circuit, initial_state)
-            final = Statevector(compiled.matrix @ state.vector)
+            if self._has_nonunitary(circuit) or not measurements_are_terminal(circuit):
+                results.append(self._run_per_shot(circuit, state, shots, generator))
+                continue
+            if circuit.num_qubits <= MAX_UNITARY_QUBITS:
+                compiled = compile_unitary(circuit, self._cache)
+                final = Statevector(compiled.matrix @ state.vector)
+                measure_map = compiled.measure_map
+            else:
+                final = self._apply_gates(circuit, state)
+                measure_map = circuit_measure_map(circuit)
             results.append(
                 self._sample_terminal(
-                    final,
-                    compiled.measure_map,
-                    circuit.num_clbits,
-                    shots,
-                    generator,
+                    final, measure_map, circuit.num_clbits, shots, generator
                 )
             )
         telemetry.record_span(
@@ -287,11 +276,6 @@ class StatevectorSimulator:
         return any(instruction.kind == "reset" for instruction in circuit.instructions)
 
     @staticmethod
-    def _measurements_are_terminal(circuit: QuantumCircuit) -> bool:
-        """True if no gate or reset acts on a qubit after it has been measured."""
-        return measurements_are_terminal(circuit)
-
-    @staticmethod
     def _apply_gates(circuit: QuantumCircuit, state: Statevector) -> Statevector:
         for instruction in circuit.instructions:
             if instruction.kind == "gate" and instruction.gate is not None:
@@ -305,29 +289,6 @@ class StatevectorSimulator:
                     f"unexpected instruction {instruction.kind!r} in unitary-only path"
                 )
         return state
-
-    def _run_terminal(
-        self,
-        circuit: QuantumCircuit,
-        state: Statevector,
-        shots: int,
-        generator: np.random.Generator,
-    ) -> SimulationResult:
-        # Apply every gate, ignoring the (terminal) measurements, then sample.
-        final = state
-        measure_map: dict[int, int] = {}
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.gate is not None:
-                operator = Operator(instruction.gate.matrix)
-                for _ in range(instruction.repetitions):
-                    final = final.apply_operator(operator, instruction.qubits)
-            elif instruction.kind == "measure":
-                for qubit, clbit in zip(instruction.qubits, instruction.clbits):
-                    measure_map[qubit] = clbit
-
-        return self._sample_terminal(
-            final, measure_map, circuit.num_clbits, shots, generator
-        )
 
     @staticmethod
     def _sample_terminal(
@@ -482,8 +443,7 @@ class DensityMatrixSimulator:
         BatchResult
             One :class:`SimulationResult` per circuit, in submission order.
         """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
+        shots = check_shots(shots)
         generator = as_rng(rng) if rng is not None else self._rng
         hits_before, misses_before = self._cache.hits, self._cache.misses
         mark = telemetry.clock_mark()

@@ -163,6 +163,24 @@ def message_circuits(eta: int, repeats: int = 1) -> list[QuantumCircuit]:
 
 class TestSharedExecutionBody:
     @pytest.mark.parametrize(
+        "device", [DeviceModel.ibm_brisbane, pauli_only_device], ids=["thermal", "pauli_only"]
+    )
+    def test_fractional_shots_rejected_before_any_job(self, device):
+        backend = NoisyBackend(device(), seed=5)
+        with pytest.raises(SimulationError, match="shots must be"):
+            backend.run(bell_circuit(), shots=1000.9)
+        assert backend.jobs == []
+
+    def test_numpy_integer_shots_recorded_as_int(self):
+        import numpy as np
+
+        backend = NoisyBackend(pauli_only_device(), seed=5)
+        counts = backend.run(bell_circuit(), shots=np.int64(64))
+        job = backend.jobs[-1]
+        assert type(job.shots) is int and job.shots == 64
+        assert counts.shots == 64
+
+    @pytest.mark.parametrize(
         "device, engine",
         [(DeviceModel.ibm_brisbane, "dense"), (pauli_only_device, "stabilizer_batched")],
         ids=["thermal", "pauli_only"],

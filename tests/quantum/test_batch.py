@@ -19,6 +19,7 @@ from repro.experiments.emulation import build_message_transfer_circuit
 from repro.quantum.batch import (
     BatchResult,
     PropagatorCache,
+    circuit_measure_map,
     circuit_structure_key,
     compile_channel,
     compile_unitary,
@@ -30,6 +31,7 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrix
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
+from repro.quantum.states import Statevector
 
 
 def _bell_circuit() -> QuantumCircuit:
@@ -222,14 +224,25 @@ class TestCompiledPropagators:
 
 
 class TestStatevectorBatchParity:
-    def test_counts_match_sequential_path_under_fixed_seed(self):
+    def test_counts_match_gate_by_gate_reference_under_fixed_seed(self):
+        # ``run`` is the compiled path; the private gate-by-gate evolution is
+        # the independent reference, sampled as ``run`` samples.
         circuit = build_message_transfer_circuit("01", eta=25)
-        simulator = StatevectorSimulator()
-        sequential = simulator.run(circuit, shots=2048, rng=np.random.default_rng(11))
-        batched = simulator.run_batch(
-            [circuit], shots=2048, rng=np.random.default_rng(11)
-        )[0]
-        assert batched.counts == sequential.counts
+        compiled = StatevectorSimulator().run(
+            circuit, shots=2048, rng=np.random.default_rng(11)
+        )
+        final = StatevectorSimulator._apply_gates(
+            circuit, Statevector.zero_state(circuit.num_qubits)
+        )
+        reference = StatevectorSimulator._sample_terminal(
+            final,
+            circuit_measure_map(circuit),
+            circuit.num_clbits,
+            2048,
+            np.random.default_rng(11),
+        )
+        assert compiled.counts == reference.counts
+        assert compiled.statevector.equiv(final)
 
     def test_batch_preserves_submission_order(self):
         circuits = [
@@ -244,17 +257,15 @@ class TestStatevectorBatchParity:
             assert sum(result.counts.values()) == 64
             assert len(result.counts) == 1
 
-    def test_mid_circuit_measurement_falls_back_to_run(self):
+    def test_mid_circuit_measurement_runs_per_shot(self):
         circuit = QuantumCircuit(1)
         circuit.h(0)
         circuit.measure([0], [0])
         circuit.x(0)
-        simulator = StatevectorSimulator()
-        sequential = simulator.run(circuit, shots=256, rng=np.random.default_rng(4))
-        batched = simulator.run_batch(
-            [circuit], shots=256, rng=np.random.default_rng(4)
-        )[0]
-        assert batched.counts == sequential.counts
+        batch = StatevectorSimulator(seed=4).run_batch([circuit, _bell_circuit()], shots=256)
+        assert [result.metadata["terminal_sampling"] for result in batch] == [False, True]
+        assert set(batch[0].counts) == {"0", "1"}
+        assert sum(batch[0].counts.values()) == 256
 
     def test_negative_shots_rejected(self):
         with pytest.raises(SimulationError):

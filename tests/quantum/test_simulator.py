@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrix
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
+from repro.quantum.stabilizer import StabilizerSimulator
 from repro.quantum.states import Statevector
 
 
@@ -177,3 +181,106 @@ class TestDensityMatrixSimulator:
         model = NoiseModel(name="custom")
         result = DensityMatrixSimulator(noise_model=model).run(bell_circuit(), shots=1)
         assert result.metadata["noise_model"] == "custom"
+
+
+ONE_QUBIT = ("h", "s", "sdg", "x", "y", "z", "t", "id")
+TWO_QUBIT = ("cx", "cz", "cy", "swap")
+
+
+def random_circuit(seed: int, num_qubits: int | None = None, reset: bool = False):
+    """A reproducible circuit over Clifford + T + rx gates, randomly measured."""
+    rng = np.random.default_rng(seed)
+    n = num_qubits or int(rng.integers(1, 9))
+    num_clbits = n + int(rng.integers(0, 2))
+    circuit = QuantumCircuit(n, num_clbits, name=f"random_{seed}")
+    if reset:
+        circuit.h(0)
+        circuit.reset(0)
+    for _ in range(int(rng.integers(4, 30))):
+        draw = rng.random()
+        if n >= 2 and draw < 0.35:
+            a, b = rng.choice(n, size=2, replace=False)
+            getattr(circuit, TWO_QUBIT[int(rng.integers(4))])(int(a), int(b))
+        elif draw < 0.5:
+            circuit.rx(float(rng.uniform(0, 2 * np.pi)), int(rng.integers(n)))
+        elif draw < 0.55:
+            circuit.repeat("id", int(rng.integers(n)), int(rng.integers(2, 40)))
+        else:
+            gate = ONE_QUBIT[int(rng.integers(len(ONE_QUBIT)))]
+            getattr(circuit, gate)(int(rng.integers(n)))
+    k = int(rng.integers(1, n + 1))
+    qubits = [int(q) for q in rng.choice(n, size=k, replace=False)]
+    circuit.measure(qubits, [int(c) for c in rng.choice(num_clbits, size=k, replace=False)])
+    return circuit
+
+
+def counts_fingerprint(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(json.dumps(sorted(result.counts.items())).encode())
+    return digest.hexdigest()
+
+
+class TestStatevectorRunPin:
+    """``run`` is the one-circuit case of ``run_batch``; both are pinned.
+
+    On one shared stream: 400 terminal circuits of 1–8 qubits (compiled
+    unitary), three of 11 qubits (gate-by-gate) at 2048 shots, then three
+    reset-bearing circuits (per shot) at 64 shots.  The pin holds the
+    compiled path's rounding: in ``random_353`` two outcomes have
+    probability exactly 1/2, and a gate-by-gate evolution of it rounds to
+    the other side, which swaps their counts.
+    """
+
+    PIN = "a9e51569399886ef166336e3318ac2f70e245527704e3a034cf80918e851420d"
+
+    @staticmethod
+    def cases():
+        terminal = [random_circuit(seed) for seed in range(400)]
+        terminal += [random_circuit(seed, num_qubits=11) for seed in range(3)]
+        per_shot = [random_circuit(seed, num_qubits=3, reset=True) for seed in range(3)]
+        return terminal, per_shot
+
+    def test_run_matches_pin(self):
+        terminal, per_shot = self.cases()
+        simulator = StatevectorSimulator(seed=2024)
+        results = [simulator.run(circuit, shots=2048) for circuit in terminal]
+        results += [simulator.run(circuit, shots=64) for circuit in per_shot]
+        assert counts_fingerprint(results) == self.PIN
+
+    def test_run_batch_matches_pin(self):
+        terminal, per_shot = self.cases()
+        simulator = StatevectorSimulator(seed=2024)
+        results = simulator.run_batch(terminal, shots=2048).results
+        results += simulator.run_batch(per_shot, shots=64).results
+        assert counts_fingerprint(results) == self.PIN
+
+
+SIMULATORS = [
+    pytest.param(StatevectorSimulator, id="statevector"),
+    pytest.param(DensityMatrixSimulator, id="density_matrix"),
+    pytest.param(StabilizerSimulator, id="stabilizer"),
+]
+
+
+class TestShotValidation:
+    @pytest.mark.parametrize("simulator", SIMULATORS)
+    @pytest.mark.parametrize(
+        "shots", [1000.9, float("nan"), "8", -1], ids=["fraction", "nan", "string", "negative"]
+    )
+    def test_non_integer_or_negative_shots_rejected(self, simulator, shots):
+        with pytest.raises(SimulationError, match="shots must be"):
+            simulator(seed=1).run(bell_circuit(), shots=shots)
+        with pytest.raises(SimulationError, match="shots must be"):
+            simulator(seed=1).run_batch([bell_circuit()], shots=shots)
+
+    @pytest.mark.parametrize("simulator", SIMULATORS)
+    def test_numpy_integer_shots_accepted(self, simulator):
+        result = simulator(seed=1).run(bell_circuit(), shots=np.int64(1000))
+        reference = simulator(seed=1).run(bell_circuit(), shots=1000)
+        assert result.counts == reference.counts
+        assert result.shots == 1000 and type(result.shots) is int
+
+    def test_forced_trajectory_rejects_fractional_shots(self):
+        with pytest.raises(SimulationError, match="shots must be"):
+            StabilizerSimulator(seed=1).run(bell_circuit(), shots=1.5, method="trajectory")
