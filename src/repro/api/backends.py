@@ -190,14 +190,7 @@ class NetworkBackend:
         if not jobs:
             return []
         source, target = self._endpoints(config)
-        # The service-level simulator_backend applies to every hop unless the
-        # caller supplied an explicit fleet-wide SessionParameters (which then
-        # owns the per-hop engine choice).
-        session_params = config.session_params
-        if session_params is None:
-            session_params = SessionParameters(
-                simulator_backend=config.simulator_backend
-            )
+        session_params = config.session_params or SessionParameters()
         requests = [
             SessionRequest(
                 session_id=position,

@@ -74,23 +74,6 @@ class QuantumChannel:
         """Send one qubit of *state* through the channel and return the new state."""
         return self.single_use_channel().apply(state, [qubit])
 
-    def pauli_probabilities(self) -> "dict[str, float] | None":
-        """The channel's Pauli probability mixture, or ``None`` if it has none.
-
-        This is the static-eligibility hook the dispatch layer
-        (:mod:`repro.quantum.dispatch`) consults when a protocol session
-        forces the stabilizer backend: a channel whose single-use map is a
-        stochastic Pauli channel keeps Bell pairs Bell-diagonal, the
-        structure that backend promises.
-        """
-        from repro.quantum.dispatch import pauli_mixture
-
-        return pauli_mixture(self.single_use_channel())
-
-    def is_pauli(self) -> bool:
-        """True if the single-use map is a stochastic Pauli channel."""
-        return self.pauli_probabilities() is not None
-
     def transmit_batch(
         self, states: Sequence[DensityMatrix], qubit: int
     ) -> list[DensityMatrix]:
@@ -145,12 +128,9 @@ class DepolarizingChannel(QuantumChannel):
 
     ``ρ → (1 − p) ρ + p/3 (XρX + YρY + ZρZ)``.  Unlike
     :class:`IdentityChainChannel` (whose thermal-relaxation component is not
-    a Pauli map), this channel is a stochastic Pauli mixture, so protocol
-    sessions over it are *stabilizer-eligible*: the dispatch layer
-    (:mod:`repro.quantum.dispatch`) certifies the session physics as
-    Bell-diagonal and ``simulator_backend="stabilizer"`` validates.  The
-    security-analysis experiment (``fig_security``) uses it as its default
-    link so the scenario grid sweeps on the fast path.
+    a Pauli map), this channel is a stochastic Pauli mixture, so it keeps
+    Bell pairs Bell-diagonal.  The security-analysis experiment
+    (``fig_security``) uses it as its default link.
 
     Parameters
     ----------

@@ -78,22 +78,6 @@ class LoadStudyResult:
         raise ExperimentError(f"unknown load scenario {name!r}")
 
 
-def _mean_route_hops(topology: Any) -> float:
-    """Exact mean shortest-hop route length over all ordered node pairs."""
-    from repro.network.routing import RoutingTable
-
-    names = list(topology.node_names)
-    table = RoutingTable(topology)
-    total = count = 0
-    for source in names:
-        for target in names:
-            if source == target:
-                continue
-            total += max(1, len(table.route(source, target).nodes) - 1)
-            count += 1
-    return total / count if count else 1.0
-
-
 def run_fig_load(
     rows: int = 3,
     cols: int = 3,
@@ -122,6 +106,7 @@ def run_fig_load(
         raise ExperimentError("workers must be positive")
     from repro.api.config import ServiceConfig
     from repro.experiments.network_scale import build_network
+    from repro.network.routing import mean_route_hops
 
     topology = build_network(topology="grid", rows=rows, cols=cols, qubit_capacity=None)
 
@@ -138,7 +123,7 @@ def run_fig_load(
         jitter=jitter,
         abort_probability=calibration["abort_probability"],
     )
-    mean_hops = _mean_route_hops(topology)
+    mean_hops = mean_route_hops(topology)
     mean_service = model.base_time + model.per_hop_time * (mean_hops - 1.0)
     capacity = workers / mean_service  # messages/second the pool can serve
 

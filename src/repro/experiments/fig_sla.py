@@ -38,7 +38,7 @@ from repro.artifacts.metrics import register_metrics
 from repro.exceptions import ExperimentError
 from repro.network.dynamics import CONDITION_PROFILES, condition_profile
 from repro.network.metrics import NetworkResult
-from repro.network.routing import RoutingTable
+from repro.network.routing import mean_route_hops
 from repro.network.scheduler import (
     DEFAULT_QOS_WEIGHTS,
     PoissonTraffic,
@@ -129,20 +129,6 @@ class SLAStudyResult:
         return curve[-1].load
 
 
-def _mean_route_hops(topology: NetworkTopology) -> float:
-    """Exact mean shortest-hop route length over all ordered node pairs."""
-    names = list(topology.node_names)
-    table = RoutingTable(topology)
-    total = count = 0
-    for source in names:
-        for target in names:
-            if source == target:
-                continue
-            total += max(1, len(table.route(source, target).nodes) - 1)
-            count += 1
-    return total / count if count else 1.0
-
-
 def _capacity_rate(
     topology: NetworkTopology,
     params: SessionParameters,
@@ -159,7 +145,7 @@ def _capacity_rate(
     but anchoring loads to it keeps one sweep meaningful across topologies.
     """
     pairs = params.pairs_per_hop(message_length)
-    mean_hops = _mean_route_hops(topology)
+    mean_hops = mean_route_hops(topology)
     link = next(iter(topology.links))
     hop_time = pairs * link.quantum_channel.duration() + hop_overhead
     duration = max(mean_hops * hop_time, 1e-12)
@@ -224,7 +210,7 @@ def run_fig_sla(
     base_rate = _capacity_rate(topology, params, message_length, hop_overhead)
     pairs = params.pairs_per_hop(message_length)
     link = next(iter(topology.links))
-    mean_duration = _mean_route_hops(topology) * (
+    mean_duration = mean_route_hops(topology) * (
         pairs * link.quantum_channel.duration() + hop_overhead
     )
 

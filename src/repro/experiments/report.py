@@ -113,7 +113,7 @@ def render_security(result: SecurityStudyResult) -> str:
     """Render the scenario-grid security study as a detection-power table."""
     lines = [
         "Security analysis — adversarial scenario grid "
-        f"({result.channel_name}, engine={result.simulator_backend}, "
+        f"({result.channel_name}, "
         f"d={result.check_pairs}, l={result.identity_pairs}, "
         f"{result.trials} sessions/scenario)",
         f"  honest false-alarm rate: {result.honest_false_alarm_rate:.2f}",

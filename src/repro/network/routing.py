@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from repro.exceptions import NetworkError
 from repro.network.topology import NetworkLink, NetworkTopology
 
-__all__ = ["ROUTING_POLICIES", "Route", "link_loss_weight", "find_route", "RoutingTable"]
+__all__ = [
+    "ROUTING_POLICIES",
+    "Route",
+    "link_loss_weight",
+    "find_route",
+    "RoutingTable",
+    "mean_route_hops",
+]
 
 #: Routing policies understood by :func:`find_route`.
 ROUTING_POLICIES = ("hops", "loss")
@@ -190,3 +197,19 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self._routes)
+
+
+def mean_route_hops(topology: NetworkTopology) -> float:
+    """Exact mean shortest-hop route length over all ordered node pairs.
+
+    1.0 for a topology with fewer than two nodes (no pair to average).
+    """
+    names = list(topology.node_names)
+    table = RoutingTable(topology)
+    total = count = 0
+    for source in names:
+        for target in names:
+            if source != target:
+                total += table.route(source, target).num_hops
+                count += 1
+    return total / count if count else 1.0

@@ -5,10 +5,10 @@ both reproducible and parallel:
 
 1. **Reservation pass (serial, discrete-event).**  Traffic requests arrive
    from a generator (Poisson or trace-driven), each is routed, and admission
-   control reserves EPR-pair capacity in every route node's
-   :class:`~repro.channel.memory.QuantumMemory` (endpoints hold one qubit
-   per pair, relays hold two — one per adjacent hop).  Sessions that do not
-   fit wait in a FIFO queue and are retried whenever capacity frees; a
+   control reserves EPR-pair capacity on every route node in a
+   :class:`~repro.runtime.admission.NodeCapacityLedger` (endpoints hold one
+   qubit per pair, relays hold two — one per adjacent hop).  Sessions that
+   do not fit wait in a FIFO queue and are retried whenever capacity frees; a
    session still queued after ``max_wait`` is rejected.  Admitted sessions
    occupy their reservation for a duration derived from route length, pair
    budget and per-link channel delay.  The event queue is a heap ordered by
@@ -252,8 +252,10 @@ class QoSPolicy:
         for name, weight in weights.items():
             if not name:
                 raise NetworkError("QoS class names must be non-empty")
-            if not weight > 0:
-                raise NetworkError(f"QoS weight for {name!r} must be positive")
+            if not 0 < weight < math.inf:
+                raise NetworkError(
+                    f"QoS weight for {name!r} must be positive and finite"
+                )
         object.__setattr__(self, "weights", weights)
 
     def weight(self, priority: str) -> float:
@@ -459,9 +461,7 @@ class NetworkScheduler:
 
         Events are ``(time, kind, sequence)`` heap entries; capacity
         accounting lives in
-        :class:`~repro.runtime.admission.NodeCapacityLedger` — the same
-        ledger the delivery runtime uses — so both layers share one
-        definition of "this node can hold the session's pairs".  Three
+        :class:`~repro.runtime.admission.NodeCapacityLedger`.  Three
         condition-aware behaviours are evaluated at the session's admission
         time ``now``, so the pass stays a pure serial function of the seed:
 

@@ -149,11 +149,7 @@ class SessionParameters:
 
     The per-hop quantum channel always comes from the link; these are the
     remaining :class:`~repro.protocol.config.ProtocolConfig` tunables a
-    network operator would fix fleet-wide.  ``simulator_backend`` is
-    forwarded to every hop's :class:`~repro.protocol.config.ProtocolConfig`;
-    it no longer selects a session path (``"auto"`` and ``"dense"`` hops run
-    the same code), and ``"stabilizer"`` adds its statically verified Pauli
-    physics check per hop.
+    network operator would fix fleet-wide.
     """
 
     identity_pairs: int = 2
@@ -161,7 +157,6 @@ class SessionParameters:
     num_check_bits: int | None = None
     authentication_tolerance: float = 0.25
     check_bit_tolerance: float = 0.15
-    simulator_backend: str = "auto"
 
     def check_bits_for(self, message_length: int) -> int:
         """Check-bit count for a message (auto: the `ProtocolConfig.default` rule)."""
@@ -196,7 +191,6 @@ class SessionParameters:
             memory_decoherence=memory_decoherence,
             memory_hold_time=memory_hold_time,
             seed=seed,
-            simulator_backend=self.simulator_backend,
         )
 
 

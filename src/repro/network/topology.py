@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.channel.classical_channel import ClassicalChannel
-from repro.channel.memory import QuantumMemory
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
 from repro.exceptions import NetworkError
 from repro.quantum.channels import KrausChannel
@@ -69,6 +68,8 @@ class NetworkNode:
     memory_decoherence:
         Optional single-qubit Kraus channel its quantum memory applies per
         stored time unit (``None`` = ideal memory, the paper's assumption).
+        Every hop this node sends on runs with it as the protocol's memory
+        decoherence; a session's first hop holds for its queueing delay.
     attack_factory:
         When set, the node is *compromised*: sessions traversing it run
         under ``attack_factory(rng)`` — any :class:`repro.attacks.base.Attack`
@@ -100,10 +101,6 @@ class NetworkNode:
     def compromised(self) -> bool:
         """True if the node mounts an attack on sessions traversing it."""
         return self.attack_factory is not None
-
-    def spawn_memory(self) -> QuantumMemory:
-        """A fresh quantum memory with this node's storage-decoherence model."""
-        return QuantumMemory(self.memory_decoherence)
 
 
 @dataclass

@@ -59,9 +59,8 @@ class ProtocolConfig:
     memory_decoherence:
         Optional single-qubit Kraus channel applied to Alice's stored halves
         once per whole unit of hold time between the first DI security
-        check and the encoding step (as
-        :meth:`~repro.channel.memory.QuantumMemory.retrieve` would).
-        ``None`` models the paper's ideal memory.
+        check and the encoding step.  ``None`` models the paper's ideal
+        memory.
     memory_hold_time:
         How long (in memory time units) Alice holds her halves before
         encoding; finite and non-negative.  With an ideal memory this has
@@ -75,18 +74,6 @@ class ProtocolConfig:
     raise_on_abort:
         If True the runner raises :class:`~repro.exceptions.ProtocolAbort`
         instead of returning an aborted result.
-    simulator_backend:
-        One of :data:`repro.quantum.dispatch.BACKEND_CHOICES`, recorded in
-        the result metadata.  It does not select a session path: every
-        session shares work between equal pair states through
-        :mod:`repro.quantum.density`, bit-identically to per-pair loops,
-        so ``"auto"`` (default) and ``"dense"`` run the same code.
-        ``"stabilizer"`` (and ``"stabilizer_batched"``) additionally
-        *requires* (at :meth:`validate` time, via
-        :func:`repro.quantum.dispatch.protocol_eligibility`) that every
-        quantum process of the session is a Pauli channel, i.e. that pair
-        states provably stay Bell-diagonal — failing loudly on non-Pauli
-        physics instead of implying a guarantee it cannot keep.
     scenario:
         Optional declarative adversary
         (:class:`~repro.attacks.scenarios.AttackScenario`,
@@ -116,7 +103,6 @@ class ProtocolConfig:
     bob_identity: Identity | None = None
     seed: int | None = None
     raise_on_abort: bool = False
-    simulator_backend: str = "auto"
     scenario: object | None = None
 
     # -- constructors ------------------------------------------------------------
@@ -226,20 +212,6 @@ class ProtocolConfig:
             raise ConfigurationError(
                 "bob_identity length does not match identity_pairs"
             )
-        from repro.quantum.dispatch import BACKEND_CHOICES, protocol_eligibility
-
-        if self.simulator_backend not in BACKEND_CHOICES:
-            raise ConfigurationError(
-                f"unknown simulator_backend {self.simulator_backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
-        if self.simulator_backend in ("stabilizer", "stabilizer_batched"):
-            eligibility = protocol_eligibility(self)
-            if not eligibility.eligible:
-                raise ConfigurationError(
-                    f"simulator_backend={self.simulator_backend!r} requires "
-                    f"Pauli-diagonal session physics: {eligibility.reason}"
-                )
         if self.scenario is not None:
             from repro.attacks.scenarios import as_schedule
 
@@ -283,10 +255,6 @@ class ProtocolConfig:
         return replace(
             self, memory_decoherence=decoherence, memory_hold_time=hold_time
         )
-
-    def with_simulator_backend(self, simulator_backend: str) -> "ProtocolConfig":
-        """A copy with a different pair-state simulation engine."""
-        return replace(self, simulator_backend=simulator_backend)
 
     def with_scenario(self, scenario) -> "ProtocolConfig":
         """A copy with a declarative adversarial scenario (None = honest)."""

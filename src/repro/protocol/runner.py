@@ -65,11 +65,7 @@ class UADIQSDCProtocol:
     # -- public API ----------------------------------------------------------------
     def run(self, message: "str | Bits") -> ProtocolResult:
         """Execute the protocol end to end for the given secret message."""
-        with telemetry.span(
-            "protocol.session",
-            "protocol",
-            {"backend": self.config.simulator_backend},
-        ) as span:
+        with telemetry.span("protocol.session", "protocol") as span:
             result = self._run(message)
             span.attributes["success"] = result.success
             if result.abort_reason is not AbortReason.NONE:
@@ -369,9 +365,8 @@ class UADIQSDCProtocol:
         """Hold Alice's halves in quantum memory while the round-1 check runs.
 
         The configured storage-decoherence channel is applied to Alice's
-        qubit once per whole unit of ``config.memory_hold_time`` — the
-        arithmetic of :meth:`~repro.channel.memory.QuantumMemory.retrieve` —
-        once per *distinct* pair state.  With the default ideal memory (no
+        qubit once per whole unit of ``config.memory_hold_time`` (the hold
+        time rounded down), once per *distinct* pair state.  With the default ideal memory (no
         decoherence channel, zero hold time) the pairs pass through untouched
         and no phase is recorded, so results stay bit-identical to the
         paper's ideal-memory sessions.
@@ -425,7 +420,6 @@ class UADIQSDCProtocol:
             "check_pairs_per_round": self.config.check_pairs_per_round,
             "message_length": self.config.message_length,
             "num_check_bits": self.config.num_check_bits,
-            "simulator_backend": self.config.simulator_backend,
         }
 
     def _abort(

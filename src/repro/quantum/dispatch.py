@@ -29,11 +29,12 @@ accordingly:
   Pauli-diagonal part (the standard PTA), making non-Pauli device models
   stabilizer-eligible at documented accuracy cost.  ``auto`` never applies
   this implicitly.
-* :func:`protocol_eligibility` — the session-level analysis used by
-  :class:`~repro.protocol.config.ProtocolConfig` when a user forces
-  ``simulator_backend="stabilizer"``: every channel touched by a protocol
-  session (transmission, distribution, memory decoherence, source
-  preparation noise) must be Pauli-diagonal.
+
+Only :class:`~repro.device.backend.NoisyBackend` takes an engine choice:
+its ``simulator_backend`` argument (which the fig2/fig3 experiments expose)
+is the backend :func:`select_backend` is asked for.  Protocol sessions take
+none; they share work between pair states through
+:mod:`repro.quantum.density` whatever the channel.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "CLIFFORD_GATE_NAMES",
     "DispatchDecision",
-    "ProtocolEligibility",
     "circuit_is_clifford",
     "channel_is_pauli",
     "noise_model_is_pauli",
@@ -68,11 +68,11 @@ __all__ = [
     "pauli_mixture",
     "pauli_twirl_channel",
     "pauli_twirl_noise_model",
-    "protocol_eligibility",
     "select_backend",
 ]
 
-#: The backend names every ``simulator_backend`` knob accepts.
+#: The backend names :class:`~repro.device.backend.NoisyBackend`'s
+#: ``simulator_backend`` argument (and :func:`select_backend`) accepts.
 BACKEND_CHOICES = ("auto", "dense", "stabilizer", "stabilizer_batched")
 
 #: Names of the one stabilizer engine.  ``"stabilizer_batched"`` is a
@@ -394,62 +394,3 @@ def pauli_twirl_noise_model(noise_model: NoiseModel) -> NoiseModel:
     for qubit, readout in noise_model.iter_readout_errors():
         twirled.add_readout_error(readout, qubit)
     return twirled
-
-
-# -- protocol-session eligibility ----------------------------------------------------------
-@dataclass(frozen=True)
-class ProtocolEligibility:
-    """Stabilizer-structure eligibility of one protocol configuration.
-
-    Attributes
-    ----------
-    eligible:
-        True when every quantum process of a session is Pauli-diagonal on
-        Bell-pair states — transmission channel, distribution channel,
-        memory decoherence and source preparation noise.
-    reason:
-        The first disqualifying process, or a confirmation string.
-    """
-
-    eligible: bool
-    reason: str
-
-
-def protocol_eligibility(config) -> ProtocolEligibility:
-    """Analyse a :class:`~repro.protocol.config.ProtocolConfig` statically.
-
-    Used when a session forces ``simulator_backend="stabilizer"``: the
-    session's pair states then remain Bell-diagonal throughout.  Sessions
-    run one code path, exact for arbitrary channels, so ``auto`` does not
-    need this check; the analysis exists so that a forced ``stabilizer``
-    request fails loudly on non-Pauli physics instead of implying a
-    guarantee it cannot keep.
-    """
-    source = config.source
-    if getattr(source, "override", None) is not None:
-        return ProtocolEligibility(False, "source emission is attacker-controlled")
-    preparation = getattr(source, "preparation_noise", None)
-    if preparation is not None and not channel_is_pauli(preparation):
-        return ProtocolEligibility(
-            False, f"source preparation noise {preparation.name!r} is not Pauli"
-        )
-    for attribute in ("channel", "distribution_channel"):
-        channel = getattr(config, attribute)
-        if channel is None:
-            continue
-        try:
-            single_use = channel.single_use_channel()
-        except NotImplementedError:
-            return ProtocolEligibility(
-                False, f"{attribute} {channel.name!r} exposes no single-use map"
-            )
-        if not channel_is_pauli(single_use):
-            return ProtocolEligibility(
-                False, f"{attribute} {channel.name!r} is not a Pauli channel"
-            )
-    decoherence = config.memory_decoherence
-    if decoherence is not None and not channel_is_pauli(decoherence):
-        return ProtocolEligibility(
-            False, f"memory decoherence {decoherence.name!r} is not Pauli"
-        )
-    return ProtocolEligibility(True, "all session processes are Pauli-diagonal")

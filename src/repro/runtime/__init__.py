@@ -9,9 +9,8 @@ harness that drives 10⁴–10⁶ messages through a topology.
   bounded FIFO queues with configurable backpressure policies
   (``block`` / ``reject`` / ``shed_oldest``), token-bucket rate limiting,
   timeout-based expiry, and :class:`~repro.runtime.admission.NodeCapacityLedger`
-  — per-node EPR-pair occupancy built on the same
-  :class:`~repro.channel.memory.QuantumMemory` semantics the network
-  scheduler reserves capacity with.
+  — the per-node EPR-pair occupancy counts the network scheduler reserves
+  capacity with.
 * :mod:`repro.runtime.engine` — :class:`~repro.runtime.engine.DeliveryEngine`,
   a thread-pooled concurrent delivery engine behind the
   :meth:`~repro.api.service.MessagingService.send` contract (plus

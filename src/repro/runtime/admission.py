@@ -10,11 +10,9 @@ simulation):
 * :class:`AdmissionQueue` — a bounded FIFO with a configurable backpressure
   policy (see the matrix below) and timeout-based expiry: an entry still
   queued past its deadline is dropped the moment it would be dispatched.
-* :class:`NodeCapacityLedger` — per-node EPR-pair occupancy accounting built
-  on :class:`~repro.channel.memory.QuantumMemory`, extracted from (and still
-  used by) the network scheduler's reservation pass, so the runtime and the
-  discrete-event network simulator share one definition of "this node has
-  capacity".
+* :class:`NodeCapacityLedger` — per-node EPR-pair occupancy counts: the
+  capacity model of the network scheduler's reservation pass (the delivery
+  engine and the load simulator do not use it).
 * :class:`WeightedFairSelector` — deterministic virtual-time weighted-fair
   queuing across priority classes (``control``/``interactive``/``bulk`` by
   convention); the network scheduler's QoS admission builds on it.
@@ -52,11 +50,12 @@ accounting channel.  Exact-boundary behaviour for every policy is pinned by
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ChannelError, ConfigurationError
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -88,11 +87,17 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: "float | None" = None):
-        if rate <= 0:
-            raise ConfigurationError("token-bucket rate must be positive")
+        # Comparisons written so NaN fails them too.
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"token-bucket rate must be positive and finite, got {rate!r}"
+            )
         burst = rate if burst is None else burst
-        if burst < 1:
-            raise ConfigurationError("token-bucket burst must be at least 1 token")
+        if not 1 <= burst < math.inf:
+            raise ConfigurationError(
+                f"token-bucket burst must be a finite count of at least 1 token, "
+                f"got {burst!r}"
+            )
         self.rate = float(rate)
         self.burst = float(burst)
         self._tokens = self.burst
@@ -170,10 +175,13 @@ class AdmissionQueue:
                 f"unknown backpressure policy {policy!r}; known: "
                 f"{BACKPRESSURE_POLICIES}"
             )
-        if capacity is not None and capacity < 1:
+        if capacity is not None and not 1 <= capacity < math.inf:
             raise ConfigurationError("queue capacity must be positive or None")
-        if timeout is not None and timeout < 0:
-            raise ConfigurationError("admission timeout must be non-negative or None")
+        if timeout is not None and not 0 <= timeout < math.inf:
+            raise ConfigurationError(
+                f"admission timeout must be finite and non-negative or None, "
+                f"got {timeout!r}"
+            )
         self.capacity = capacity
         self.policy = policy
         self.timeout = timeout
@@ -273,9 +281,10 @@ class WeightedFairSelector:
     def __init__(self, weights: "Mapping[str, float] | None" = None):
         self.weights: dict[str, float] = {}
         for name, weight in (weights or {}).items():
-            if weight <= 0:
+            if not 0 < weight < math.inf:
                 raise ConfigurationError(
-                    f"priority weight for {name!r} must be positive, got {weight}"
+                    f"priority weight for {name!r} must be positive and finite, "
+                    f"got {weight}"
                 )
             self.weights[str(name)] = float(weight)
         self._virtual: dict[str, float] = {}
@@ -304,8 +313,10 @@ class WeightedFairSelector:
 
     def charge(self, priority: str, cost: float = 1.0) -> None:
         """Record *cost* units of service delivered to the class."""
-        if cost < 0:
-            raise ConfigurationError("service cost must be non-negative")
+        if not 0 <= cost < math.inf:
+            raise ConfigurationError(
+                f"service cost must be finite and non-negative, got {cost!r}"
+            )
         self._virtual[priority] = self.virtual_time(priority) + cost / self.weight(priority)
 
     def served(self) -> "OrderedDict[str, float]":
@@ -316,35 +327,34 @@ class WeightedFairSelector:
 
 
 class NodeCapacityLedger:
-    """Per-node EPR-pair occupancy built on :class:`QuantumMemory` semantics.
+    """Per-node EPR-pair occupancy: the network scheduler's capacity model.
 
-    This is the capacity model of the network scheduler's reservation pass,
-    extracted so the delivery runtime and the load simulator share it: every
-    node of the topology gets a memory spawned from its own configuration
-    (:meth:`~repro.network.topology.NetworkNode.spawn_memory`), a reservation
-    stores one keyed register per node holding the qubits the session pins
-    there, and release retrieves them.  ``fits``/``viable`` reproduce the
-    scheduler's admission predicates exactly.
+    :meth:`~repro.network.scheduler.NetworkScheduler._reservation_pass`
+    books every admitted session here.  A reservation adds the qubits the
+    session pins on each node of its route to that node's occupancy and
+    release subtracts them again; ``fits``/``viable`` are the scheduler's
+    admission predicates.  Keys are unique while live: reserving a live key
+    again, or releasing a key that is not live, raises
+    :class:`~repro.exceptions.ChannelError` before anything changes.
 
     The *topology* object only needs ``node_names`` and ``node(name)``
-    returning objects with ``qubit_capacity`` and ``spawn_memory()`` — the
+    returning objects with ``qubit_capacity`` — the
     :class:`~repro.network.topology.NetworkTopology` contract.
     """
 
     def __init__(self, topology: Any):
         self.topology = topology
-        self.memories = {
-            name: topology.node(name).spawn_memory() for name in topology.node_names
-        }
+        self._in_use = {name: 0 for name in topology.node_names}
+        self._live: set[Any] = set()
 
     def qubits_in_use(self, name: str) -> int:
-        """Occupancy of one node's memory."""
-        return self.memories[name].qubits_in_use()
+        """Qubits currently reserved on one node."""
+        return self._in_use[name]
 
     def fits(self, needs: Mapping[str, int]) -> bool:
         """Whether every needed node can hold its share *right now*."""
         return all(
-            self.memories[name].qubits_in_use() + needed <= capacity
+            self._in_use[name] + needed <= capacity
             for name, needed in needs.items()
             if (capacity := self.topology.node(name).qubit_capacity) is not None
         )
@@ -358,18 +368,23 @@ class NodeCapacityLedger:
         )
 
     def reserve(self, key: Any, needs: Mapping[str, int]) -> None:
-        """Pin *needs* qubits per node under *key* (one register per node)."""
+        """Pin *needs* qubits per node under *key*."""
+        if key in self._live:
+            raise ChannelError(f"reservation {key!r} is already held")
+        self._live.add(key)
         for name, needed in needs.items():
-            self.memories[name].store(key, tuple(range(needed)))
+            self._in_use[name] += needed
 
     def release(self, key: Any, needs: Mapping[str, int]) -> None:
-        """Release the reservation *key* made on the given nodes."""
-        for name in needs:
-            self.memories[name].retrieve(key)
+        """Release the reservation *key* made with the same *needs*."""
+        if key not in self._live:
+            raise ChannelError(f"no reservation {key!r} is held")
+        self._live.remove(key)
+        for name, needed in needs.items():
+            self._in_use[name] -= needed
 
     def occupancy(self) -> "OrderedDict[str, int]":
         """Per-node qubits in use, in topology node order (telemetry/debug)."""
         return OrderedDict(
-            (name, self.memories[name].qubits_in_use())
-            for name in self.topology.node_names
+            (name, self._in_use[name]) for name in self.topology.node_names
         )

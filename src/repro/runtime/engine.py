@@ -36,6 +36,7 @@ worker loop too, so Ctrl-C on a live load run stops cleanly.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -215,7 +216,7 @@ class DeliveryEngine:
         seed: "int | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if max_workers < 1:
+        if not 1 <= max_workers < math.inf:
             raise ConfigurationError("the engine needs at least one worker")
         self.service = (
             config

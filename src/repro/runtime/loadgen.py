@@ -105,10 +105,15 @@ class ServiceTimeModel:
     abort_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_time <= 0:
-            raise ConfigurationError("service base_time must be positive")
-        if self.per_hop_time < 0 or self.jitter < 0:
-            raise ConfigurationError("per_hop_time and jitter must be non-negative")
+        # Comparisons written so NaN fails them too.
+        if not 0 < self.base_time < math.inf:
+            raise ConfigurationError(
+                f"service base_time must be positive and finite, got {self.base_time!r}"
+            )
+        if not (0 <= self.per_hop_time < math.inf and 0 <= self.jitter < math.inf):
+            raise ConfigurationError(
+                "per_hop_time and jitter must be finite and non-negative"
+            )
         if not 0.0 <= self.abort_probability <= 1.0:
             raise ConfigurationError("abort_probability must be a probability")
 
@@ -320,25 +325,40 @@ def simulate_load(
     policies.  ``interrupted`` is set (and the tallies cover only the work
     done so far) when a graceful shutdown was requested mid-run.
     """
-    if messages < 1:
-        raise ConfigurationError("messages must be positive")
+    if not 1 <= messages < math.inf:
+        raise ConfigurationError(f"messages must be positive, got {messages!r}")
     if arrival not in ARRIVAL_PROCESSES:
         raise ConfigurationError(
             f"unknown arrival process {arrival!r}; known: {ARRIVAL_PROCESSES}"
         )
-    if arrival != "closed" and (arrival_rate is None or arrival_rate <= 0):
-        raise ConfigurationError("open-loop arrivals need a positive arrival_rate")
-    if arrival == "closed" and clients < 1:
+    if arrival != "closed" and (
+        arrival_rate is None or not 0 < arrival_rate < math.inf
+    ):
+        raise ConfigurationError(
+            f"open-loop arrivals need a positive, finite arrival_rate, "
+            f"got {arrival_rate!r}"
+        )
+    if arrival == "closed" and not 1 <= clients < math.inf:
         raise ConfigurationError("closed-loop arrivals need at least one client")
-    if workers < 1:
+    if arrival == "burst" and not 1 <= burst_size < math.inf:
+        raise ConfigurationError(
+            f"burst arrivals need a burst_size of at least 1, got {burst_size!r}"
+        )
+    if not 0 <= think_time < math.inf:
+        raise ConfigurationError(
+            f"think_time must be finite and non-negative, got {think_time!r}"
+        )
+    if not 1 <= workers < math.inf:
         raise ConfigurationError("the simulation needs at least one worker slot")
 
-    rng = np.random.default_rng(seed)
-    hops = _route_hops(topology, rng, messages)
+    # Built first: their constructors validate the admission settings before
+    # any simulated work starts.
     queue = AdmissionQueue(
         capacity=queue_capacity, policy=policy, timeout=admission_timeout
     )
     bucket = None if rate_limit is None else TokenBucket(rate_limit, burst_tokens)
+    rng = np.random.default_rng(seed)
+    hops = _route_hops(topology, rng, messages)
 
     events: list[tuple[float, int, int, Any]] = []
     sequence = 0

@@ -1,4 +1,4 @@
-"""Unit tests for the quantum/classical channels and the quantum memory."""
+"""Unit tests for the quantum and classical channels."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.channel.classical_channel import ClassicalChannel
-from repro.channel.memory import QuantumMemory
 from repro.channel.quantum_channel import (
     FiberLossChannel,
     IdentityChainChannel,
@@ -15,7 +14,6 @@ from repro.channel.quantum_channel import (
 )
 from repro.exceptions import ChannelError
 from repro.quantum.bell import BellState, bell_state, chsh_value
-from repro.quantum.channels import depolarizing_channel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrix
 from repro.quantum.states import Statevector
@@ -193,56 +191,3 @@ class TestClassicalChannel:
         channel.send("alice", "bob", "bases", [])
         channel.clear()
         assert len(channel) == 0
-
-
-class TestQuantumMemory:
-    def test_store_and_retrieve_ideal(self):
-        memory = QuantumMemory()
-        memory.store("pair-0", (0, 1))
-        assert memory.contains("pair-0")
-        item, state = memory.retrieve("pair-0")
-        assert item.qubits == (0, 1)
-        assert state is None
-        assert not memory.contains("pair-0")
-
-    def test_duplicate_key_rejected(self):
-        memory = QuantumMemory()
-        memory.store("k", (0,))
-        with pytest.raises(ChannelError):
-            memory.store("k", (1,))
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(ChannelError):
-            QuantumMemory().retrieve("missing")
-
-    def test_ideal_memory_preserves_state(self):
-        memory = QuantumMemory()
-        state = bell_state(BellState.PHI_PLUS).density_matrix()
-        memory.store("pair", (0, 1))
-        memory.advance_time(100)
-        _, retrieved = memory.retrieve("pair", state)
-        assert retrieved.fidelity(state) == pytest.approx(1.0)
-
-    def test_decohering_memory_degrades_state(self):
-        memory = QuantumMemory(decoherence_channel=depolarizing_channel(0.05))
-        state = bell_state(BellState.PHI_PLUS).density_matrix()
-        memory.store("pair", (0, 1))
-        memory.advance_time(10)
-        _, retrieved = memory.retrieve("pair", state)
-        assert retrieved.fidelity(bell_state(BellState.PHI_PLUS)) < 1.0
-
-    def test_decoherence_requires_single_qubit_channel(self):
-        with pytest.raises(ChannelError):
-            QuantumMemory(decoherence_channel=depolarizing_channel(0.1, num_qubits=2))
-
-    def test_time_moves_forward_only(self):
-        memory = QuantumMemory()
-        with pytest.raises(ChannelError):
-            memory.advance_time(-1)
-
-    def test_len_and_keys(self):
-        memory = QuantumMemory()
-        memory.store("a", (0,))
-        memory.store("b", (1,))
-        assert len(memory) == 2
-        assert set(memory.keys()) == {"a", "b"}

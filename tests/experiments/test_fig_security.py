@@ -33,16 +33,17 @@ class TestFigSecurity:
         for preset in DEFAULT_PRESETS:
             assert preset in names
 
-    def test_runs_on_stabilizer_engine_for_pauli_channel(self, quick_study):
+    def test_default_link_is_depolarizing(self, quick_study):
         assert quick_study.channel_name.startswith("depolarizing")
-        assert quick_study.simulator_backend == "stabilizer"
 
-    def test_non_pauli_channel_falls_back_to_auto(self):
-        study = run_fig_security(
+    def test_eta_channel_study_is_seed_deterministic(self):
+        kwargs = dict(
             seed=42, trials=2, check_pairs=16, identity_pairs=2,
             strengths=(1.0,), presets=(), channel="eta", noise=10,
         )
-        assert study.simulator_backend == "auto"
+        study = run_fig_security(**kwargs)
+        assert study.channel_name == "identity_chain(eta=10)"
+        assert study.summary() == run_fig_security(**kwargs).summary()
 
     def test_seed_deterministic(self, quick_study):
         again = run_fig_security(seed=42, **QUICK)
@@ -94,8 +95,8 @@ class TestFigSecurity:
         text = render_result(quick_study)
         assert "Security analysis" in text
         assert "intercept_resend@1" in text
+        assert "engine=" not in text  # sessions take no engine choice
         summary = quick_study.summary()
-        assert summary["simulator_backend"] == "stabilizer"
         assert len(summary["points"]) == len(quick_study.points)
 
     def test_invalid_inputs_rejected(self):

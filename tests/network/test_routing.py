@@ -6,8 +6,15 @@ import pytest
 
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
 from repro.exceptions import NetworkError
-from repro.network.routing import Route, RoutingTable, find_route, link_loss_weight
+from repro.network.routing import (
+    Route,
+    RoutingTable,
+    find_route,
+    link_loss_weight,
+    mean_route_hops,
+)
 from repro.network.topology import (
+    NetworkNode,
     NetworkTopology,
     grid_topology,
     line_topology,
@@ -118,3 +125,27 @@ class TestRoutingTable:
     def test_rejects_unknown_policy(self):
         with pytest.raises(NetworkError):
             RoutingTable(line_topology(3), policy="magic")
+
+
+class TestMeanRouteHops:
+    """Checked against closed forms of the mean graph distance."""
+
+    @pytest.mark.parametrize("num_nodes", [2, 3, 6])
+    def test_line(self, num_nodes):
+        # Mean |i - j| over ordered pairs i != j of a path: (n + 1) / 3.
+        assert mean_route_hops(line_topology(num_nodes)) == pytest.approx(
+            (num_nodes + 1) / 3
+        )
+
+    def test_odd_ring(self):
+        # Each node sees two nodes at every distance 1..(n - 1)/2: (n + 1) / 4.
+        assert mean_route_hops(ring_topology(7)) == pytest.approx(2.0)
+
+    def test_grid(self):
+        # Mean Manhattan distance between distinct cells of a 3x3 grid: 144 / 72.
+        assert mean_route_hops(grid_topology(3, 3)) == pytest.approx(2.0)
+
+    def test_single_node_has_no_pairs(self):
+        topology = NetworkTopology("solo")
+        topology.add_node(NetworkNode("a"))
+        assert mean_route_hops(topology) == 1.0

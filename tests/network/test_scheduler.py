@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.channel.quantum_channel import NoiselessChannel
@@ -10,6 +12,7 @@ from repro.network.metrics import NetworkResult
 from repro.network.scheduler import (
     NetworkScheduler,
     PoissonTraffic,
+    QoSPolicy,
     TraceTraffic,
     simulate_network,
 )
@@ -29,6 +32,13 @@ def _noiseless_grid(rows=2, cols=2, **node_kwargs):
     return grid_topology(
         rows, cols, channel_factory=lambda length: NoiselessChannel(), **node_kwargs
     )
+
+
+class TestQoSPolicy:
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
+    def test_weights_must_be_positive_and_finite(self, weight):
+        with pytest.raises(NetworkError):
+            QoSPolicy(weights={"bulk": 1.0, "control": weight})
 
 
 class TestTrafficModels:

@@ -16,6 +16,7 @@ from repro.network.sessions import (
     run_session,
 )
 from repro.network.topology import line_topology
+from repro.quantum.channels import depolarizing_channel
 
 
 def _noiseless_line(num_nodes: int):
@@ -139,6 +140,28 @@ class TestTrustedRelay:
         assert outcome.status == STATUS_DELIVERED
         assert [r.sender for r in outcome.hop_reports] == ["n0", "n1"]
         assert [r.receiver for r in outcome.hop_reports] == ["n1", "n2"]
+
+    def test_sender_memory_and_first_hop_hold_reach_hop_configs(self, monkeypatch):
+        """Each hop runs with its sender's memory model; only hop 0 holds."""
+        topology = _noiseless_line(3)
+        models = {"n0": depolarizing_channel(0.01), "n1": depolarizing_channel(0.02)}
+        for name, model in models.items():
+            topology.node(name).memory_decoherence = model
+        calls = []
+        hop_config = SessionParameters.hop_config
+
+        def recording_hop_config(self, *args, **kwargs):
+            config = hop_config(self, *args, **kwargs)
+            calls.append((config.memory_decoherence, config.memory_hold_time))
+            return config
+
+        monkeypatch.setattr(SessionParameters, "hop_config", recording_hop_config)
+        route = find_route(topology, "n0", "n2")
+        outcome = run_session(
+            topology, route, _request(topology), PARAMS, seed=21, hold_time=3.0
+        )
+        assert outcome.status == STATUS_DELIVERED
+        assert calls == [(models["n0"], 3.0), (models["n1"], 0.0)]
 
     def test_abort_stops_at_failed_hop(self):
         # A relay mounting a full intercept-resend attack breaks the CHSH

@@ -73,12 +73,6 @@ class TestNetworkTopology:
         with pytest.raises(NetworkError):
             NetworkNode(name="a", memory_decoherence=depolarizing_channel(0.1, num_qubits=2))
 
-    def test_spawn_memory_uses_node_model(self):
-        node = NetworkNode(name="a", memory_decoherence=depolarizing_channel(0.2))
-        memory = node.spawn_memory()
-        assert memory.decoherence_channel is node.memory_decoherence
-        assert NetworkNode(name="b").spawn_memory().decoherence_channel is None
-
 
 class TestGenerators:
     def test_line(self):

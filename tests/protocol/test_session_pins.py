@@ -1,13 +1,11 @@
 """Session results pinned to literals and checked against per-pair references.
 
-``ProtocolConfig.simulator_backend`` selects no session path: ``auto``,
-``dense`` and a forced ``stabilizer`` run the same code, which shares work
-between pair states of equal content through
-:mod:`repro.quantum.density`'s ``map_distinct`` and ``state_statistic``.
-So the checks here do not compare backends with each other.  Instead:
+Every protocol session runs one code path, which shares work between pair
+states of equal content through :mod:`repro.quantum.density`'s
+``map_distinct`` and ``state_statistic``.  The checks here hold it to:
 
-* whole sessions must reproduce fingerprints recorded before the sharing was
-  centralised (``SESSION_PINS``), whatever the backend and memo state;
+* fingerprints of whole sessions recorded before the sharing was
+  centralised (``SESSION_PINS``), whatever the memo state;
 * ``DISecurityCheck.estimate`` and ``Bob.bell_measure`` must match
   test-local per-pair loops over the public references
   (``measure_observable``, ``bell_measurement``), RNG consumption included.
@@ -17,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.intercept_resend import InterceptResendAttack
-from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
+from repro.channel.quantum_channel import IdentityChainChannel
 from repro.protocol.chsh import CHSHSettings, DISecurityCheck
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.identity import Identity
@@ -69,19 +67,13 @@ def _noisy_channel(seed=3):
     return ProtocolConfig.default(len(message), seed=seed, eta=50), None, message
 
 
-def _forced_stabilizer(seed=5):
+def _pauli_channel(seed=5):
     channel = IdentityChainChannel(eta=20, include_thermal_relaxation=False)
-    config = (
-        ProtocolConfig.default(8, seed=seed)
-        .with_channel(channel)
-        .with_simulator_backend("stabilizer")
-    )
-    return config, None, "01010101"
+    return ProtocolConfig.default(8, seed=seed).with_channel(channel), None, "01010101"
 
 
 #: ``(session factory, fingerprint)`` recorded from the per-session code
-#: that predates the shared helpers; equal for its unmemoised ``dense``
-#: reference and its memoised ``auto`` path.
+#: that predates the shared helpers (unmemoised and memoised alike).
 SESSION_PINS = {
     "honest-0": (
         lambda: _honest(0),
@@ -117,17 +109,15 @@ SESSION_PINS = {
         _noisy_channel,
         (True, "none", "1100" * 4, 2.8216754006227687, 2.9851755956619934, 0.0, 0.0, 0.0, 0.0),
     ),
-    "forced-stabilizer-5": (
-        _forced_stabilizer,
+    "pauli-channel-5": (
+        _pauli_channel,
         (True, "none", "01010101", 2.7415620457248577, 2.8701762599766893, 0.0, 0.0, 0.0, 0.0),
     ),
 }
 
 
-def _run(factory, backend=None):
+def _run(factory):
     config, attack, message = factory()
-    if backend is not None:
-        config = config.with_simulator_backend(backend)
     return UADIQSDCProtocol(config, attack=attack).run(message)
 
 
@@ -136,18 +126,6 @@ class TestSessionPins:
     def test_session_matches_pin(self, name):
         factory, pinned = SESSION_PINS[name]
         assert _session_fingerprint(_run(factory)) == pinned
-
-    @pytest.mark.parametrize("name", ["honest-0", "intercept-resend-11", "eta50-3"])
-    def test_dense_backend_matches_pin(self, name):
-        factory, pinned = SESSION_PINS[name]
-        assert _session_fingerprint(_run(factory, "dense")) == pinned
-
-    def test_metadata_reports_backend(self):
-        config = ProtocolConfig.default(8, seed=0)
-        result = UADIQSDCProtocol(config).run("01010101")
-        assert result.metadata["simulator_backend"] == "auto"
-        dense = UADIQSDCProtocol(config.with_simulator_backend("dense")).run("01010101")
-        assert dense.metadata["simulator_backend"] == "dense"
 
 
 def _mixed_pairs(count):
@@ -229,67 +207,25 @@ class TestBobBellMeasureReference:
 
 
 class TestNetworkBackendPlumbing:
-    def _line_topology(self, channel_factory=None):
+    def test_network_delivery_matches_pin(self):
+        """A networked send over default η=10 links gives the recorded delivery.
+
+        Seed 5 aborts statistically on the small per-hop check-pair count
+        (the documented quick-mode behaviour), which pins the abort
+        accounting as well as the round-1 CHSH values of every hop.
+        """
+        from repro.api.config import ServiceConfig
+        from repro.api.service import MessagingService
         from repro.network.topology import line_topology
 
-        kwargs = {} if channel_factory is None else {"channel_factory": channel_factory}
-        return line_topology(3, **kwargs)
-
-    def _networked_config(self, backend_name, channel_factory=None, seed=5):
-        from repro.api.config import ServiceConfig
-
-        # The service-level channel field is kept Pauli-eligible so a forced
-        # "stabilizer" passes the construction-time representative
-        # validation; hop eligibility is then decided by the (independent)
-        # per-link channels of the topology.
-        return (
-            ServiceConfig.networked(self._line_topology(channel_factory), seed=seed)
-            .with_channel(NoiselessChannel())
-            .with_simulator_backend(backend_name)
-            .with_executor("serial")
-        )
-
-    def test_service_backend_reaches_network_hops(self):
-        """ServiceConfig.simulator_backend flows into every hop's config.
-
-        The default *link* channel carries thermal relaxation (non-Pauli), so
-        a forced ``stabilizer`` must fail loudly inside the hop — proof the
-        knob is plumbed into the scheduler's SessionParameters rather than
-        silently dropped.
-        """
-        from repro.api.service import MessagingService
-        from repro.exceptions import ConfigurationError
-
-        service = MessagingService(self._networked_config("stabilizer"))
-        with pytest.raises(ConfigurationError, match="Pauli"):
-            service.send("1010", kind="bits")
-
-    @pytest.mark.parametrize("backend", ["auto", "dense"])
-    def test_network_delivery_matches_pin(self, backend):
-        """Both names reach every hop and give the recorded delivery."""
-        from repro.api.service import MessagingService
-
-        report = MessagingService(self._networked_config(backend)).send("1010", kind="bits")
-        assert report.metadata["simulator_backend"] == backend
+        config = ServiceConfig.networked(line_topology(3), seed=5).with_executor("serial")
+        report = MessagingService(config).send("1010", kind="bits")
         assert (report.success, report.delivered_payload) == (False, None)
         assert report.summary()["abort_reasons"] == {
             "frame_verification_failed": 2,
             "round1_chsh_failed": 1,
         }
         assert report.summary()["mean_chsh_round1"] == 2.3925685425685423
-
-    def test_explicit_session_params_own_the_engine(self):
-        from repro.api.service import MessagingService
-        from repro.network.sessions import SessionParameters
-
-        # Seed 0 delivers on the default η=10 links (seed 5 aborts
-        # statistically on the small per-hop check-pair count — the
-        # documented quick-mode behaviour, not an eligibility failure).
-        config = self._networked_config("stabilizer", seed=0).with_network(
-            session_params=SessionParameters(simulator_backend="auto")
-        )
-        report = MessagingService(config).send("1010", kind="bits")
-        assert report.success  # explicit params win; no eligibility error
 
 
 class TestDeviceNoiseModelMemo:
@@ -384,7 +320,7 @@ class TestWarmMemo:
     def test_bound_smaller_than_a_session_keeps_results(self, monkeypatch):
         monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", 2)
         density._STATISTIC_MEMO.clear()
-        for name in ("honest-2024", "forced-stabilizer-5"):
+        for name in ("honest-2024", "pauli-channel-5"):
             factory, pinned = SESSION_PINS[name]
             assert _session_fingerprint(_run(factory)) == pinned
             assert len(density._STATISTIC_MEMO) <= 2

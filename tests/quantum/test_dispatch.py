@@ -11,8 +11,7 @@ from repro.channel.quantum_channel import (
     IdentityChainChannel,
     NoiselessChannel,
 )
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.protocol.config import ProtocolConfig
+from repro.exceptions import SimulationError
 from repro.quantum.channels import (
     amplitude_damping_channel,
     bit_flip_channel,
@@ -35,7 +34,6 @@ from repro.quantum.dispatch import (
     pauli_mixture,
     pauli_twirl_channel,
     pauli_twirl_noise_model,
-    protocol_eligibility,
     select_backend,
 )
 from repro.quantum.noise_model import NoiseModel, QuantumError, ReadoutError
@@ -90,6 +88,19 @@ class TestPauliMixture:
         mixture = pauli_mixture(composed)
         assert mixture is not None
         assert sum(mixture.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "link, pauli",
+        [
+            (NoiselessChannel(), True),
+            (IdentityChainChannel(eta=30, include_thermal_relaxation=False), True),
+            (FiberLossChannel(length_km=5.0, dephasing_per_km=0.0), True),
+            (IdentityChainChannel(eta=10), False),  # thermal relaxation
+        ],
+        ids=["noiseless", "depolarizing-chain", "fiber", "thermal-chain"],
+    )
+    def test_link_single_use_maps(self, link, pauli):
+        assert channel_is_pauli(link.single_use_channel()) is pauli
 
 
 class TestCircuitAnalysis:
@@ -269,6 +280,9 @@ class TestSelectBackend:
         with pytest.raises(SimulationError, match="unknown simulator backend"):
             select_backend("gpu", self._bell(), None)
 
+    def test_backend_choices_contract(self):
+        assert BACKEND_CHOICES == ("auto", "dense", "stabilizer", "stabilizer_batched")
+
 
 class TestPauliTwirl:
     def test_twirl_is_identity_on_pauli_channels(self):
@@ -292,46 +306,3 @@ class TestPauliTwirl:
         twirled = pauli_twirl_noise_model(model)
         assert noise_model_is_pauli(twirled)
         assert twirled.has_readout_error() == model.has_readout_error()
-
-
-class TestProtocolEligibility:
-    def test_noiseless_channel_eligible(self):
-        config = ProtocolConfig.default(8, seed=0).with_channel(NoiselessChannel())
-        assert protocol_eligibility(config).eligible
-
-    def test_depolarizing_only_identity_chain_eligible(self):
-        channel = IdentityChainChannel(eta=30, include_thermal_relaxation=False)
-        config = ProtocolConfig.default(8, seed=0).with_channel(channel)
-        assert protocol_eligibility(config).eligible
-
-    def test_thermal_relaxation_chain_ineligible(self):
-        config = ProtocolConfig.default(8, seed=0)  # default η-chain with relaxation
-        eligibility = protocol_eligibility(config)
-        assert not eligibility.eligible
-        assert "not a Pauli channel" in eligibility.reason
-
-    def test_fiber_channel_with_dephasing_eligible(self):
-        channel = FiberLossChannel(length_km=5.0, dephasing_per_km=0.0)
-        config = ProtocolConfig.default(8, seed=0).with_channel(channel)
-        assert protocol_eligibility(config).eligible
-
-    def test_forced_stabilizer_config_validation(self):
-        eligible = (
-            ProtocolConfig.default(8, seed=0)
-            .with_channel(NoiselessChannel())
-            .with_simulator_backend("stabilizer")
-        )
-        eligible.validate()  # does not raise
-        ineligible = ProtocolConfig.default(8, seed=0).with_simulator_backend(
-            "stabilizer"
-        )
-        with pytest.raises(ConfigurationError, match="Pauli"):
-            ineligible.validate()
-
-    def test_unknown_backend_name_rejected(self):
-        config = ProtocolConfig.default(8, seed=0).with_simulator_backend("qpu")
-        with pytest.raises(ConfigurationError, match="unknown simulator_backend"):
-            config.validate()
-
-    def test_backend_choices_contract(self):
-        assert BACKEND_CHOICES == ("auto", "dense", "stabilizer", "stabilizer_batched")

@@ -1,13 +1,16 @@
 """Unit tests for the admission-control building blocks."""
 
+import math
+
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ChannelError, ConfigurationError
 from repro.runtime.admission import (
     BACKPRESSURE_POLICIES,
     AdmissionQueue,
     NodeCapacityLedger,
     TokenBucket,
+    WeightedFairSelector,
 )
 
 
@@ -227,6 +230,25 @@ class TestNodeCapacityLedger:
             (names[2], 0),
         ]
 
+    def test_duplicate_reserve_raises_and_changes_nothing(self, topology):
+        ledger = NodeCapacityLedger(topology)
+        names = topology.node_names
+        ledger.reserve("s1", {names[0]: 3})
+        with pytest.raises(ChannelError):
+            ledger.reserve("s1", {names[0]: 2, names[1]: 2})
+        assert list(ledger.occupancy().values()) == [3, 0, 0]
+
+    def test_release_of_unknown_key_raises(self, topology):
+        ledger = NodeCapacityLedger(topology)
+        names = topology.node_names
+        with pytest.raises(ChannelError):
+            ledger.release("never", {names[0]: 1})
+        ledger.reserve("s1", {names[0]: 3})
+        ledger.release("s1", {names[0]: 3})
+        with pytest.raises(ChannelError):
+            ledger.release("s1", {names[0]: 3})  # already released
+        assert list(ledger.occupancy().values()) == [0, 0, 0]
+
     def test_scheduler_uses_the_ledger(self):
         """The network scheduler's reservation pass runs on this ledger."""
         import inspect
@@ -235,3 +257,42 @@ class TestNodeCapacityLedger:
 
         source = inspect.getsource(NetworkScheduler._reservation_pass)
         assert "NodeCapacityLedger" in source
+
+
+class TestNonFiniteSettings:
+    """NaN passes every ``<``/``<=`` bound check, so each bound must be NaN-safe.
+
+    A NaN rate or burst left a token bucket that never refills (runs that
+    wait for a token hung); a NaN timeout never expired; NaN weights made
+    weighted-fair picks depend on argument order.
+    """
+
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [(math.nan, None), (math.inf, None), (5.0, math.nan), (5.0, math.inf)],
+    )
+    def test_token_bucket(self, rate, burst):
+        with pytest.raises(ConfigurationError):
+            TokenBucket(rate, burst)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf])
+    def test_admission_queue_timeout(self, timeout):
+        with pytest.raises(ConfigurationError):
+            AdmissionQueue(timeout=timeout)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_admission_queue_capacity(self, capacity):
+        with pytest.raises(ConfigurationError):
+            AdmissionQueue(capacity=capacity)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_weighted_fair_weight(self, weight):
+        with pytest.raises(ConfigurationError):
+            WeightedFairSelector({"a": weight, "b": 1.0})
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_weighted_fair_charge(self, cost):
+        selector = WeightedFairSelector({"a": 1.0})
+        with pytest.raises(ConfigurationError):
+            selector.charge("a", cost)
+        assert selector.virtual_time("a") == 0.0

@@ -1,6 +1,7 @@
 """Behavioural tests for the concurrent delivery engine."""
 
 import asyncio
+import math
 import threading
 import time
 
@@ -58,6 +59,22 @@ class TestBasicDelivery:
     def test_validation(self, config):
         with pytest.raises(ConfigurationError):
             DeliveryEngine(config, max_workers=0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(rate_limit=math.nan),
+            dict(rate_limit=5.0, burst=math.nan),
+            dict(admission_timeout=math.nan),
+            dict(max_workers=math.nan),
+        ],
+        ids=["rate_limit", "burst", "admission_timeout", "max_workers"],
+    )
+    def test_non_finite_admission_settings_rejected(self, config, setting):
+        # A NaN rate limit used to build a bucket that never yields a
+        # token, so the first submit() never returned.
+        with pytest.raises(ConfigurationError):
+            DeliveryEngine(config, **{"max_workers": 1, **setting})
 
 
 class TestBackpressurePolicies:

@@ -1,11 +1,12 @@
 """Tests for the sustained-load harness (virtual-clock DES + calibration)."""
 
 import json
+import math
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.runtime import interrupt
+from repro.runtime import interrupt, loadgen
 from repro.runtime.loadgen import (
     ARRIVAL_PROCESSES,
     LoadResult,
@@ -74,6 +75,52 @@ class TestServiceTimeModel:
             ServiceTimeModel(base_time=0.0)
         with pytest.raises(ConfigurationError):
             ServiceTimeModel(base_time=1.0, abort_probability=1.5)
+
+
+class TestNonFiniteSettings:
+    """Non-finite settings are refused before any simulated work starts.
+
+    NaN passes ``x <= 0``-style checks: a NaN arrival rate, think time or
+    service time gave NaN durations and latencies, a NaN worker count an
+    unbounded pool, and a NaN rate limit or burst never yielded a token, so
+    the run never ended.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_load started a run")
+
+        monkeypatch.setattr(loadgen, "_route_hops", refuse)
+
+    @pytest.mark.parametrize("field", ["base_time", "per_hop_time", "jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_service_time_model(self, field, value):
+        kwargs = {"base_time": 0.01, field: value}
+        with pytest.raises(ConfigurationError):
+            ServiceTimeModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(arrival_rate=math.nan),
+            dict(arrival_rate=math.inf),
+            dict(arrival="closed", think_time=math.nan),
+            dict(arrival="closed", think_time=math.inf),
+            dict(rate_limit=math.nan),
+            dict(rate_limit=5.0, burst_tokens=math.nan),
+            dict(admission_timeout=math.nan),
+            dict(messages=math.nan),
+            dict(workers=math.nan),
+            dict(arrival="closed", clients=math.nan),
+            dict(arrival="burst", burst_size=math.nan),
+            dict(arrival="burst", burst_size=0),
+        ],
+        ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_simulate_load(self, overrides):
+        with pytest.raises(ConfigurationError):
+            run(**overrides)
 
 
 class TestSimulateLoad:
