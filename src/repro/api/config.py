@@ -40,7 +40,7 @@ from repro.channel.quantum_channel import (
     QuantumChannel,
 )
 from repro.exceptions import ConfigurationError
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import ProtocolConfig, check_count
 from repro.protocol.identity import Identity
 from repro.quantum.channels import KrausChannel
 
@@ -75,7 +75,8 @@ class ServiceConfig:
         cost of losing reassembly metadata and CRC verification.
     max_retries:
         Retransmissions allowed per fragment after an abort or a failed
-        frame verification (0 disables retransmission).
+        frame verification (0 disables retransmission); a non-negative
+        integer of any integer type.
     seed:
         Service-level master seed; every fragment/attempt seed derives from
         it (None = fresh entropy per send).
@@ -284,8 +285,7 @@ class ServiceConfig:
                 f"fragment_bits must lie in 1..{MAX_FRAGMENT_BITS}, "
                 f"got {self.fragment_bits}"
             )
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries cannot be negative")
+        check_count(self.max_retries, "max_retries", minimum=0)
         if self.executor not in API_EXECUTORS:
             raise ConfigurationError(
                 f"unknown executor {self.executor!r}; the service supports "

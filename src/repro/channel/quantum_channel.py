@@ -19,9 +19,9 @@ All channels expose two complementary interfaces:
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 from repro.device.calibration import (
     IBM_BRISBANE_ID_DURATION,
@@ -37,7 +37,7 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density import DensityMatrix, map_distinct
+from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
 
 __all__ = [
     "QuantumChannel",
@@ -48,14 +48,47 @@ __all__ = [
 ]
 
 
+def _built_once(
+    build: Callable[["QuantumChannel"], KrausChannel],
+) -> Callable[["QuantumChannel"], KrausChannel]:
+    """Keep the single-use map *build* returns on the channel object.
+
+    Channels are values whose map never changes, so it is composed on the
+    first call only.  Racing first calls may each build it; the copies are
+    equal, so no lock is needed.
+    """
+
+    @functools.wraps(build)
+    def single_use_channel(self: "QuantumChannel") -> KrausChannel:
+        channel = self.__dict__.get("_single_use_channel")
+        if channel is None:
+            channel = self.__dict__["_single_use_channel"] = build(self)
+        return channel
+
+    return single_use_channel
+
+
 class QuantumChannel:
-    """Interface for one-qubit transmission channels between Alice and Bob."""
+    """Interface for one-qubit transmission channels between Alice and Bob.
+
+    A channel is a value: its noise map is fixed by its parameters (the
+    dataclass channels below are frozen), so each object builds its
+    :meth:`single_use_channel` once and :meth:`transmit` outputs are shared
+    by every session over an equal map.  Subclasses must keep that rule:
+    the map a channel returns is an immutable value.  A subclass whose
+    ``transmit`` samples a random error realization per use must override
+    both :meth:`transmit` and :meth:`transmit_batch`.
+    """
 
     #: Human-readable channel name.
     name: str = "quantum_channel"
 
     def single_use_channel(self) -> KrausChannel:
-        """The CPTP map applied to one qubit per traversal of the channel."""
+        """The CPTP map applied to one qubit per traversal of the channel.
+
+        Treat the returned map as read-only: the channel classes here build
+        it once per channel object and hand out the same map on every call.
+        """
         raise NotImplementedError
 
     def duration(self) -> float:
@@ -71,8 +104,20 @@ class QuantumChannel:
         return circuit
 
     def transmit(self, state: DensityMatrix, qubit: int) -> DensityMatrix:
-        """Send one qubit of *state* through the channel and return the new state."""
-        return self.single_use_channel().apply(state, [qubit])
+        """Send one qubit of *state* through the channel and return the new state.
+
+        The output is memoised by
+        :func:`~repro.quantum.density.state_statistic`, tagged with *qubit*
+        and the raw bytes of the single-use map's Kraus operators, so every
+        session over an equal map shares it (the returned state's matrix is
+        read-only).  A miss applies the map to the live *state*, so a hit
+        returns exactly the bytes of
+        ``state.apply_kraus(self.single_use_channel().kraus_operators, [qubit])``.
+        """
+        channel = self.single_use_channel()
+        kraus_bytes = b"".join(kraus.tobytes() for kraus in channel.kraus_operators)
+        tag = ("transmit", qubit, channel.dim, kraus_bytes)
+        return state_statistic(tag, state, lambda live: channel.apply(live, [qubit]))
 
     def transmit_batch(
         self, states: Sequence[DensityMatrix], qubit: int
@@ -83,13 +128,15 @@ class QuantumChannel:
         :func:`~repro.quantum.density.map_distinct`) and identical inputs
         share the result.  Protocol sessions transmit hundreds of pairs that
         are all the same ``|Φ+⟩`` emission, so the pass collapses to a
-        single Kraus application; the output order matches the input order.
-        Sharing is safe because :meth:`transmit` is deterministic (a CPTP map
-        application), which every channel in this module is.  A subclass
-        whose ``transmit`` samples a random error realization per use MUST
-        override ``transmit_batch`` too (e.g. with a per-pair loop), or all
-        identical pairs of a session would silently share one realization
-        instead of drawing independently.
+        single lookup of the process-wide transmit memo, and to a single
+        Kraus application the first time a state meets the map; the output
+        order matches the input order.  Sharing is safe because
+        :meth:`transmit` is deterministic (a CPTP map application), which
+        every channel in this module is.  A subclass whose ``transmit``
+        samples a random error realization per use MUST override both
+        ``transmit`` and ``transmit_batch`` (e.g. with a per-pair loop), or
+        all identical pairs would silently share one realization instead of
+        drawing independently.
 
         Parameters
         ----------
@@ -118,11 +165,12 @@ class NoiselessChannel(QuantumChannel):
 
     name = "noiseless"
 
+    @_built_once
     def single_use_channel(self) -> KrausChannel:
         return identity_channel()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepolarizingChannel(QuantumChannel):
     """A single-use depolarizing channel — the canonical *Pauli* link model.
 
@@ -143,13 +191,17 @@ class DepolarizingChannel(QuantumChannel):
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ChannelError("depolarizing probability must lie in [0, 1]")
-        self.name = f"depolarizing(p={self.probability:g})"
 
+    @property
+    def name(self) -> str:
+        return f"depolarizing(p={self.probability:g})"
+
+    @_built_once
     def single_use_channel(self) -> KrausChannel:
         return depolarizing_channel(self.probability)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityChainChannel(QuantumChannel):
     """The paper's η-identity-gate channel.
 
@@ -185,7 +237,10 @@ class IdentityChainChannel(QuantumChannel):
             raise ChannelError("gate_error must lie in [0, 1]")
         if self.gate_duration < 0:
             raise ChannelError("gate_duration must be non-negative")
-        self.name = f"identity_chain(eta={self.eta})"
+
+    @property
+    def name(self) -> str:
+        return f"identity_chain(eta={self.eta})"
 
     # -- analytic quantities ---------------------------------------------------------
     def duration(self) -> float:
@@ -205,6 +260,7 @@ class IdentityChainChannel(QuantumChannel):
             )
         return channel
 
+    @_built_once
     def single_use_channel(self) -> KrausChannel:
         """The full-traversal map: the per-gate map composed η times.
 
@@ -212,7 +268,9 @@ class IdentityChainChannel(QuantumChannel):
         depolarizing + relaxation composition is collapsed analytically by
         composing the η-step depolarizing probability and the η-step
         relaxation instead of multiplying Kraus operators, which keeps the
-        operator count constant.
+        operator count constant.  The map is built on the first call and
+        the same object is returned afterwards (the channel is frozen);
+        treat it as read-only.
         """
         if self.eta == 0:
             return identity_channel()
@@ -240,17 +298,10 @@ class IdentityChainChannel(QuantumChannel):
 
     def with_eta(self, eta: int) -> "IdentityChainChannel":
         """A copy of this channel with a different η (used by the Fig. 3 sweep)."""
-        return IdentityChainChannel(
-            eta=eta,
-            gate_error=self.gate_error,
-            gate_duration=self.gate_duration,
-            t1=self.t1,
-            t2=self.t2,
-            include_thermal_relaxation=self.include_thermal_relaxation,
-        )
+        return replace(self, eta=eta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberLossChannel(QuantumChannel):
     """A fibre channel parameterised by length, for km-scale extensions.
 
@@ -274,7 +325,10 @@ class FiberLossChannel(QuantumChannel):
             raise ChannelError("attenuation must be non-negative")
         if not 0.0 <= self.dephasing_per_km <= 1.0:
             raise ChannelError("dephasing_per_km must lie in [0, 1]")
-        self.name = f"fiber(length={self.length_km}km)"
+
+    @property
+    def name(self) -> str:
+        return f"fiber(length={self.length_km}km)"
 
     def transmission_probability(self) -> float:
         """Probability that the photon is not lost: ``10**(-attenuation*L/10)``."""
@@ -289,6 +343,7 @@ class FiberLossChannel(QuantumChannel):
             raise ChannelError("speed_km_per_s must be positive")
         return self.length_km / self.speed_km_per_s
 
+    @_built_once
     def single_use_channel(self) -> KrausChannel:
         loss_probability = 1.0 - self.transmission_probability()
         channel = depolarizing_channel(loss_probability)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.channel.quantum_channel import (
@@ -284,8 +284,6 @@ class CalibrationAging:
         noise models key on.  T2 is re-clamped to the physical ``2·T1``
         bound after scaling.
         """
-        from dataclasses import replace
-
         t1_scale, t2_scale, error_scale = self.factors(time)
 
         def aged_qubit(qubit):
@@ -526,22 +524,16 @@ def evolve_channel(
     if isinstance(channel, IdentityChainChannel):
         t1 = max(channel.t1 * t1_scale, 1e-12)
         t2 = max(min(channel.t2 * t2_scale, 2.0 * t1), 1e-12)
-        return IdentityChainChannel(
-            eta=channel.eta,
-            gate_error=clip01(channel.gate_error * error_scale),
-            gate_duration=channel.gate_duration,
-            t1=t1,
-            t2=t2,
-            include_thermal_relaxation=channel.include_thermal_relaxation,
+        return replace(
+            channel, gate_error=clip01(channel.gate_error * error_scale), t1=t1, t2=t2
         )
     if isinstance(channel, DepolarizingChannel):
-        return DepolarizingChannel(probability=clip01(channel.probability * error_scale))
+        return replace(channel, probability=clip01(channel.probability * error_scale))
     if isinstance(channel, FiberLossChannel):
-        return FiberLossChannel(
-            length_km=channel.length_km,
+        return replace(
+            channel,
             attenuation_db_per_km=max(0.0, channel.attenuation_db_per_km * error_scale),
             dephasing_per_km=clip01(channel.dephasing_per_km * error_scale),
-            speed_km_per_s=channel.speed_km_per_s,
         )
     return channel
 

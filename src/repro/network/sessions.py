@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.exceptions import NetworkError
+from repro.exceptions import ConfigurationError, NetworkError
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import ProtocolConfig, check_count
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import (
@@ -149,7 +149,11 @@ class SessionParameters:
 
     The per-hop quantum channel always comes from the link; these are the
     remaining :class:`~repro.protocol.config.ProtocolConfig` tunables a
-    network operator would fix fleet-wide.
+    network operator would fix fleet-wide.  Construction raises
+    :class:`~repro.exceptions.ConfigurationError` unless the pair counts are
+    positive integers, ``num_check_bits`` is None or a non-negative integer
+    and both tolerances lie in [0, 1), so the scheduler never reserves a
+    NaN or fractional qubit count.
     """
 
     identity_pairs: int = 2
@@ -157,6 +161,16 @@ class SessionParameters:
     num_check_bits: int | None = None
     authentication_tolerance: float = 0.25
     check_bit_tolerance: float = 0.15
+
+    def __post_init__(self):
+        check_count(self.identity_pairs, "identity_pairs")
+        check_count(self.check_pairs_per_round, "check_pairs_per_round")
+        if self.num_check_bits is not None:
+            check_count(self.num_check_bits, "num_check_bits", minimum=0)
+        # Written so NaN fails too, as in ProtocolConfig.validate.
+        for name in ("authentication_tolerance", "check_bit_tolerance"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must lie in [0, 1)")
 
     def check_bits_for(self, message_length: int) -> int:
         """Check-bit count for a message (auto: the `ProtocolConfig.default` rule)."""

@@ -10,6 +10,7 @@ configuration with the paper's parameters for a given message length.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
@@ -20,7 +21,22 @@ from repro.protocol.identity import Identity
 from repro.protocol.source import EntanglementSource
 from repro.utils.rng import as_rng
 
-__all__ = ["ProtocolConfig"]
+__all__ = ["ProtocolConfig", "check_count"]
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Raise :class:`ConfigurationError` unless *value* is an integer ≥ *minimum*.
+
+    Any integer type passes (``operator.index``: ``int``, ``np.int64`` …),
+    as in :func:`~repro.quantum.batch.check_shots`, so NaN, ±∞, fractions
+    and strings fail.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigurationError(f"{name} must be at least {minimum}, got {count}")
 
 
 @dataclass
@@ -188,10 +204,8 @@ class ProtocolConfig:
             raise ConfigurationError(
                 "message_length + num_check_bits must be even (2 bits per EPR pair)"
             )
-        if self.identity_pairs < 1:
-            raise ConfigurationError("identity_pairs must be at least 1")
-        if self.check_pairs_per_round < 1:
-            raise ConfigurationError("check_pairs_per_round must be at least 1")
+        check_count(self.identity_pairs, "identity_pairs")
+        check_count(self.check_pairs_per_round, "check_pairs_per_round")
         if not 0.0 <= self.authentication_tolerance < 1.0:
             raise ConfigurationError("authentication_tolerance must lie in [0, 1)")
         if not 0.0 <= self.check_bit_tolerance < 1.0:

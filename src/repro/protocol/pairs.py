@@ -48,6 +48,8 @@ class EPRPairRegister:
     num_identity_pairs: int
     num_check_pairs: int
     _roles: dict[int, PairRole] = field(default_factory=dict, repr=False)
+    #: Each role's positions in increasing order, kept as roles are assigned.
+    _positions: dict[PairRole, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.num_message_pairs < 1:
@@ -57,6 +59,8 @@ class EPRPairRegister:
         if self.num_check_pairs < 1:
             raise ProtocolError("the protocol needs at least one check pair per round")
         self._roles = {index: PairRole.UNASSIGNED for index in range(self.total_pairs)}
+        self._positions = {role: () for role in PairRole}
+        self._positions[PairRole.UNASSIGNED] = tuple(range(self.total_pairs))
 
     # -- sizes -----------------------------------------------------------------------
     @property
@@ -90,7 +94,7 @@ class EPRPairRegister:
         return self._assign(PairRole.BOB_IDENTITY, self.num_identity_pairs, rng)
 
     def _assign(self, role: PairRole, count: int, rng) -> tuple[int, ...]:
-        available = self.positions(PairRole.UNASSIGNED)
+        available = self._positions[PairRole.UNASSIGNED]
         if count > len(available):
             raise ProtocolError(
                 f"cannot assign {count} pairs to {role.value}: only "
@@ -101,6 +105,11 @@ class EPRPairRegister:
         positions = tuple(sorted(available[int(i)] for i in chosen))
         for position in positions:
             self._roles[position] = role
+        taken = set(positions)
+        self._positions[PairRole.UNASSIGNED] = tuple(
+            position for position in available if position not in taken
+        )
+        self._positions[role] = tuple(sorted(self._positions[role] + positions))
         return positions
 
     # -- queries ---------------------------------------------------------------------
@@ -112,15 +121,12 @@ class EPRPairRegister:
 
     def positions(self, role: PairRole) -> tuple[int, ...]:
         """All positions currently assigned to *role*, in increasing order."""
-        return tuple(sorted(p for p, r in self._roles.items() if r is role))
+        return self._positions[role]
 
     def assignment_complete(self) -> bool:
         """True once every pair has a role."""
-        return all(role is not PairRole.UNASSIGNED for role in self._roles.values())
+        return not self._positions[PairRole.UNASSIGNED]
 
     def summary(self) -> dict[str, int]:
         """Number of pairs per role (for transcripts and reports)."""
-        counts: dict[str, int] = {}
-        for role in PairRole:
-            counts[role.value] = len(self.positions(role))
-        return counts
+        return {role.value: len(self._positions[role]) for role in PairRole}

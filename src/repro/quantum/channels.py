@@ -23,6 +23,7 @@ from repro.quantum.operators import (
     X_MATRIX,
     Y_MATRIX,
     Z_MATRIX,
+    embed_operator,
     kron_all,
 )
 
@@ -41,6 +42,11 @@ __all__ = [
 
 _ATOL = 1e-8
 
+#: Widest register whose embedded Kraus operators :meth:`KrausChannel.apply`
+#: keeps (16 operators embedded in 4 qubits take 64 KB).  Wider registers,
+#: which only the per-gate reference simulator builds, embed on every call.
+_EMBED_CACHE_MAX_QUBITS = 4
+
 
 class KrausChannel:
     """A completely-positive trace-preserving map given by Kraus operators.
@@ -56,7 +62,7 @@ class KrausChannel:
         If True (default), check the completeness relation.
     """
 
-    __slots__ = ("_kraus", "_num_qubits", "name")
+    __slots__ = ("_kraus", "_num_qubits", "_embedded", "name")
 
     def __init__(
         self,
@@ -84,12 +90,22 @@ class KrausChannel:
                 )
         self._kraus = kraus
         self._num_qubits = num_qubits
+        self._embedded: dict[tuple[tuple[int, ...], int], list[np.ndarray]] = {}
         self.name = name
+
+    def __reduce__(self):
+        # A pickle carries the operators only; embeddings are rebuilt (and
+        # made read-only again) on first use.
+        return KrausChannel, (self._kraus, self.name, False)
 
     # -- accessors -------------------------------------------------------------
     @property
     def kraus_operators(self) -> list[np.ndarray]:
-        """The list of Kraus matrices (not copied)."""
+        """The list of Kraus matrices (not copied).
+
+        Treat them as read-only: :meth:`apply` keeps their embeddings, and
+        channel transmit memos are keyed by their bytes.
+        """
         return self._kraus
 
     @property
@@ -111,8 +127,26 @@ class KrausChannel:
     def apply(
         self, state: DensityMatrix, qubits: Sequence[int] | None = None
     ) -> DensityMatrix:
-        """Apply the channel to *state* (optionally on a subset of its qubits)."""
-        return state.apply_kraus(self._kraus, qubits)
+        """Apply the channel to *state* (optionally on a subset of its qubits).
+
+        The operators embedded into the register are built once per (target
+        qubits, register size), made read-only and kept on this channel, so
+        the result is :meth:`DensityMatrix.apply_kraus`'s arithmetic on the
+        same matrices and bit-identical to
+        ``state.apply_kraus(self.kraus_operators, qubits)``.  Invalid targets
+        raise :class:`~repro.exceptions.DimensionError` on every call.
+        """
+        if qubits is None:
+            return state.apply_kraus(self._kraus)
+        targets, num_qubits = tuple(qubits), state.num_qubits
+        embedded = self._embedded.get((targets, num_qubits))
+        if embedded is None:
+            embedded = [embed_operator(k, list(targets), num_qubits) for k in self._kraus]
+            for matrix in embedded:
+                matrix.setflags(write=False)
+            if num_qubits <= _EMBED_CACHE_MAX_QUBITS:
+                self._embedded[targets, num_qubits] = embedded
+        return state.apply_kraus(embedded)
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """Sequential composition: apply *self* first, then *other*."""
@@ -128,8 +162,6 @@ class KrausChannel:
 
     def expand_to(self, num_qubits: int, qubits: Sequence[int]) -> "KrausChannel":
         """Embed the channel into a larger register acting on *qubits*."""
-        from repro.quantum.operators import embed_operator
-
         kraus = [embed_operator(k, list(qubits), num_qubits) for k in self._kraus]
         return KrausChannel(kraus, name=self.name, validate=False)
 

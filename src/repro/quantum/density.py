@@ -335,7 +335,8 @@ def map_distinct(
 
 #: Entries kept by :func:`state_statistic`; the memo is cleared when full, as
 #: the projector memos in :mod:`repro.quantum.measurement` are.  At 1024
-#: entries of one 2-qubit state each it holds ≲0.5 MB.
+#: entries of one 2-qubit state each it holds ≲0.5 MB, and ≲2 MB when every
+#: entry is a channel transmit tagged with its map's bytes (≈1 KB).
 _STATISTIC_MEMO_MAX = 1024
 _STATISTIC_MEMO: dict[tuple, Any] = {}
 #: Makes the size check and the insertion one step, so concurrent misses
@@ -355,14 +356,16 @@ def state_statistic(
     *tag* must name everything besides the state that the result depends on
     (e.g. measurement settings).  On a miss the statistic is computed from
     the live *state*, so a hit returns exactly the floats the uncached call
-    would.  Cached arrays are made read-only.
+    would.  Cached arrays, and the matrix of a cached
+    :class:`DensityMatrix`, are made read-only.
     """
     key = (tag, *_content_key(state))
     value = _STATISTIC_MEMO.get(key)
     if value is None:
         value = compute(state)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        array = value.matrix if isinstance(value, DensityMatrix) else value
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
         with _STATISTIC_MEMO_LOCK:
             if len(_STATISTIC_MEMO) >= _STATISTIC_MEMO_MAX:
                 _STATISTIC_MEMO.clear()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 import repro
-from repro.api import BACKEND_NAMES, ServiceConfig
+from repro.api import BACKEND_NAMES, MessagingService, ServiceConfig
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
 from repro.exceptions import ConfigurationError
 from repro.network import line_topology
@@ -84,6 +87,15 @@ class TestValidation:
     def test_negative_retries(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig.paper_default().with_retries(-1).validate()
+
+    @pytest.mark.parametrize("retries", [math.nan, math.inf, 1.5, -1])
+    def test_non_integer_retries_fail_at_construction(self, retries):
+        config = ServiceConfig.ideal(seed=1).with_retries(retries)
+        with pytest.raises(ConfigurationError):
+            MessagingService(config)
+
+    def test_numpy_integer_retries_pass(self):
+        assert ServiceConfig.ideal(seed=1).with_retries(np.int64(3)).validate()
 
     def test_bad_executor(self):
         with pytest.raises(ConfigurationError):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.channel.quantum_channel import NoiselessChannel
-from repro.exceptions import NetworkError
+from repro.exceptions import ConfigurationError, NetworkError
 from repro.network.routing import find_route
 from repro.network.sessions import (
     STATUS_ABORTED,
@@ -102,6 +105,32 @@ class TestSessionParameters:
         params = SessionParameters(num_check_bits=4)
         assert params.check_bits_for(8) == 4
         assert params.check_bits_for(9) == 5  # parity adjustment
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(identity_pairs=math.nan),
+            dict(identity_pairs=0),
+            dict(identity_pairs=1.5),
+            dict(check_pairs_per_round=-1),
+            dict(check_pairs_per_round=0),
+            dict(check_pairs_per_round=2.5),
+            dict(check_pairs_per_round=math.inf),
+            dict(num_check_bits=-2),
+            dict(num_check_bits=math.nan),
+            dict(authentication_tolerance=math.nan),
+            dict(authentication_tolerance=1.0),
+            dict(check_bit_tolerance=-0.1),
+        ],
+        ids=repr,
+    )
+    def test_invalid_parameters_fail_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            SessionParameters(**kwargs)
+
+    def test_numpy_integer_pair_counts_pass(self):
+        params = SessionParameters(identity_pairs=np.int64(2), check_pairs_per_round=np.int64(16))
+        assert params.pairs_per_hop(8) == 41
 
 
 class TestSingleHop:

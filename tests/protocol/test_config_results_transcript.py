@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
@@ -46,6 +50,15 @@ class TestProtocolConfig:
         config = ProtocolConfig(message_length=3, num_check_bits=2)
         with pytest.raises(ConfigurationError):
             config.validate()
+
+    @pytest.mark.parametrize("field", ["identity_pairs", "check_pairs_per_round"])
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 2.5, 0, -1])
+    def test_validate_rejects_non_positive_integer_pair_counts(self, field, count):
+        with pytest.raises(ConfigurationError):
+            replace(ProtocolConfig.default(8), **{field: count}).validate()
+
+    def test_validate_accepts_numpy_integer_pair_counts(self):
+        replace(ProtocolConfig.default(8), check_pairs_per_round=np.int64(16)).validate()
 
     def test_validate_rejects_bad_tolerances(self):
         config = ProtocolConfig(message_length=2, num_check_bits=2,

@@ -85,12 +85,21 @@ class TestStateStatistic:
         state_statistic("live", state, seen.append)
         assert seen[0] is state
 
-    def test_cached_arrays_reject_writes(self, empty_memo):
+    @pytest.mark.parametrize(
+        "compute, array_of",
+        [
+            (lambda s: np.real(np.diag(s.matrix)), lambda value: value),
+            (lambda s: s.evolve(np.eye(2)), lambda value: value.matrix),
+        ],
+        ids=["array", "density_matrix"],
+    )
+    def test_cached_arrays_reject_writes(self, empty_memo, compute, array_of):
         state = _diagonal(0.4)
-        value = state_statistic("array", state, lambda s: np.real(np.diag(s.matrix)))
-        assert not value.flags.writeable
+        value = state_statistic("array", state, compute)
+        array = array_of(value)
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            value[0] = 1.0
+            array[0] = 1.0
         assert state_statistic("array", state, lambda s: None) is value
 
     def test_more_distinct_states_than_the_bound(self, empty_memo):
