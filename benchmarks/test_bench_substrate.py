@@ -39,11 +39,26 @@ def test_bench_statevector_gate_application(benchmark):
 
 
 def test_bench_density_channel_application(benchmark):
-    """Apply the composed η=100 identity-chain channel to one EPR pair."""
+    """Repeat transmit of one EPR pair through the η=100 identity chain.
+
+    Every round after the first is a ``state_statistic`` memo hit, so this
+    times the lookup a session pays per repeated transmit;
+    ``test_bench_kraus_channel_application`` times the Kraus application.
+    """
     channel = IdentityChainChannel(eta=100)
     pair = bell_state(BellState.PHI_PLUS).density_matrix()
 
     noisy = benchmark(channel.transmit, pair, 0)
+    assert noisy.num_qubits == 2
+    assert noisy.purity() < 1.0
+
+
+def test_bench_kraus_channel_application(benchmark):
+    """Apply the composed η=100 identity-chain map to one EPR pair (not memoised)."""
+    channel = IdentityChainChannel(eta=100).single_use_channel()
+    pair = bell_state(BellState.PHI_PLUS).density_matrix()
+
+    noisy = benchmark(channel.apply, pair, [0])
     assert noisy.num_qubits == 2
     assert noisy.purity() < 1.0
 

@@ -20,7 +20,6 @@ This module makes that claim testable:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -196,12 +195,3 @@ def run_leakage_experiment(
             "b": dict(Counter(raw_views["b"])),
         },
     )
-
-
-def binary_entropy(p: float) -> float:
-    """Binary entropy ``h2(p)`` in bits (helper for leakage bounds)."""
-    if not 0.0 <= p <= 1.0:
-        raise AttackError("probability must lie in [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)

@@ -174,16 +174,20 @@ class NoiselessChannel(QuantumChannel):
 class DepolarizingChannel(QuantumChannel):
     """A single-use depolarizing channel — the canonical *Pauli* link model.
 
-    ``ρ → (1 − p) ρ + p/3 (XρX + YρY + ZρZ)``.  Unlike
-    :class:`IdentityChainChannel` (whose thermal-relaxation component is not
-    a Pauli map), this channel is a stochastic Pauli mixture, so it keeps
-    Bell pairs Bell-diagonal.  The security-analysis experiment
-    (``fig_security``) uses it as its default link.
+    ``ρ → (1 − p) ρ + p I/2``, i.e. :func:`~repro.quantum.channels.depolarizing_channel`:
+    the identity with weight ``1 − 3p/4`` and each of X, Y, Z with weight
+    ``p/4``.  On one half of ``|Φ+⟩`` it shrinks the CHSH value to
+    ``(1 − p)·2√2``.  Unlike :class:`IdentityChainChannel` (whose
+    thermal-relaxation component is not a Pauli map), this channel is a
+    stochastic Pauli mixture, so it keeps Bell pairs Bell-diagonal.  The
+    security-analysis experiment (``fig_security``) uses it as its default
+    link.
 
     Parameters
     ----------
     probability:
-        Total depolarizing probability ``p`` per channel use, in [0, 1].
+        Probability ``p`` of replacing the qubit by the maximally mixed
+        state per channel use, in [0, 1].
     """
 
     probability: float = 0.01
@@ -250,15 +254,6 @@ class IdentityChainChannel(QuantumChannel):
     def survival_probability(self) -> float:
         """``(1 - p_e)**η`` — the paper's probability that the channel stays error-free."""
         return (1.0 - self.gate_error) ** self.eta
-
-    def per_gate_channel(self) -> KrausChannel:
-        """The CPTP map applied per identity gate."""
-        channel = depolarizing_channel(self.gate_error)
-        if self.include_thermal_relaxation and self.gate_duration > 0:
-            channel = channel.compose(
-                thermal_relaxation_channel(self.t1, self.t2, self.gate_duration)
-            )
-        return channel
 
     @_built_once
     def single_use_channel(self) -> KrausChannel:

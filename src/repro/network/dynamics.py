@@ -620,9 +620,6 @@ class NetworkDynamics:
         )
 
     # -- availability ------------------------------------------------------------------
-    def link_available(self, node_a: str, node_b: str, time: float) -> bool:
-        return not self.outages.link_down(node_a, node_b, time)
-
     def node_available(self, name: str, time: float) -> bool:
         return not self.outages.node_down(name, time)
 

@@ -279,10 +279,6 @@ class NetworkResult:
         return histogram
 
     # -- QoS breakdowns ----------------------------------------------------------------
-    def priority_classes(self) -> list[str]:
-        """Sorted distinct priority classes present in the traffic."""
-        return sorted({record.priority for record in self.records})
-
     def class_counts(self) -> dict[str, dict[str, int]]:
         """Per-class session/admitted/delivered/aborted/rejected counts."""
         counts: dict[str, dict[str, int]] = {}

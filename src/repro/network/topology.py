@@ -228,10 +228,6 @@ class NetworkTopology:
             raise NetworkError(f"unknown node {name!r}; known: {sorted(self._nodes)}")
         return self._nodes[name]
 
-    def has_link(self, node_a: str, node_b: str) -> bool:
-        """True if an edge joins the two nodes."""
-        return tuple(sorted((node_a, node_b))) in self._links
-
     def link(self, node_a: str, node_b: str) -> NetworkLink:
         """Look up the link joining two nodes."""
         key = tuple(sorted((node_a, node_b)))

@@ -23,12 +23,14 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.exceptions import NonPhysicalStateError, ProtocolError
 from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
 from repro.quantum.density import DensityMatrix, state_statistic
 from repro.quantum.measurement import equatorial_observable, observable_branches
 from repro.quantum.states import Statevector
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, draw_setting_pairs
 
 __all__ = ["CHSHSettings", "CHSHEstimate", "DISecurityCheck"]
 
@@ -145,31 +147,66 @@ class DISecurityCheck:
         random Bob setting on qubit 1 (this models round 1, where the two
         parties measure their own halves, and round 2 equally well, since in
         round 2 Bob simply performs both measurements himself).
+
+        Per pair the generator gives Alice's setting, Bob's setting and the
+        two uniforms two :func:`~repro.quantum.measurement.measure_observable`
+        calls would draw; :func:`~repro.utils.rng.draw_setting_pairs` returns
+        all of them as arrays, so the stream is the one a pair-by-pair loop
+        consumes.  The branch statistics ``(p_alice_plus, p_bob_plus |
+        alice=+1, p_bob_plus | alice=−1)`` are looked up once per distinct
+        pair object and drawn setting pair
+        (:func:`~repro.quantum.density.state_statistic`), and every outcome
+        compares its uniform against those floats.  A zero-probability
+        branch raises :class:`~repro.exceptions.NonPhysicalStateError` only
+        if it is drawn.
         """
         if not pairs:
             raise ProtocolError("the DI security check needs at least one pair")
-        generator = as_rng(rng)
+        alice, bob, alice_uniforms, bob_uniforms = draw_setting_pairs(
+            as_rng(rng), len(pairs), alice_low=0 if self.settings.use_a0 else 1
+        )
 
-        correlation_sums: dict[tuple[int, int], int] = {
-            (j, k): 0 for j in (1, 2) for k in (1, 2)
-        }
-        counts: dict[tuple[int, int], int] = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
+        # Pair states are never mutated, so one object is one state.
+        slot_of: dict[int, int] = {}
+        slots = np.array([slot_of.setdefault(id(pair), len(slot_of)) for pair in pairs])
+        distinct = list({id(pair): pair for pair in pairs}.values())
+        if any(pair.num_qubits != 2 for pair in distinct):
+            raise ProtocolError("security-check pairs must be two-qubit states")
 
-        for pair in pairs:
-            alice_setting = self._draw_alice_setting(generator)
-            bob_setting = int(generator.integers(1, 3))
-            alice_outcome, bob_outcome = self._measure_pair(
-                pair, alice_setting, bob_setting, generator
+        # One row per (distinct pair, Alice setting, Bob setting).
+        rows = (slots * 3 + alice) * 3 + bob
+        drawn = np.zeros(len(distinct) * 9, dtype=bool)
+        drawn[rows] = True
+        statistics = np.zeros((len(drawn), 3))
+        missing = np.zeros((len(drawn), 3), dtype=bool)
+        for row in np.flatnonzero(drawn).tolist():
+            slot, alice_setting, bob_setting = row // 9, row // 3 % 3, row % 3
+            values = state_statistic(
+                ("chsh", self.settings, alice_setting, bob_setting),
+                distinct[slot],
+                lambda state: self._branch_statistics(state, alice_setting, bob_setting),
             )
-            if alice_setting == 0:
-                continue  # A0 rounds are not part of the CHSH combination.
-            key = (alice_setting, bob_setting)
-            correlation_sums[key] += alice_outcome * bob_outcome
-            counts[key] += 1
+            missing[row] = [value is None for value in values]
+            statistics[row] = [0.0 if value is None else value for value in values]
 
+        alice_plus = alice_uniforms < statistics[rows, 0]
+        bob_column = np.where(alice_plus, 1, 2)
+        if missing[rows, bob_column].any():
+            raise NonPhysicalStateError(
+                "observable measurement hit a zero-probability outcome"
+            )
+        agree = alice_plus == (bob_uniforms < statistics[rows, bob_column])
+
+        # A0 rounds are not part of the CHSH combination.
+        kept = alice != 0
+        cells = (alice[kept] - 1) * 2 + (bob[kept] - 1)
+        totals = np.bincount(cells, minlength=4).tolist()
+        agreements = np.bincount(cells[agree[kept]], minlength=4).tolist()
+        keys = [(j, k) for j in (1, 2) for k in (1, 2)]
+        counts = dict(zip(keys, totals))
         correlations = {
-            key: (correlation_sums[key] / counts[key]) if counts[key] else 0.0
-            for key in counts
+            key: (2 * agreed - total) / total if total else 0.0
+            for key, agreed, total in zip(keys, agreements, totals)
         }
         value = (
             correlations[(1, 1)]
@@ -186,44 +223,6 @@ class DISecurityCheck:
         )
 
     # -- internals ----------------------------------------------------------------------
-    def _draw_alice_setting(self, generator) -> int:
-        if self.settings.use_a0:
-            return int(generator.integers(0, 3))
-        return int(generator.integers(1, 3))
-
-    def _measure_pair(
-        self,
-        pair: "Statevector | DensityMatrix",
-        alice_setting: int,
-        bob_setting: int,
-        generator,
-    ) -> tuple[int, int]:
-        """Measure one pair: Alice's observable on qubit 0, then Bob's on qubit 1.
-
-        The branch statistics ``(p_alice_plus, p_bob_plus | alice=+1,
-        p_bob_plus | alice=−1)`` are computed once per distinct (pair state,
-        setting pair) by :func:`~repro.quantum.density.state_statistic`; each
-        pair then consumes the two uniform draws two
-        :func:`~repro.quantum.measurement.measure_observable` calls would,
-        against the same floats.  ``None`` marks a zero-probability branch
-        (only an error if drawn).
-        """
-        if pair.num_qubits != 2:
-            raise ProtocolError("security-check pairs must be two-qubit states")
-        p_alice, p_bob_plus, p_bob_minus = state_statistic(
-            ("chsh", self.settings, alice_setting, bob_setting),
-            pair,
-            lambda state: self._branch_statistics(state, alice_setting, bob_setting),
-        )
-        alice_outcome = 1 if generator.random() < p_alice else -1
-        p_bob = p_bob_plus if alice_outcome == 1 else p_bob_minus
-        if p_bob is None:
-            raise NonPhysicalStateError(
-                "observable measurement hit a zero-probability outcome"
-            )
-        bob_outcome = 1 if generator.random() < p_bob else -1
-        return alice_outcome, bob_outcome
-
     def _branch_statistics(
         self,
         pair: "Statevector | DensityMatrix",

@@ -157,8 +157,7 @@ class ProtocolConfig:
         The number of check bits is chosen as roughly a quarter of the message
         length (at least 2), adjusted so ``n + c`` is even.
         """
-        if message_length < 1:
-            raise ConfigurationError("message_length must be positive")
+        check_count(message_length, "message_length")
         num_check_bits = cls.default_check_bits(message_length)
         return cls(
             message_length=message_length,
@@ -196,10 +195,8 @@ class ProtocolConfig:
     # -- validation --------------------------------------------------------------------
     def validate(self) -> "ProtocolConfig":
         """Raise :class:`ConfigurationError` if any parameter is inconsistent."""
-        if self.message_length < 1:
-            raise ConfigurationError("message_length must be positive")
-        if self.num_check_bits < 0:
-            raise ConfigurationError("num_check_bits cannot be negative")
+        check_count(self.message_length, "message_length")
+        check_count(self.num_check_bits, "num_check_bits", minimum=0)
         if (self.message_length + self.num_check_bits) % 2 != 0:
             raise ConfigurationError(
                 "message_length + num_check_bits must be even (2 bits per EPR pair)"

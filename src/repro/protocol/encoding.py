@@ -26,7 +26,6 @@ from repro.quantum.bell import BellState, bell_state
 from repro.quantum.operators import Operator, PAULI_MATRICES
 from repro.utils.bits import (
     Bits,
-    bits_to_str,
     chunk_bits,
     insert_check_bits,
     random_bits,
@@ -173,10 +172,6 @@ class EncodedMessage:
     def num_pairs(self) -> int:
         """Number of EPR pairs consumed by the message (``N``)."""
         return len(self.pauli_labels)
-
-    def message_string(self) -> str:
-        """The original message as a bitstring."""
-        return bits_to_str(self.message)
 
 
 class MessageEncoder:

@@ -14,7 +14,10 @@ is Bob's half.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.exceptions import ProtocolError
 from repro.protocol.encoding import (
@@ -27,7 +30,7 @@ from repro.protocol.encoding import (
 from repro.protocol.identity import Identity
 from repro.quantum.bell import BellState
 from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
-from repro.quantum.measurement import bell_basis_probability_vector, sample_bell_outcome
+from repro.quantum.measurement import BELL_OUTCOME_ORDER, bell_basis_probability_vector
 from repro.utils.bits import Bits
 from repro.utils.rng import as_rng
 
@@ -68,6 +71,37 @@ def _apply_plan(
 
 def _bell_probabilities(state: DensityMatrix):
     return bell_basis_probability_vector(state, [ALICE_QUBIT, BOB_QUBIT])
+
+
+#: ``Generator.choice``'s tolerance on ``|Σp − 1|`` for float64 ``p``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(len(p), p=probabilities)`` searches.
+
+    Runs ``choice``'s input checks (a Kahan sum, then NaN, negative entries
+    and the sum's distance from 1) and raises its ``ValueError``s.
+    """
+    values = probabilities.tolist()
+    total, compensation = values[0], 0.0
+    for value in values[1:]:
+        term = value - compensation
+        new_total = total + term
+        compensation = (new_total - total) - term
+        total = new_total
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if any(value < 0 for value in values):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring "
+            "for more information."
+        )
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass
@@ -202,17 +236,35 @@ class Bob:
         """Bell-state measurement of the listed pairs (one shot per pair).
 
         Each distinct pair state's Bell-outcome probabilities are computed
-        once (:func:`~repro.quantum.density.state_statistic`); every pair
-        then draws one outcome from them, exactly as
-        :func:`~repro.quantum.measurement.bell_measurement` would.
+        once (:func:`~repro.quantum.density.state_statistic`) and checked
+        once as ``Generator.choice`` checks them.  The uniforms come from one
+        ``random(len(positions))`` call, equal to one ``random()`` per pair,
+        and each pair's outcome is its uniform's place in the state's cdf, as
+        in ``choice(4, p=probabilities)``: the outcomes and the generator's
+        state are those of one
+        :func:`~repro.quantum.measurement.bell_measurement` per pair.
         """
-        outcomes: dict[int, BellState] = {}
         for position in positions:
             if position not in pairs:
                 raise ProtocolError(f"no pair at position {position}")
-            probabilities = state_statistic("bell", pairs[position], _bell_probabilities)
-            outcomes[position] = sample_bell_outcome(probabilities, rng=self.rng).bell_state
-        return outcomes
+        uniforms = self.rng.random(len(positions))
+        states = [pairs[position] for position in positions]
+        slot_of: dict[int, int] = {}
+        slots = [slot_of.setdefault(id(state), len(slot_of)) for state in states]
+        distinct = list({id(state): state for state in states}.values())
+        cdfs = np.array(
+            [
+                _choice_cdf(state_statistic("bell", state, _bell_probabilities))
+                for state in distinct
+            ]
+        ).reshape(-1, 4)
+        # Each cdf is non-decreasing, so the number of entries ≤ u is
+        # ``cdf.searchsorted(u, side="right")``.
+        indices = (cdfs[slots] <= uniforms[:, None]).sum(axis=1).tolist()
+        return {
+            position: BELL_OUTCOME_ORDER[index]
+            for position, index in zip(positions, indices)
+        }
 
     # -- verification of Alice ----------------------------------------------------------------------
     def verify_alice(

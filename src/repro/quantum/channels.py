@@ -160,11 +160,6 @@ class KrausChannel:
         kraus = [np.kron(a, b) for a in self._kraus for b in other._kraus]
         return KrausChannel(kraus, name=f"{self.name}⊗{other.name}", validate=False)
 
-    def expand_to(self, num_qubits: int, qubits: Sequence[int]) -> "KrausChannel":
-        """Embed the channel into a larger register acting on *qubits*."""
-        kraus = [embed_operator(k, list(qubits), num_qubits) for k in self._kraus]
-        return KrausChannel(kraus, name=self.name, validate=False)
-
     def choi_matrix(self) -> np.ndarray:
         """Return the Choi matrix ``sum_k (I (x) K_k) |Omega><Omega| (I (x) K_k)†``."""
         dim = self.dim

@@ -34,7 +34,6 @@ __all__ = [
     "bell_measurement",
     "bell_measurement_probabilities",
     "bell_basis_probability_vector",
-    "sample_bell_outcome",
     "bell_measurement_counts",
     "BELL_BITS_TO_STATE",
     "BELL_STATE_TO_BITS",
@@ -286,8 +285,7 @@ def bell_basis_probability_vector(
     """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
 
     Callers that measure many pairs of one state (Bob's Bell measurement)
-    compute the vector once and sample each outcome from it via
-    :func:`sample_bell_outcome`.
+    compute the vector once and sample each outcome from it.
     """
     from repro.quantum.bell import bell_projector
 
@@ -301,21 +299,6 @@ def bell_basis_probability_vector(
     if total <= 0:
         raise NonPhysicalStateError("state has no support on the Bell basis")
     return probs / total
-
-
-def sample_bell_outcome(
-    probabilities: np.ndarray, rng=None
-) -> BellMeasurementResult:
-    """Draw one Bell outcome from a precomputed probability vector.
-
-    Consumes exactly one ``Generator.choice`` draw — the same consumption as
-    :func:`bell_measurement`, so sampling from a cached vector is
-    bit-identical to measuring the state afresh.
-    """
-    generator = as_rng(rng)
-    index = int(generator.choice(4, p=probabilities))
-    which = BELL_OUTCOME_ORDER[index]
-    return BellMeasurementResult(bell_state=which, bits=BELL_STATE_TO_BITS[which])
 
 
 def bell_measurement_probabilities(
@@ -341,7 +324,8 @@ def bell_measurement(
     if len(qubit_pair) != 2:
         raise DimensionError("Bell-state measurement requires exactly two qubits")
     probs = bell_basis_probability_vector(state, qubit_pair)
-    return sample_bell_outcome(probs, rng=rng)
+    which = BELL_OUTCOME_ORDER[int(as_rng(rng).choice(4, p=probs))]
+    return BellMeasurementResult(bell_state=which, bits=BELL_STATE_TO_BITS[which])
 
 
 def bell_measurement_counts(

@@ -12,6 +12,9 @@ Where a stream must not depend on any generator state — a sweep point, a
 network session, a fragment retransmission, a runtime request —
 :func:`point_seed` derives its integer seed from a base seed and named tags
 alone, so the result never depends on call order.
+
+:func:`draw_setting_pairs` returns per-round scalar draws as arrays, bit for
+bit and with the generator left in the same state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import ExperimentError
 
-__all__ = ["RngLike", "as_rng", "derive_rng", "point_seed", "spawn_rngs"]
+__all__ = ["RngLike", "as_rng", "derive_rng", "draw_setting_pairs", "point_seed", "spawn_rngs"]
 
 #: Anything convertible to a :class:`numpy.random.Generator`.
 RngLike = "np.random.Generator | int | None"
@@ -71,6 +74,62 @@ def spawn_rngs(rng: np.random.Generator | int | None, count: int) -> list[np.ran
     parent = as_rng(rng)
     seeds = parent.integers(0, 2**63 - 1, size=count)
     return [np.random.default_rng(int(seed)) for seed in seeds]
+
+
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+
+
+def draw_setting_pairs(
+    generator: np.random.Generator, count: int, alice_low: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """*count* rounds of ``integers(alice_low, 3)``, ``integers(1, 3)``, ``random()``, ``random()``.
+
+    Returns ``(alice_settings, bob_settings, alice_uniforms, bob_uniforms)``
+    as int64 and float64 arrays, equal to those scalar calls made round by
+    round, with *generator* left in the same state (``alice_low`` is 0 or 1).
+
+    On a :class:`~numpy.random.PCG64` with no buffered 32-bit half, each round
+    is three raw 64-bit outputs.  ``integers(low, 3)`` is Lemire's method on
+    one ``next_uint32`` (the low half of an output, then its high half), and
+    ``random()`` is one whole output shifted right by 11.  A range of 2 never
+    rejects; a range of 3 rejects only a zero word, so a call that draws one
+    restores the saved state and makes the scalar calls instead, as does any
+    other bit generator or a buffered half.
+    """
+    if alice_low not in (0, 1):
+        raise ValueError(f"alice_low must be 0 or 1, got {alice_low}")
+    bit_generator = generator.bit_generator
+    if type(bit_generator) is np.random.PCG64:
+        state = bit_generator.state
+        if state["has_uint32"] == 0:
+            raw = bit_generator.random_raw(3 * count).reshape(count, 3)
+            alice_words = raw[:, 0] & _LOW_WORD
+            if alice_low == 1 or alice_words.all():
+                # Lemire's method: (word * range) >> 32; for Bob's range of 2
+                # on the high word that is the output's top bit.
+                alice = (alice_words * np.uint64(3 - alice_low)) >> np.uint64(32)
+                bob = raw[:, 0] >> np.uint64(63)
+                uniforms = (raw[:, 1:] >> np.uint64(11)) * 2.0**-53
+                return (
+                    alice.astype(np.int64) + alice_low,
+                    bob.astype(np.int64) + 1,
+                    uniforms[:, 0],
+                    uniforms[:, 1],
+                )
+            bit_generator.state = state
+    draws = np.array(
+        [
+            (
+                generator.integers(alice_low, 3),
+                generator.integers(1, 3),
+                generator.random(),
+                generator.random(),
+            )
+            for _ in range(count)
+        ]
+    ).reshape(count, 4)
+    settings = draws[:, :2].astype(np.int64)
+    return settings[:, 0], settings[:, 1], draws[:, 2], draws[:, 3]
 
 
 def _canonical_value(value: Any) -> str:

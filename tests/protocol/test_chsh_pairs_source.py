@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.security import chsh_epsilon
+from repro.channel.quantum_channel import DepolarizingChannel
 from repro.exceptions import ProtocolError
 from repro.protocol.chsh import CHSHEstimate, CHSHSettings, DISecurityCheck
 from repro.protocol.pairs import EPRPairRegister, PairRole
@@ -65,6 +67,20 @@ class TestDISecurityCheck:
         )
         estimate = DISecurityCheck().estimate([noisy] * 2000, rng=4)
         assert estimate.value == pytest.approx((1 - p) * TSIRELSON_BOUND, abs=0.25)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+    def test_depolarized_estimate_within_hoeffding_band_of_closed_form(self, p, seed):
+        """Sampled S against ``(1 − p)·2√2``, the closed form for |Φ+⟩ with one
+        half depolarized, within the Hoeffding half-width at a stated
+        false-alarm rate of 1e-6 per case (≈0.088 at n = 2¹⁸)."""
+        n = 2**18
+        pair = DepolarizingChannel(p).transmit(
+            bell_state(BellState.PHI_PLUS).density_matrix(), 0
+        )
+        estimate = DISecurityCheck().estimate([pair] * n, rng=seed)
+        band = chsh_epsilon(n, confidence=1 - 1e-6)
+        assert abs(estimate.value - (1 - p) * TSIRELSON_BOUND) <= band
 
     def test_use_a0_discards_some_samples(self):
         settings = CHSHSettings(use_a0=True)

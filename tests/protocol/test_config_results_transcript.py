@@ -60,6 +60,42 @@ class TestProtocolConfig:
     def test_validate_accepts_numpy_integer_pair_counts(self):
         replace(ProtocolConfig.default(8), check_pairs_per_round=np.int64(16)).validate()
 
+    @pytest.mark.parametrize(
+        "message_length, num_check_bits",
+        [
+            (2.5, 1.5),
+            (math.nan, 2),
+            (2, math.nan),
+            (math.inf, 2),
+            (2, math.inf),
+            (-math.inf, 2),
+            (2, -math.inf),
+        ],
+    )
+    def test_validate_rejects_non_integer_bit_counts(self, message_length, num_check_bits):
+        config = ProtocolConfig(
+            message_length=message_length, num_check_bits=num_check_bits, seed=1
+        )
+        with pytest.raises(ConfigurationError):
+            config.validate()
+
+    def test_fractional_bit_counts_fail_before_the_session(self):
+        # 2.5 + 1.5 is even, so only the integer check stands between this
+        # configuration and a TypeError deep inside the session.
+        from repro.protocol.runner import UADIQSDCProtocol
+
+        config = ProtocolConfig(message_length=2.5, num_check_bits=1.5, seed=1)
+        with pytest.raises(ConfigurationError, match="message_length"):
+            UADIQSDCProtocol(config).run("10")
+
+    @pytest.mark.parametrize("message_length", [2.5, math.nan, math.inf, -math.inf])
+    def test_default_rejects_non_integer_message_length(self, message_length):
+        with pytest.raises(ConfigurationError):
+            ProtocolConfig.default(message_length=message_length)
+
+    def test_validate_accepts_numpy_integer_bit_counts(self):
+        ProtocolConfig(message_length=np.int64(2), num_check_bits=np.int64(0)).validate()
+
     def test_validate_rejects_bad_tolerances(self):
         config = ProtocolConfig(message_length=2, num_check_bits=2,
                                 authentication_tolerance=1.5)
