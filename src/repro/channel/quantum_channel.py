@@ -12,9 +12,11 @@ All channels expose two complementary interfaces:
 * :meth:`QuantumChannel.extend_circuit` — append the channel's gate sequence
   to a :class:`~repro.quantum.circuit.QuantumCircuit` (this is how the paper's
   emulation composes Alice's and Bob's operations into one circuit);
-* :meth:`QuantumChannel.transmit` — apply the channel's noise map directly to
-  a :class:`~repro.quantum.density.DensityMatrix`, which the protocol runner
-  uses when it simulates pairs analytically instead of via full circuits.
+* :meth:`QuantumChannel.transmit_batch` — apply the channel's noise map
+  directly to :class:`~repro.quantum.density.DensityMatrix` pair states,
+  which the protocol runner uses when it simulates pairs analytically
+  instead of via full circuits (:meth:`~QuantumChannel.transmit` is its
+  one-state case).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
+from repro.quantum.density import DensityMatrix, map_distinct
 
 __all__ = [
     "QuantumChannel",
@@ -73,11 +75,11 @@ class QuantumChannel:
 
     A channel is a value: its noise map is fixed by its parameters (the
     dataclass channels below are frozen), so each object builds its
-    :meth:`single_use_channel` once and :meth:`transmit` outputs are shared
-    by every session over an equal map.  Subclasses must keep that rule:
-    the map a channel returns is an immutable value.  A subclass whose
-    ``transmit`` samples a random error realization per use must override
-    both :meth:`transmit` and :meth:`transmit_batch`.
+    :meth:`single_use_channel` once and :meth:`transmit_batch` outputs are
+    shared by every session over an equal map.  Subclasses must keep that
+    rule: the map a channel returns is an immutable value.  A subclass that
+    samples a random error realization per use overrides
+    :meth:`transmit_batch` only; :meth:`transmit` is its one-state case.
     """
 
     #: Human-readable channel name.
@@ -106,51 +108,31 @@ class QuantumChannel:
     def transmit(self, state: DensityMatrix, qubit: int) -> DensityMatrix:
         """Send one qubit of *state* through the channel and return the new state.
 
-        The output is memoised by
-        :func:`~repro.quantum.density.state_statistic`, tagged with *qubit*
-        and the raw bytes of the single-use map's Kraus operators, so every
-        session over an equal map shares it (the returned state's matrix is
-        read-only).  A miss applies the map to the live *state*, so a hit
-        returns exactly the bytes of
-        ``state.apply_kraus(self.single_use_channel().kraus_operators, [qubit])``.
+        The one-state case of :meth:`transmit_batch`.
         """
-        channel = self.single_use_channel()
-        kraus_bytes = b"".join(kraus.tobytes() for kraus in channel.kraus_operators)
-        tag = ("transmit", qubit, channel.dim, kraus_bytes)
-        return state_statistic(tag, state, lambda live: channel.apply(live, [qubit]))
+        return self.transmit_batch([state], qubit)[0]
 
     def transmit_batch(
         self, states: Sequence[DensityMatrix], qubit: int
     ) -> list[DensityMatrix]:
-        """Send qubit *qubit* of every state through the channel in one pass.
+        """Send qubit *qubit* of every state through the channel, aligned with *states*.
 
-        :meth:`transmit` runs once per *distinct* input state (through
-        :func:`~repro.quantum.density.map_distinct`) and identical inputs
-        share the result.  Protocol sessions transmit hundreds of pairs that
-        are all the same ``|Φ+⟩`` emission, so the pass collapses to a
-        single lookup of the process-wide transmit memo, and to a single
-        Kraus application the first time a state meets the map; the output
-        order matches the input order.  Sharing is safe because
-        :meth:`transmit` is deterministic (a CPTP map application), which
-        every channel in this module is.  A subclass whose ``transmit``
-        samples a random error realization per use MUST override both
-        ``transmit`` and ``transmit_batch`` (e.g. with a per-pair loop), or
-        all identical pairs would silently share one realization instead of
-        drawing independently.
-
-        Parameters
-        ----------
-        states:
-            Input states, one per transmitted pair.
-        qubit:
-            The qubit index (within each state) that traverses the channel.
-
-        Returns
-        -------
-        list of DensityMatrix
-            Transmitted states, aligned with *states*.
+        One :func:`~repro.quantum.density.map_distinct` lookup per distinct
+        state object, tagged with *qubit* and the map's
+        :meth:`~repro.quantum.channels.KrausChannel.content_key`, so every
+        session over an equal map shares the (read-only) outputs.  A miss
+        applies the map to the live state: each output is exactly the bytes
+        of ``state.apply_kraus(self.single_use_channel().kraus_operators, [qubit])``.
+        A subclass that samples a random error realization per use must
+        override this method (e.g. with a per-pair loop); otherwise equal
+        pairs would share one realization.
         """
-        return map_distinct(states, lambda state: self.transmit(state, qubit))
+        channel = self.single_use_channel()
+        return map_distinct(
+            ("transmit", qubit, *channel.content_key()),
+            states,
+            lambda live: channel.apply(live, [qubit]),
+        )
 
     def survival_probability(self) -> float:
         """Probability that a traversal applies no error at all (analytic estimate)."""

@@ -28,6 +28,7 @@ How to add a new sweep is documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 from collections.abc import Callable, Mapping, Sequence
@@ -230,6 +231,12 @@ def run_sweep(
     pool_type = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
     workers = max_workers or min(len(points), os.cpu_count() or 1)
     with pool_type(max_workers=workers) as pool:
-        futures = [pool.submit(worker, point.params, point.seed) for point in points]
+        # A fresh copy of the caller's context per thread task keeps span parenting.
+        futures = [
+            pool.submit(worker, point.params, point.seed)
+            if executor == "process"
+            else pool.submit(contextvars.copy_context().run, worker, point.params, point.seed)
+            for point in points
+        ]
         values = [future.result() for future in futures]
     return SweepResult(points=points, values=values)

@@ -60,6 +60,7 @@ from repro.network.sessions import (
     SessionOutcome,
     SessionParameters,
     SessionRequest,
+    check_request_count,
     run_session,
 )
 from repro.network.topology import NetworkTopology
@@ -119,12 +120,10 @@ class PoissonTraffic:
         message_length: int = 8,
         priority_mix: Mapping[str, float] | None = None,
     ):
-        if num_sessions < 1:
-            raise NetworkError("num_sessions must be positive")
+        check_request_count(num_sessions, "num_sessions")
         if not (math.isfinite(rate) and rate > 0):
             raise NetworkError("rate must be finite and positive")
-        if message_length < 1:
-            raise NetworkError("message_length must be positive")
+        check_request_count(message_length, "message_length")
         if priority_mix is not None:
             if not priority_mix:
                 raise NetworkError("priority_mix must name at least one class")
@@ -204,7 +203,8 @@ class TraceTraffic:
             time = float(time)
             if not math.isfinite(time):
                 raise NetworkError(f"trace entry time must be finite, got {entry!r}")
-            normalized.append((time, str(source), str(target), int(length), str(priority)))
+            length = check_request_count(length, "trace entry length")
+            normalized.append((time, str(source), str(target), length, str(priority)))
         self.entries = sorted(normalized)
 
     def generate(self, topology: NetworkTopology, rng: Any = None) -> list[SessionRequest]:

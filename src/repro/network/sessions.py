@@ -26,6 +26,7 @@ message bits and any attack randomness derive from it via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,6 +62,14 @@ STATUS_DELIVERED = "delivered"
 STATUS_DELIVERED_WITH_ERRORS = "delivered_with_errors"
 STATUS_ABORTED = "aborted"
 STATUS_REJECTED = "rejected"
+
+
+def check_request_count(value: Any, name: str) -> int:
+    """:func:`~repro.protocol.config.check_count`, raising :class:`NetworkError`."""
+    try:
+        return check_count(value, name)
+    except ConfigurationError as error:
+        raise NetworkError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -122,10 +131,9 @@ class SessionRequest:
             raise NetworkError("session source and target must differ")
         if not self.priority:
             raise NetworkError("priority must be a non-empty class name")
-        if self.message_length < 1:
-            raise NetworkError("message_length must be positive")
-        if self.arrival_time < 0:
-            raise NetworkError("arrival_time must be non-negative")
+        check_request_count(self.message_length, "message_length")
+        if not 0 <= self.arrival_time < math.inf:
+            raise NetworkError("arrival_time must be finite and non-negative")
         if self.message is not None:
             if not all(ch in "01" for ch in self.message):
                 raise NetworkError("message must be a '0'/'1' bitstring")

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.exceptions import NonPhysicalStateError, ProtocolError
 from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
-from repro.quantum.density import DensityMatrix, state_statistic
+from repro.quantum.density import DensityMatrix, group_by_object, state_statistic
 from repro.quantum.measurement import equatorial_observable, observable_branches
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng, draw_setting_pairs
@@ -154,11 +154,11 @@ class DISecurityCheck:
         all of them as arrays, so the stream is the one a pair-by-pair loop
         consumes.  The branch statistics ``(p_alice_plus, p_bob_plus |
         alice=+1, p_bob_plus | alice=−1)`` are looked up once per distinct
-        pair object and drawn setting pair
-        (:func:`~repro.quantum.density.state_statistic`), and every outcome
-        compares its uniform against those floats.  A zero-probability
-        branch raises :class:`~repro.exceptions.NonPhysicalStateError` only
-        if it is drawn.
+        pair object (:func:`~repro.quantum.density.group_by_object`) and
+        drawn setting pair (:func:`~repro.quantum.density.state_statistic`),
+        and every outcome compares its uniform against those floats.  A
+        zero-probability branch raises
+        :class:`~repro.exceptions.NonPhysicalStateError` only if it is drawn.
         """
         if not pairs:
             raise ProtocolError("the DI security check needs at least one pair")
@@ -166,15 +166,12 @@ class DISecurityCheck:
             as_rng(rng), len(pairs), alice_low=0 if self.settings.use_a0 else 1
         )
 
-        # Pair states are never mutated, so one object is one state.
-        slot_of: dict[int, int] = {}
-        slots = np.array([slot_of.setdefault(id(pair), len(slot_of)) for pair in pairs])
-        distinct = list({id(pair): pair for pair in pairs}.values())
+        slots, distinct = group_by_object(pairs)
         if any(pair.num_qubits != 2 for pair in distinct):
             raise ProtocolError("security-check pairs must be two-qubit states")
 
         # One row per (distinct pair, Alice setting, Bob setting).
-        rows = (slots * 3 + alice) * 3 + bob
+        rows = (np.array(slots) * 3 + alice) * 3 + bob
         drawn = np.zeros(len(distinct) * 9, dtype=bool)
         drawn[rows] = True
         statistics = np.zeros((len(drawn), 3))

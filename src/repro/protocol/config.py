@@ -24,8 +24,8 @@ from repro.utils.rng import as_rng
 __all__ = ["ProtocolConfig", "check_count"]
 
 
-def check_count(value, name: str, minimum: int = 1) -> None:
-    """Raise :class:`ConfigurationError` unless *value* is an integer ≥ *minimum*.
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """*value* as an ``int``; :class:`ConfigurationError` unless it is an integer ≥ *minimum*.
 
     Any integer type passes (``operator.index``: ``int``, ``np.int64`` …),
     as in :func:`~repro.quantum.batch.check_shots`, so NaN, ±∞, fractions
@@ -37,6 +37,7 @@ def check_count(value, name: str, minimum: int = 1) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
         raise ConfigurationError(f"{name} must be at least {minimum}, got {count}")
+    return count
 
 
 @dataclass

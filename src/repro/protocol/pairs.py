@@ -47,7 +47,6 @@ class EPRPairRegister:
     num_message_pairs: int
     num_identity_pairs: int
     num_check_pairs: int
-    _roles: dict[int, PairRole] = field(default_factory=dict, repr=False)
     #: Each role's positions in increasing order, kept as roles are assigned.
     _positions: dict[PairRole, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
@@ -58,7 +57,6 @@ class EPRPairRegister:
             raise ProtocolError("the protocol needs at least one identity pair per party")
         if self.num_check_pairs < 1:
             raise ProtocolError("the protocol needs at least one check pair per round")
-        self._roles = {index: PairRole.UNASSIGNED for index in range(self.total_pairs)}
         self._positions = {role: () for role in PairRole}
         self._positions[PairRole.UNASSIGNED] = tuple(range(self.total_pairs))
 
@@ -103,8 +101,6 @@ class EPRPairRegister:
         generator = as_rng(rng)
         chosen = generator.choice(len(available), size=count, replace=False)
         positions = tuple(sorted(available[int(i)] for i in chosen))
-        for position in positions:
-            self._roles[position] = role
         taken = set(positions)
         self._positions[PairRole.UNASSIGNED] = tuple(
             position for position in available if position not in taken
@@ -115,9 +111,10 @@ class EPRPairRegister:
     # -- queries ---------------------------------------------------------------------
     def role_of(self, position: int) -> PairRole:
         """Role of the pair at *position*."""
-        if position not in self._roles:
-            raise ProtocolError(f"pair position {position} does not exist")
-        return self._roles[position]
+        for role, positions in self._positions.items():
+            if position in positions:
+                return role
+        raise ProtocolError(f"pair position {position} does not exist")
 
     def positions(self, role: PairRole) -> tuple[int, ...]:
         """All positions currently assigned to *role*, in increasing order."""

@@ -29,7 +29,7 @@ from repro.protocol.encoding import (
 )
 from repro.protocol.identity import Identity
 from repro.quantum.bell import BellState
-from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
+from repro.quantum.density import DensityMatrix, group_by_object, map_distinct, state_statistic
 from repro.quantum.measurement import BELL_OUTCOME_ORDER, bell_basis_probability_vector
 from repro.utils.bits import Bits
 from repro.utils.rng import as_rng
@@ -48,8 +48,10 @@ def _apply_plan(
 ) -> dict[int, DensityMatrix]:
     """Apply a position → Pauli plan to one half of the given pairs.
 
-    Positions are grouped by label, and each label's Pauli is applied once
-    per distinct pair state among its positions.
+    Positions are grouped by label, and each label's Pauli goes through
+    :func:`~repro.quantum.density.map_distinct`, tagged
+    ``("pauli", label.upper(), qubit)``: one memo lookup per distinct pair
+    object, shared by every session (evolved states are read-only).
     """
     by_label: dict[str, list[int]] = {}
     for position, label in plan.items():
@@ -62,6 +64,7 @@ def _apply_plan(
             continue
         pauli = pauli_operator(label)
         evolved = map_distinct(
+            ("pauli", label.upper(), qubit),
             [pairs[position] for position in positions],
             lambda state: state.evolve(pauli, [qubit]),
         )
@@ -248,10 +251,7 @@ class Bob:
             if position not in pairs:
                 raise ProtocolError(f"no pair at position {position}")
         uniforms = self.rng.random(len(positions))
-        states = [pairs[position] for position in positions]
-        slot_of: dict[int, int] = {}
-        slots = [slot_of.setdefault(id(state), len(slot_of)) for state in states]
-        distinct = list({id(state): state for state in states}.values())
+        slots, distinct = group_by_object([pairs[position] for position in positions])
         cdfs = np.array(
             [
                 _choice_cdf(state_statistic("bell", state, _bell_probabilities))

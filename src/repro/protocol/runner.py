@@ -339,15 +339,10 @@ class UADIQSDCProtocol:
     def _share_entanglement(
         self, register: EPRPairRegister, attack
     ) -> dict[int, DensityMatrix]:
-        """Emit every pair and distribute Bob's halves (batched channel pass).
+        """Emit every pair and distribute Bob's halves in one channel pass.
 
-        The honest source emits the same ``|Φ+⟩`` state for every index, so
-        the distribution channel is applied through
-        :meth:`~repro.channel.quantum_channel.QuantumChannel.transmit_batch`,
-        which collapses identical inputs to a single Kraus application.  The
-        attack's source hook (if any) still sees every pair individually, in
-        index order, after distribution — the same observation point as the
-        sequential implementation.
+        The attack's source hook (if any) then sees every pair, in index
+        order, after distribution.
         """
         emitted = self.config.source.emit_many(register.total_pairs)
         if self.config.distribution_channel is not None:
@@ -364,24 +359,24 @@ class UADIQSDCProtocol:
     ) -> dict[int, DensityMatrix]:
         """Hold Alice's halves in quantum memory while the round-1 check runs.
 
-        The configured storage-decoherence channel is applied to Alice's
-        qubit once per whole unit of ``config.memory_hold_time`` (the hold
-        time rounded down), once per *distinct* pair state.  With the default ideal memory (no
-        decoherence channel, zero hold time) the pairs pass through untouched
-        and no phase is recorded, so results stay bit-identical to the
-        paper's ideal-memory sessions.
+        The storage-decoherence channel is applied to Alice's qubit once per
+        whole unit of ``config.memory_hold_time``, in one pass over the
+        pairs.  With the default ideal memory (no decoherence channel, zero
+        hold time) the pairs pass through untouched and no phase is recorded.
         """
         decoherence = self.config.memory_decoherence
         hold_time = self.config.memory_hold_time
+        steps = int(hold_time)
         held = pairs
-        if decoherence is not None:
+        if decoherence is not None and steps > 0:
 
             def hold(state: DensityMatrix) -> DensityMatrix:
-                for _ in range(int(hold_time)):
+                for _ in range(steps):
                     state = decoherence.apply(state, [ALICE_QUBIT])
                 return state
 
-            held = dict(zip(pairs, map_distinct(list(pairs.values()), hold)))
+            tag = ("hold", ALICE_QUBIT, steps, *decoherence.content_key())
+            held = dict(zip(pairs, map_distinct(tag, list(pairs.values()), hold)))
         if decoherence is not None or hold_time > 0:
             transcript.record_phase(
                 "memory_hold",
@@ -395,16 +390,13 @@ class UADIQSDCProtocol:
     def _transmit(
         self, pairs: dict[int, DensityMatrix], attack
     ) -> dict[int, DensityMatrix]:
-        """Send Alice's halves through the quantum channel (and any attack).
+        """Send Alice's halves through the quantum channel in one pass.
 
-        The channel pass is batched over identical pair states; the attack's
-        transmission hook (if any) then intercepts each transmitted pair in
-        position order, exactly as in the sequential implementation.
+        The attack's transmission hook (if any) then intercepts each
+        transmitted pair in position order.
         """
         positions = list(pairs)
-        transmitted = self.config.channel.transmit_batch(
-            [pairs[position] for position in positions], ALICE_QUBIT
-        )
+        transmitted = self.config.channel.transmit_batch(list(pairs.values()), ALICE_QUBIT)
         if attack is not None and hasattr(attack, "intercept_transmission"):
             transmitted = [
                 attack.intercept_transmission(position, state)

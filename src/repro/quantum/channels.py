@@ -104,9 +104,13 @@ class KrausChannel:
         """The list of Kraus matrices (not copied).
 
         Treat them as read-only: :meth:`apply` keeps their embeddings, and
-        channel transmit memos are keyed by their bytes.
+        memos of the map's outputs are keyed by :meth:`content_key`.
         """
         return self._kraus
+
+    def content_key(self) -> tuple[int, bytes]:
+        """Dimension and raw Kraus bytes: the memo tag part naming this map."""
+        return self.dim, b"".join(kraus.tobytes() for kraus in self._kraus)
 
     @property
     def num_qubits(self) -> int:

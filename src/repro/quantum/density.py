@@ -10,8 +10,8 @@ The qubit order convention matches :class:`repro.quantum.states.Statevector`
 (big-endian).
 
 A protocol session handles hundreds of pair states that take only a handful
-of distinct values.  :func:`map_distinct` and :func:`state_statistic` are the
-one place that shares work between states of equal content.
+of distinct values.  :func:`group_by_object`, :func:`map_distinct` and
+:func:`state_statistic` are the one place that shares work between them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.quantum.operators import Operator, embed_operator
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng
 
-__all__ = ["DensityMatrix", "map_distinct", "state_statistic"]
+__all__ = ["DensityMatrix", "group_by_object", "map_distinct", "state_statistic"]
 
 _ATOL = 1e-8
 
@@ -310,27 +310,31 @@ def _content_key(state: "DensityMatrix | Statevector") -> tuple[type, bytes]:
     return type(state), state.vector.tobytes()
 
 
+def group_by_object(states: Sequence[Any]) -> tuple[list[int], list[Any]]:
+    """Each state's slot and the distinct objects: ``distinct[slots[i]] is states[i]``.
+
+    Slots follow first appearance.  States never mutate and memo hits return
+    one object per content, so grouping by identity needs no byte hashing.
+    """
+    slot_of: dict[int, int] = {}
+    slots = [slot_of.setdefault(id(state), len(slot_of)) for state in states]
+    distinct = list({id(state): state for state in states}.values())
+    return slots, distinct
+
+
 def map_distinct(
+    tag: Hashable,
     states: Sequence["DensityMatrix | Statevector"],
     fn: Callable[[Any], _T],
 ) -> list[_T]:
-    """``[fn(state) for state in states]``, calling *fn* once per distinct content.
+    """``[state_statistic(tag, state, fn) for state in states]``, one lookup per object.
 
-    Equal inputs share one output object, and the output order matches the
-    input order.  *fn* must be deterministic: a map that samples a random
-    realization per call would hand one draw to every equal input.  Sharing
-    is safe because state operations never mutate in place.
+    *fn* must be deterministic: a map that samples a random realization per
+    call would hand one draw to every equal input.
     """
-    outputs: dict[tuple[type, bytes], _T] = {}
-    mapped: list[_T] = []
-    for state in states:
-        key = _content_key(state)
-        if key in outputs:
-            output = outputs[key]
-        else:
-            output = outputs[key] = fn(state)
-        mapped.append(output)
-    return mapped
+    slots, distinct = group_by_object(states)
+    outputs = [state_statistic(tag, state, fn) for state in distinct]
+    return [outputs[slot] for slot in slots]
 
 
 #: Entries kept by :func:`state_statistic`; the memo is cleared when full, as

@@ -10,9 +10,11 @@ three entry points:
 * :meth:`Tracer.event` — a zero-duration marker.
 
 Parenting uses a :class:`contextvars.ContextVar`: within one thread, spans
-nest lexically.  Worker threads (the sweep substrate's thread pools) start
-with an empty context, so their spans attach to the synthetic root span —
-the trace stays one connected tree whatever executor runs the workload.
+nest lexically.  The sweep substrate's thread executor runs each task in a
+copy of the submitting context, so spans opened there nest under the span
+open around the sweep (``network.execution``, ``service.send``).  Any other
+thread starts with an empty context, so its spans attach to the synthetic
+root span — the trace stays one connected tree whatever runs the workload.
 All tracer state is mutated under one lock; the clock is only read by the
 thread owning the span, so a deterministic :class:`~repro.telemetry.clock.TickClock`
 yields reproducible timestamps under the serial executor.

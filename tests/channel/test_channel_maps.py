@@ -1,7 +1,9 @@
-"""Per-object channel maps, cached Kraus embeddings and memoised transmits.
+"""Per-object channel maps, cached Kraus embeddings and memoised session maps.
 
-Every cached path is held byte for byte to the uncached reference
-``state.apply_kraus(channel.single_use_channel().kraus_operators, [qubit])``.
+Every cached path is held byte for byte to its uncached reference:
+``state.apply_kraus(channel.single_use_channel().kraus_operators, [qubit])``
+for transmits, ``state.evolve(pauli_operator(label), [qubit])`` for the
+parties' Pauli plans and repeated ``decoherence.apply`` for the memory hold.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from repro.channel.quantum_channel import (
 )
 from repro.exceptions import DimensionError
 from repro.network.dynamics import evolve_channel
+from repro.protocol.config import ProtocolConfig
+from repro.protocol.encoding import pauli_operator
+from repro.protocol.parties import ALICE_QUBIT, BOB_QUBIT, Alice, Bob
+from repro.protocol.runner import UADIQSDCProtocol
+from repro.protocol.transcript import ProtocolTranscript
 from repro.quantum import density
 from repro.quantum.bell import BellState, bell_state
 from repro.quantum.channels import (
@@ -95,6 +102,15 @@ class TestTransmitBitIdentity:
             _reference(channel, state, 0) for state in states
         ]
 
+    @pytest.mark.parametrize("name", list(_channels()))
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_transmit_is_the_one_state_batch(self, empty_memo, name, qubit):
+        channel = _channels()[name]
+        for state in _pair_states():
+            batch = channel.transmit_batch([state], qubit)[0].matrix.tobytes()
+            density._STATISTIC_MEMO.clear()
+            assert channel.transmit(state, qubit).matrix.tobytes() == batch
+
     def test_memoised_outputs_are_read_only(self, empty_memo):
         state = bell_state(BellState.PSI_MINUS).density_matrix()
         output = IdentityChainChannel(eta=10).transmit(state, 0)
@@ -115,6 +131,42 @@ class TestTransmitBitIdentity:
         assert IdentityChainChannel(eta=10).transmit(state, 0) is first
         assert IdentityChainChannel(eta=11).transmit(state, 0) is not first
         assert IdentityChainChannel(eta=10).transmit(state, 1) is not first
+
+
+class TestSessionMaps:
+    @pytest.mark.parametrize(
+        "party, qubit", [(Alice, ALICE_QUBIT), (Bob, BOB_QUBIT)], ids=["alice", "bob"]
+    )
+    def test_pauli_plans_match_evolve(self, empty_memo, party, qubit):
+        labels = ["I", "X", "Y", "Z", "x"]
+        # Each state object sits at ten positions, so every label meets it twice.
+        pairs = dict(enumerate(s for s in _pair_states() for _ in range(2 * len(labels))))
+        plan = {index: labels[index % len(labels)] for index in pairs}
+        for _ in range(2):  # a miss, then a memo hit
+            applied = party.apply_plan(pairs, plan)
+            for index, state in pairs.items():
+                if plan[index] == "I":
+                    assert applied[index] is state
+                    continue
+                expected = state.evolve(pauli_operator(plan[index]), [qubit])
+                assert applied[index].matrix.tobytes() == expected.matrix.tobytes()
+                assert not applied[index].matrix.flags.writeable
+
+    @pytest.mark.parametrize("hold_time", [1.0, 2.7])
+    def test_memory_hold_matches_repeated_apply(self, empty_memo, hold_time):
+        decoherence = thermal_relaxation_channel(100e-6, 80e-6, 5e-6)
+        protocol = UADIQSDCProtocol(
+            ProtocolConfig.default(8, seed=1).with_memory(decoherence, hold_time)
+        )
+        pairs = dict(enumerate(_pair_states() * 2))
+        for _ in range(2):  # a miss, then a memo hit
+            held = protocol._memory_hold(pairs, ProtocolTranscript())
+            for index, state in pairs.items():
+                expected = state
+                for _ in range(int(hold_time)):
+                    expected = decoherence.apply(expected, [ALICE_QUBIT])
+                assert held[index].matrix.tobytes() == expected.matrix.tobytes()
+                assert not held[index].matrix.flags.writeable
 
 
 def _two_qubit_map():

@@ -69,6 +69,11 @@ class TestTrafficModels:
             lambda: PoissonTraffic(num_sessions=1, rate=float("inf")),
             lambda: PoissonTraffic(num_sessions=1, priority_mix={"bulk": float("nan")}),
             lambda: TraceTraffic([(float("nan"), "n0", "n1", 8)]),
+            lambda: PoissonTraffic(num_sessions=float("nan")),
+            lambda: PoissonTraffic(num_sessions=2.5),
+            lambda: PoissonTraffic(num_sessions=1, message_length=2.5),
+            lambda: TraceTraffic([(0.0, "n0", "n1", float("nan"))]),
+            lambda: TraceTraffic([(0.0, "n0", "n1", 2.5)]),
             lambda: NetworkScheduler(line_topology(2), max_wait=float("nan")),
             lambda: NetworkScheduler(line_topology(2), hop_overhead=float("nan")),
             lambda: NetworkScheduler(line_topology(2), hold_time_unit=float("nan")),
@@ -79,6 +84,11 @@ class TestTrafficModels:
             "rate-inf",
             "priority-weight-nan",
             "trace-time-nan",
+            "num-sessions-nan",
+            "num-sessions-fractional",
+            "message-length-fractional",
+            "trace-length-nan",
+            "trace-length-fractional",
             "max-wait-nan",
             "hop-overhead-nan",
             "hold-time-unit-nan",
@@ -87,7 +97,9 @@ class TestTrafficModels:
     )
     def test_non_finite_parameters_rejected(self, build):
         # NaN fails every ``x < 0`` comparison, so sign checks alone let it
-        # through to the event heap, where tuple ordering is undefined.
+        # through to the event heap, where tuple ordering is undefined; a
+        # fractional count used to fail later with a bare TypeError, or be
+        # truncated.
         with pytest.raises(NetworkError):
             build()
 

@@ -49,6 +49,19 @@ class TestSessionRequest:
         with pytest.raises(NetworkError):
             SessionRequest(0, "a", "b", 8, -1.0)
 
+    @pytest.mark.parametrize(
+        "message_length, arrival_time",
+        [(math.nan, 0.0), (2.5, 0.0), (8, math.nan), (8, math.inf)],
+        ids=["length-nan", "length-fractional", "arrival-nan", "arrival-inf"],
+    )
+    def test_non_integer_length_and_non_finite_arrival_rejected(
+        self, message_length, arrival_time
+    ):
+        # These used to construct and fail inside simulate_network with a
+        # bare TypeError or a misleading memory_hold_time error.
+        with pytest.raises(NetworkError):
+            SessionRequest(0, "a", "b", message_length, arrival_time)
+
     def test_explicit_message_validation(self):
         with pytest.raises(NetworkError):
             SessionRequest(0, "a", "b", 8, 0.0, message="10x10010")

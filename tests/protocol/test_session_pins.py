@@ -1,8 +1,11 @@
 """Session results pinned to literals and checked against per-pair references.
 
 Every protocol session runs one code path, which shares work between pair
-states of equal content through :mod:`repro.quantum.density`'s
-``map_distinct`` and ``state_statistic``.  The checks here hold it to:
+states through :mod:`repro.quantum.density`: pairs are grouped by object
+(``group_by_object``), and every per-pair map (transmits, Pauli plans, the
+memory hold) and statistic is memoised per distinct object by
+``state_statistic``, through ``map_distinct`` for the maps.  The checks
+here hold it to:
 
 * fingerprints of whole sessions recorded before the sharing was
   centralised (``SESSION_PINS``), whatever the memo state;

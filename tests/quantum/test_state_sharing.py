@@ -1,4 +1,5 @@
-"""The contract of ``map_distinct`` and ``state_statistic`` in repro.quantum.density."""
+"""The contract of ``group_by_object``, ``map_distinct`` and ``state_statistic``
+in repro.quantum.density."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.quantum import density
-from repro.quantum.density import DensityMatrix, map_distinct, state_statistic
+from repro.quantum.density import (
+    DensityMatrix,
+    group_by_object,
+    map_distinct,
+    state_statistic,
+)
 from repro.quantum.states import Statevector
 
 
@@ -35,8 +41,27 @@ def empty_memo():
     density._STATISTIC_MEMO.clear()
 
 
+class TestGroupByObject:
+    def test_slots_index_distinct_objects_in_first_appearance_order(self):
+        first, second, third = _diagonal(0.1), _diagonal(0.2), _diagonal(0.3)
+        first_copy = DensityMatrix(first)  # equal content, another object
+        states = [second, first, second, first_copy, third, first]
+        slots, distinct = group_by_object(states)
+        assert all(distinct[slot] is state for slot, state in zip(slots, states))
+        assert slots == [0, 1, 0, 2, 3, 1]
+        assert [id(state) for state in distinct] == [
+            id(second),
+            id(first),
+            id(first_copy),
+            id(third),
+        ]
+
+    def test_empty_input(self):
+        assert group_by_object([]) == ([], [])
+
+
 class TestMapDistinct:
-    def test_one_call_per_distinct_content_in_input_order(self):
+    def test_one_call_per_distinct_content_in_input_order(self, empty_memo):
         first, second, third = _diagonal(0.1), _diagonal(0.2), _diagonal(0.3)
         first_copy = DensityMatrix(first)  # equal content, another object
         calls = []
@@ -45,20 +70,57 @@ class TestMapDistinct:
             calls.append(state)
             return float(state.matrix[0, 0].real)
 
-        mapped = map_distinct([first, second, first_copy, second, third], fn)
+        mapped = map_distinct("p0", [first, second, first_copy, second, third], fn)
         assert mapped == [0.1, 0.2, 0.1, 0.2, 0.3]
         assert calls == [first, second, third]
 
-    def test_equal_inputs_share_one_output_object(self):
+    def test_equal_inputs_share_one_output_object(self, empty_memo):
         first, second = _diagonal(0.25), _diagonal(0.75)
         mapped = map_distinct(
-            [first, second, DensityMatrix(first)], lambda state: state.evolve(np.eye(2))
+            "evolve",
+            [first, second, DensityMatrix(first), second],
+            lambda state: state.evolve(np.eye(2)),
         )
         assert mapped[0] is mapped[2]
+        assert mapped[1] is mapped[3]
         assert mapped[0] is not mapped[1]
 
-    def test_empty_input(self):
-        assert map_distinct([], lambda state: state) == []
+    def test_empty_input(self, empty_memo):
+        assert map_distinct("identity", [], lambda state: state) == []
+
+    def test_statevector_and_density_matrix_with_equal_bytes_do_not_share(
+        self, empty_memo
+    ):
+        vector = Statevector(np.full(4, 0.5, dtype=complex))  # 2 qubits
+        matrix = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))  # 1 qubit
+        assert vector.vector.tobytes() == matrix.matrix.tobytes()
+        assert map_distinct("kind", [vector, matrix, vector], lambda state: type(state)) == [
+            Statevector,
+            DensityMatrix,
+            Statevector,
+        ]
+
+    def test_repeated_object_costs_one_content_key(self, empty_memo, monkeypatch):
+        calls = []
+        content_key = density._content_key
+
+        def counted(state):
+            calls.append(state)
+            return content_key(state)
+
+        monkeypatch.setattr(density, "_content_key", counted)
+        first, second = _diagonal(0.1), _diagonal(0.9)
+        mapped = map_distinct(
+            "p0", [first] * 500 + [second] * 500, lambda s: float(s.matrix[0, 0].real)
+        )
+        assert mapped == [0.1] * 500 + [0.9] * 500
+        assert calls == [first, second]
+
+    def test_shares_the_process_wide_memo(self, empty_memo):
+        state = _diagonal(0.4)
+        first = map_distinct("evolve", [state], lambda s: s.evolve(np.eye(2)))[0]
+        assert state_statistic("evolve", DensityMatrix(state), lambda s: None) is first
+        assert not first.matrix.flags.writeable
 
 
 class TestStateStatistic:
@@ -68,10 +130,6 @@ class TestStateStatistic:
         assert vector.vector.tobytes() == matrix.matrix.tobytes()
         assert state_statistic("kind", vector, lambda state: "statevector") == "statevector"
         assert state_statistic("kind", matrix, lambda state: "density") == "density"
-        assert map_distinct([vector, matrix], lambda state: type(state)) == [
-            Statevector,
-            DensityMatrix,
-        ]
 
     def test_tag_separates_statistics_of_one_state(self, empty_memo):
         state = _diagonal(0.4)

@@ -182,12 +182,26 @@ class TestGracefulShutdown:
         assert first == second
 
     def test_drain_timeout_cancels_unstarted_work(self, config):
-        engine = DeliveryEngine(config, max_workers=1, seed=5)
+        # The one worker blocks inside its first send until close returns,
+        # so unstarted work remains when the drain timeout fires however
+        # fast a send is.
+        started, release = threading.Event(), threading.Event()
+
+        def gate(index, attempt, rng):
+            started.set()
+            release.wait(timeout=30)
+            return None
+
+        engine = DeliveryEngine(config.with_attack_factory(gate), max_workers=1, seed=5)
         futures = [engine.submit("x") for _ in range(20)]
+        assert started.wait(timeout=30)
         engine.close(drain=True, timeout=0.05)
+        release.set()
         deliveries = [future.result(timeout=30) for future in futures]
         assert any(d.status == "cancelled" and d.reason == "drain_timeout"
                    for d in deliveries)
+        gated = [d for d in deliveries if d.status != "cancelled"]
+        assert len(gated) == 1 and gated[0].ok
 
     def test_context_manager_drains_on_clean_exit(self, config):
         with DeliveryEngine(config, max_workers=2, seed=5) as engine:

@@ -12,12 +12,15 @@ The three guarantees the ISSUE pins:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import telemetry
 from repro.api.config import ServiceConfig
 from repro.api.service import MessagingService
 from repro.experiments.network_scale import run_network_scale
+from repro.network import PoissonTraffic, SessionParameters, grid_topology, simulate_network
 
 
 def _traced_send(payload: str) -> tuple:
@@ -50,6 +53,36 @@ class TestDeterminism:
             return session.document.dumps()
 
         assert run() == run()
+
+
+class TestThreadedParenting:
+    @staticmethod
+    def _trace(executor: str):
+        with telemetry.capture(clock="ticks") as session:
+            simulate_network(
+                grid_topology(2, 2, qubit_capacity=200),
+                PoissonTraffic(num_sessions=4, rate=400.0, message_length=4),
+                session_params=SessionParameters(identity_pairs=1, check_pairs_per_round=8),
+                seed=3,
+                executor=executor,
+                max_workers=2,
+            )
+        return session.document
+
+    def test_thread_executor_spans_nest_under_the_simulation(self):
+        serial, threaded = self._trace("serial"), self._trace("thread")
+        assert Counter(span.name for span in threaded.spans) == Counter(
+            span.name for span in serial.spans
+        )
+        by_id = {span.span_id: span for span in threaded.spans}
+        sessions = [span for span in threaded.spans if span.name == "network.session"]
+        assert sessions
+        for span in sessions:
+            ancestors = []
+            while span.parent_id in by_id:
+                span = by_id[span.parent_id]
+                ancestors.append(span.name)
+            assert "network.simulate" in ancestors
 
 
 class TestDisabledModeBitIdentity:
