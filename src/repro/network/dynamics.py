@@ -36,6 +36,7 @@ constructor arguments; seed-derived builders (:meth:`OutageSchedule.random`,
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -58,6 +59,7 @@ __all__ = [
     "NetworkDynamics",
     "evolve_channel",
     "link_key",
+    "route_blocking",
     "CONDITION_PROFILES",
     "condition_profile",
 ]
@@ -68,11 +70,25 @@ DRIFT_KINDS = ("constant", "linear", "sinusoid", "step", "piecewise")
 #: Wildcard key selecting every link in :class:`NetworkDynamics` drift maps.
 GLOBAL_KEY = "*"
 
+#: A path's failure-prone elements with their windows, as
+#: :meth:`OutageSchedule.route_windows` returns them.
+RouteWindows = tuple[tuple[tuple[str, str], tuple["OutageWindow", ...]], ...]
+
 
 def link_key(node_a: str, node_b: str) -> str:
     """Canonical string key of an undirected link (sorted endpoints)."""
     first, second = sorted((node_a, node_b))
     return f"{first}|{second}"
+
+
+def _require_finite(value: Any, what: str) -> None:
+    """Raise :class:`NetworkError` unless *value* is a finite number."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise NetworkError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,13 +132,25 @@ class DriftProfile:
             raise NetworkError(
                 f"unknown drift kind {self.kind!r}; known: {DRIFT_KINDS}"
             )
+        # A NaN or infinite parameter would evaluate to NaN or ±inf, which
+        # the clip and the factor floor turn into a silently perfect (0.0)
+        # or saturated channel.
+        for name in ("base", "amplitude", "rate", "period", "phase", "floor"):
+            _require_finite(getattr(self, name), f"drift {name}")
         if self.period <= 0:
             raise NetworkError("drift period must be positive")
-        if self.ceiling is not None and self.ceiling < self.floor:
-            raise NetworkError("drift ceiling must be >= floor")
+        if self.ceiling is not None and not (
+            isinstance(self.ceiling, numbers.Real) and self.ceiling >= self.floor
+        ):
+            raise NetworkError(
+                f"drift ceiling must be None or a number >= floor, got {self.ceiling!r}"
+            )
         if self.kind == "piecewise":
             if len(self.points) < 1:
                 raise NetworkError("a piecewise profile needs at least one knot")
+            for time, value in self.points:
+                _require_finite(time, "piecewise knot time")
+                _require_finite(value, "piecewise knot value")
             times = [float(time) for time, _ in self.points]
             if any(later <= earlier for earlier, later in zip(times, times[1:])):
                 raise NetworkError("piecewise knots must be strictly increasing in time")
@@ -436,6 +464,21 @@ class OutageSchedule:
         """Sorted distinct window-end times (the scheduler's retry events)."""
         return sorted({window.end for window in self.windows})
 
+    def route_windows(self, nodes: Sequence[str]) -> RouteWindows:
+        """The failure windows of each element of the path *nodes*.
+
+        Elements come in :func:`route_blocking`'s report order — the nodes,
+        then the links as sorted ``"a|b"`` keys — and elements that never
+        fail are left out.
+        """
+        elements = [("node", name) for name in nodes]
+        elements.extend(("link", link_key(a, b)) for a, b in zip(nodes, nodes[1:]))
+        return tuple(
+            (element, tuple(self._by_element[element]))
+            for element in elements
+            if element in self._by_element
+        )
+
     # -- construction ------------------------------------------------------------------
     @classmethod
     def random(
@@ -456,6 +499,14 @@ class OutageSchedule:
         given ``(topology, seed, horizon, rates)`` tuple: elements are
         visited in canonical sorted order with one derived stream each.
         """
+        for value, what in (
+            (seed, "outage seed"),
+            (horizon, "outage horizon"),
+            (link_failure_rate, "link_failure_rate"),
+            (node_failure_rate, "node_failure_rate"),
+            (mean_downtime, "mean_downtime"),
+        ):
+            _require_finite(value, what)
         if horizon <= 0:
             raise NetworkError("outage horizon must be positive")
         if link_failure_rate < 0 or node_failure_rate < 0:
@@ -496,6 +547,40 @@ class OutageSchedule:
 
     def __repr__(self) -> str:
         return f"OutageSchedule(windows={len(self.windows)})"
+
+
+def route_blocking(
+    windows: RouteWindows, start: float, end: float
+) -> tuple[list[tuple[str, str]], float, float]:
+    """The elements blocking ``[start, end]``, and until when that holds.
+
+    *windows* is a route's :meth:`OutageSchedule.route_windows`.  Returns
+    ``(blocked, until, next_start)``: the ``("node", name)`` / ``("link",
+    key)`` pair of every element with a failure window intersecting the
+    closed interval (empty: the route is safe for the whole reservation),
+    the earliest end of such a window, and the earliest start of a window
+    beginning after ``end``.  A later interval ``[start', end']`` with
+    ``start <= start' < until`` and ``end <= end' < next_start`` gets the
+    same ``blocked``: an intersecting window intersects until it ends, an
+    ended one stays ended, and a later one stays clear while the interval
+    ends before it begins.  Those are the comparisons made here, so a
+    caller that skips the call on them gets exactly the call's answer.
+    """
+    blocked: list[tuple[str, str]] = []
+    until = next_start = math.inf
+    for element, element_windows in windows:
+        hit = False
+        # One element's windows are disjoint and sorted by start.
+        for window in element_windows:
+            if window.start > end:
+                next_start = min(next_start, window.start)
+                break
+            if start < window.end:
+                hit = True
+                until = min(until, window.end)
+        if hit:
+            blocked.append(element)
+    return blocked, until, next_start
 
 
 def evolve_channel(
@@ -556,8 +641,9 @@ class NetworkDynamics:
         The :class:`OutageSchedule` of link/node failure windows.
 
     The scheduler evaluates everything at each session's admission time:
-    :meth:`channel_at` snapshots the per-hop channels, and the
-    availability/blocking queries steer admission-time re-routing.
+    :meth:`channel_at` snapshots the per-hop channels, and
+    :func:`route_blocking` over the schedule's
+    :meth:`~OutageSchedule.route_windows` steers admission-time re-routing.
     """
 
     def __init__(
@@ -618,28 +704,6 @@ class NetworkDynamics:
             t1_scale=t1_scale,
             t2_scale=t2_scale,
         )
-
-    # -- availability ------------------------------------------------------------------
-    def node_available(self, name: str, time: float) -> bool:
-        return not self.outages.node_down(name, time)
-
-    def route_blocked(self, route: Any, start: float, end: float) -> list[tuple[str, str]]:
-        """Blocking elements of *route* over ``[start, end]``.
-
-        Returns ``("node", name)`` / ``("link", key)`` pairs for every route
-        element with a failure window intersecting the interval — empty
-        means the route is safe for the whole reservation (the scheduler
-        invariant: no session is ever routed over a link inside its failure
-        window).
-        """
-        blocked: list[tuple[str, str]] = []
-        for name in route.nodes:
-            if self.outages.node_blocked(name, start, end):
-                blocked.append(("node", name))
-        for sender, receiver in route.hops():
-            if self.outages.link_blocked(sender, receiver, start, end):
-                blocked.append(("link", link_key(sender, receiver)))
-        return blocked
 
     def recovery_times(self) -> list[float]:
         return self.outages.recovery_times()
@@ -741,4 +805,6 @@ def condition_profile(name: str, topology: Any, seed: int, horizon: float) -> Ne
         raise NetworkError(
             f"unknown condition profile {name!r}; known: {sorted(CONDITION_PROFILES)}"
         )
+    _require_finite(seed, "condition-profile seed")
+    _require_finite(horizon, "condition-profile horizon")
     return CONDITION_PROFILES[name](topology, int(seed), float(horizon))

@@ -122,9 +122,7 @@ def find_route(
             f"no route from {source!r} to {target!r}: an endpoint is unavailable"
         )
 
-    def weight(link: NetworkLink) -> float:
-        return 1.0 if policy == "hops" else link_loss_weight(link)
-
+    by_hops = policy == "hops"
     # Heap entries are (cost, path); comparing the path tuple on equal cost
     # gives the deterministic lexicographic tie-break.
     frontier: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
@@ -140,19 +138,23 @@ def find_route(
         for neighbor in topology.neighbors(current):
             if neighbor in settled or neighbor in exclude_nodes:
                 continue
-            if tuple(sorted((current, neighbor))) in exclude_links:
+            key = (current, neighbor) if current < neighbor else (neighbor, current)
+            if key in exclude_links:
                 continue
-            link = topology.link(current, neighbor)
-            heapq.heappush(frontier, (cost + weight(link), path + (neighbor,)))
+            weight = 1.0 if by_hops else link_loss_weight(topology.link(current, neighbor))
+            heapq.heappush(frontier, (cost + weight, path + (neighbor,)))
     raise NetworkError(f"no route from {source!r} to {target!r}")
 
 
 class RoutingTable:
     """Memoised route lookup for one topology (the scheduler's view).
 
-    Routes are computed lazily and cached per ``(source, target)`` pair; the
-    topology is assumed static for the lifetime of the table (the scheduler
-    builds a fresh table per simulation).
+    Routes are computed lazily and cached per lookup key, and so are
+    failures: a key with no route keeps the :class:`NetworkError` message
+    (a string, not the exception, whose traceback would pin the caller's
+    frames) and raises it afresh on every repeat.  The topology is assumed
+    static for the lifetime of the table (the scheduler builds a fresh table
+    per run).
     """
 
     def __init__(self, topology: NetworkTopology, policy: str = "hops"):
@@ -162,7 +164,7 @@ class RoutingTable:
             )
         self.topology = topology
         self.policy = policy
-        self._routes: dict[tuple[str, str], Route] = {}
+        self._routes: dict[tuple, Route | str] = {}
 
     def route(
         self,
@@ -176,7 +178,8 @@ class RoutingTable:
 
         Exclusion sets participate in the cache key, so availability-aware
         lookups (the dynamics scheduler re-routing around outages) memoise
-        per distinct failure pattern.
+        per distinct failure pattern; a pattern with no route raises the
+        same :class:`NetworkError` message every time, searched once.
         """
         key = (
             source,
@@ -184,18 +187,26 @@ class RoutingTable:
             tuple(sorted(exclude_nodes)),
             tuple(sorted(exclude_links)),
         )
-        if key not in self._routes:
-            self._routes[key] = find_route(
-                self.topology,
-                source,
-                target,
-                policy=self.policy,
-                exclude_nodes=frozenset(exclude_nodes),
-                exclude_links=frozenset(exclude_links),
-            )
-        return self._routes[key]
+        found = self._routes.get(key)
+        if found is None:
+            try:
+                found = find_route(
+                    self.topology,
+                    source,
+                    target,
+                    policy=self.policy,
+                    exclude_nodes=frozenset(exclude_nodes),
+                    exclude_links=frozenset(exclude_links),
+                )
+            except NetworkError as error:
+                found = str(error)
+            self._routes[key] = found
+        if isinstance(found, str):
+            raise NetworkError(found)
+        return found
 
     def __len__(self) -> int:
+        """Memoised lookups, routes and failures alike."""
         return len(self._routes)
 
 

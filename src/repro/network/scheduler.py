@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import NetworkError
-from repro.network.dynamics import NetworkDynamics
+from repro.network.dynamics import NetworkDynamics, RouteWindows, route_blocking
 from repro.network.metrics import NetworkResult, SessionRecord
 from repro.network.routing import ROUTING_POLICIES, Route, RoutingTable
 from repro.network.sessions import (
@@ -283,7 +283,11 @@ class _Pending:
     prepared route (``rerouted``), and whether its latest failed admission
     attempt was blocked by an outage rather than capacity
     (``outage_blocked`` — which turns a patience expiry into an
-    ``outage_timeout`` rejection).
+    ``outage_timeout`` rejection, and is the negation of the last outage
+    check's answer).  That answer holds while ``now < answer_until`` and
+    ``now + duration < start`` for every ``(duration, start)`` in
+    ``answer_clear`` (see :func:`~repro.network.dynamics.route_blocking`);
+    ``outage_counted`` marks a session already counted as outage-blocked.
     """
 
     request: SessionRequest
@@ -296,6 +300,9 @@ class _Pending:
     channels: tuple[Any, ...] | None = None
     rerouted: bool = False
     outage_blocked: bool = False
+    answer_until: float = -math.inf
+    answer_clear: tuple[tuple[float, float], ...] = ()
+    outage_counted: bool = False
 
 
 class NetworkScheduler:
@@ -389,6 +396,8 @@ class NetworkScheduler:
     def run(self, traffic: Any) -> NetworkResult:
         """Simulate the given traffic and return the aggregated result."""
         traffic_rng = as_rng(point_seed(self.seed, {"stream": "traffic"}))
+        # A fresh table per run: no memoised route or failure outlives it.
+        self.routing = RoutingTable(self.topology, policy=self.routing.policy)
         with telemetry.span(
             "network.simulate",
             "network",
@@ -469,7 +478,11 @@ class NetworkScheduler:
           intersecting ``[now, now + duration]`` is re-routed around the
           blocked elements, growing an exclusion set to a fixed point
           (exclusions only grow, so the loop terminates); if no feasible
-          route remains the session waits for a recovery event;
+          route remains the session waits for a recovery event.  The
+          answer is kept on the pending and reused while no window it read
+          can have changed (a window it intersects ending, or a later one
+          coming within reach), so a waiting session is re-checked only
+          when an outage window it depends on moves;
         * **channel snapshots**: the drifted per-hop channels at ``now``
           are captured on the pending (``NetworkDynamics.channel_at``
           returns the link's own object when every factor is 1.0, keeping
@@ -483,6 +496,7 @@ class NetworkScheduler:
         any point of its reservation interval.
         """
         dynamics = self.dynamics if self.dynamics is not None else NetworkDynamics.static()
+        outages = dynamics.outages
         selector = None if self.qos is None else self.qos.selector()
         ledger = NodeCapacityLedger(self.topology)
         events: list[tuple[float, int, int, _Pending | None]] = []
@@ -505,31 +519,53 @@ class NetworkScheduler:
 
         queue: list[_Pending] = []
         sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
-        outage_free = not dynamics.outages
+        outage_free = not outages
+        # Looked up once per pass and dropped with it: each route's outage
+        # windows, and its capacity needs and duration per message length.
+        windows_of: dict[tuple[str, ...], RouteWindows] = {}
+        needs_of: dict[tuple[tuple[str, ...], int], tuple[dict[str, int], float]] = {}
+
+        def route_needs(route: Route, message_length: int) -> tuple[dict[str, int], float]:
+            key = (route.nodes, message_length)
+            needs = needs_of.get(key)
+            if needs is None:
+                needs = needs_of[key] = self._route_needs(route, message_length)
+            return needs
 
         def reroute(pending: _Pending, now: float) -> bool:
             """Settle a feasible route for *pending* at *now* (False = outage-blocked)."""
             if outage_free:
                 return True  # no failure window can block any route
-            request = pending.request
-            if not dynamics.node_available(request.source, now) or not (
-                dynamics.node_available(request.target, now)
+            if now < pending.answer_until and all(
+                now + duration < start for duration, start in pending.answer_clear
             ):
-                pending.outage_blocked = True
-                return False
+                return not pending.outage_blocked  # no window it read has moved
+            request = pending.request
+            endpoints = (request.source, request.target)
             route = pending.route
             qubits_needed, duration = pending.qubits_needed, pending.duration
             exclude_nodes: set[str] = set()
             exclude_links: set[tuple[str, str]] = set()
+            until = math.inf
+            clear: list[tuple[float, float]] = []
+            feasible = True
             while True:
-                blocked = dynamics.route_blocked(route, now, now + duration)
+                windows = windows_of.get(route.nodes)
+                if windows is None:
+                    windows = windows_of[route.nodes] = outages.route_windows(route.nodes)
+                blocked, ends, starts = route_blocking(windows, now, now + duration)
+                until = min(until, ends)
+                if starts < math.inf:
+                    clear.append((duration, starts))
                 if not blocked:
+                    break
+                # A window over an endpoint (down now or within the
+                # reservation) leaves no route to take.
+                if any(element == "node" and key in endpoints for element, key in blocked):
+                    feasible = False
                     break
                 for element, key in blocked:
                     if element == "node":
-                        if key in (request.source, request.target):
-                            pending.outage_blocked = True
-                            return False
                         exclude_nodes.add(key)
                     else:
                         # link keys are already sorted "a|b" strings — the
@@ -543,20 +579,27 @@ class NetworkScheduler:
                         exclude_links=frozenset(exclude_links),
                     )
                 except NetworkError:
-                    pending.outage_blocked = True
-                    return False
-                qubits_needed, duration = self._route_needs(
-                    route, request.message_length
-                )
-            if route is not pending.route:
+                    feasible = False
+                    break
+                qubits_needed, duration = route_needs(route, request.message_length)
+            if feasible and route is not pending.route:
                 pending.rerouted = True
                 pending.route = route
                 pending.qubits_needed = qubits_needed
                 pending.duration = duration
                 pending.record.route_nodes = route.nodes
                 pending.record.rerouted = True
-            pending.outage_blocked = False
-            return True
+                # The next check starts from the new route, which is clear:
+                # only its own windows bound the answer.
+                until = math.inf
+                clear = clear[-1:] if starts < math.inf else []
+            pending.outage_blocked = not feasible
+            pending.answer_until = until
+            pending.answer_clear = tuple(clear)
+            if not feasible and not pending.outage_counted:
+                pending.outage_counted = True
+                telemetry.counter_inc("scheduler.outage_blocked", priority=request.priority)
+            return feasible
 
         def reject(pending: _Pending, reason: str) -> None:
             pending.resolved = True
@@ -574,6 +617,9 @@ class NetworkScheduler:
             telemetry.counter_inc("scheduler.admitted_by_class", priority=request.priority)
             telemetry.counter_inc(
                 "scheduler.qubits_reserved", sum(pending.qubits_needed.values())
+            )
+            telemetry.observe(
+                "scheduler.queue_wait", now - request.arrival_time, priority=request.priority
             )
             if pending.rerouted:
                 telemetry.counter_inc("scheduler.reroutes")
@@ -629,25 +675,32 @@ class NetworkScheduler:
                 queue = still_waiting
                 return
             # Weighted-fair: serve one admissible head-of-class at a time,
-            # lowest virtual time first, until no class can start.
+            # lowest virtual time first, until no class can start.  ``now``
+            # is fixed and admissions only take capacity, so a session found
+            # outage-blocked or not fitting stays so for the rest of the call.
+            stuck: set[int] = set()
             while True:
                 candidates: dict[str, _Pending] = {}
                 for waiting in queue:
-                    if waiting.resolved or waiting.request.priority in candidates:
+                    if (
+                        waiting.resolved
+                        or waiting.request.priority in candidates
+                        or id(waiting) in stuck
+                    ):
                         continue
                     if not reroute(waiting, now):
-                        continue
-                    if not ledger.viable(waiting.qubits_needed):
+                        stuck.add(id(waiting))
+                    elif not ledger.viable(waiting.qubits_needed):
                         reject(waiting, "insufficient_capacity")
-                        continue
-                    if ledger.fits(waiting.qubits_needed):
+                    elif ledger.fits(waiting.qubits_needed):
                         candidates[waiting.request.priority] = waiting
+                    else:
+                        stuck.add(id(waiting))
                 choice = selector.pick(candidates)
                 if choice is None:
                     queue = [w for w in queue if not w.resolved]
                     return
                 admit(candidates[choice], now)
-                queue = [w for w in queue if not w.resolved]
 
         while events:
             now, kind, _, pending = heapq.heappop(events)

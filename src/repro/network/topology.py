@@ -142,14 +142,6 @@ class NetworkLink:
         """Canonical (sorted) endpoint pair identifying the link."""
         return (self.node_a, self.node_b)
 
-    def other(self, name: str) -> str:
-        """The endpoint opposite *name*."""
-        if name == self.node_a:
-            return self.node_b
-        if name == self.node_b:
-            return self.node_a
-        raise NetworkError(f"node {name!r} is not an endpoint of link {self.key}")
-
 
 class NetworkTopology:
     """An undirected multi-user network graph (no parallel edges)."""
@@ -158,6 +150,8 @@ class NetworkTopology:
         self.name = name
         self._nodes: dict[str, NetworkNode] = {}
         self._links: dict[tuple[str, str], NetworkLink] = {}
+        #: Sorted neighbour names per node, rebuilt by :meth:`add_link`.
+        self._adjacency: dict[str, tuple[str, ...]] = {}
 
     # -- construction ----------------------------------------------------------------
     def add_node(self, node: "NetworkNode | str", **attributes: Any) -> NetworkNode:
@@ -169,6 +163,7 @@ class NetworkTopology:
         if node.name in self._nodes:
             raise NetworkError(f"node {node.name!r} already exists")
         self._nodes[node.name] = node
+        self._adjacency[node.name] = ()
         return node
 
     def add_link(
@@ -191,6 +186,8 @@ class NetworkTopology:
         if link.key in self._links:
             raise NetworkError(f"link {link.key} already exists")
         self._links[link.key] = link
+        for name, other in ((link.node_a, link.node_b), (link.node_b, link.node_a)):
+            self._adjacency[name] = tuple(sorted((*self._adjacency[name], other)))
         return link
 
     def compromise(
@@ -237,10 +234,9 @@ class NetworkTopology:
 
     def neighbors(self, name: str) -> list[str]:
         """Sorted neighbour names of *name*."""
-        self.node(name)
-        return sorted(
-            link.other(name) for link in self._links.values() if name in link.key
-        )
+        if name not in self._adjacency:
+            self.node(name)  # raises the unknown-node error
+        return list(self._adjacency[name])
 
     def compromised_nodes(self) -> list[str]:
         """Names of every compromised node, in insertion order."""

@@ -22,9 +22,72 @@ from repro.network.dynamics import (
     condition_profile,
     evolve_channel,
     link_key,
+    route_blocking,
 )
 from repro.network.routing import find_route
 from repro.network.topology import grid_topology
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN and ±inf parameters raise instead of yielding a silent channel."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["base", "amplitude", "rate", "phase", "floor"])
+    def test_drift_parameters_must_be_finite(self, name, value):
+        with pytest.raises(NetworkError):
+            DriftProfile(kind="sinusoid", **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_drift_period_must_be_finite(self, value):
+        with pytest.raises(NetworkError):
+            DriftProfile(kind="step", amplitude=0.1, period=value)
+
+    def test_drift_ceiling_may_not_be_nan(self):
+        with pytest.raises(NetworkError):
+            DriftProfile.linear(rate=0.1, ceiling=math.nan)
+        assert DriftProfile.linear(rate=0.1, ceiling=math.inf).value(1.0) == 1.1
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_piecewise_knots_must_be_finite(self, position, value):
+        knot = [1.0, 1.0]
+        knot[position] = value
+        with pytest.raises(NetworkError):
+            DriftProfile.piecewise([(0.0, 1.0), tuple(knot)])
+
+    def test_nan_rate_used_to_give_a_noiseless_channel(self):
+        with pytest.raises(NetworkError):
+            DriftProfile.linear(rate=math.nan)
+        with pytest.raises(NetworkError):
+            DriftProfile.sinusoid(amplitude=math.inf)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "name", ["seed", "horizon", "link_failure_rate", "node_failure_rate", "mean_downtime"]
+    )
+    def test_random_outages_need_finite_parameters(self, name, value):
+        kwargs = dict(seed=1, horizon=1.0, link_failure_rate=2.0, mean_downtime=0.1)
+        kwargs[name] = value
+        with pytest.raises(NetworkError):
+            OutageSchedule.random(grid_topology(2, 2), **kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("argument", ["seed", "horizon"])
+    @pytest.mark.parametrize("name", ["drift", "outage", "drift_outage"])
+    def test_condition_profiles_need_finite_arguments(self, name, argument, value):
+        kwargs = {"seed": 3, "horizon": 1.0, argument: value}
+        with pytest.raises(NetworkError):
+            condition_profile(name, grid_topology(2, 2), **kwargs)
+
+    @pytest.mark.parametrize("field", ["rate", "period"])
+    def test_from_dict_inherits_the_checks(self, field):
+        data = DriftProfile.linear(rate=0.5).to_dict()
+        data[field] = "nan"
+        with pytest.raises(NetworkError):
+            DriftProfile.from_dict(data)
 
 
 class TestDriftProfile:
@@ -232,15 +295,27 @@ class TestNetworkDynamics:
             outages=OutageSchedule([OutageWindow("node", "n", 0.0, 1.0)])
         ).is_static()
 
-    def test_route_blocked_reports_elements(self):
+    def test_route_blocking_reports_elements_and_bounds(self):
         topology = grid_topology(2, 2)
         route = find_route(topology, "n0_0", "n1_1")
         key = link_key(route.nodes[0], route.nodes[1])
-        dynamics = NetworkDynamics(
-            outages=OutageSchedule([OutageWindow("link", key, 0.0, 1.0)])
+        relay = route.nodes[1]
+        schedule = OutageSchedule(
+            [
+                OutageWindow("link", key, 0.0, 1.0),
+                OutageWindow("link", key, 3.0, 4.0),
+                OutageWindow("node", relay, 2.0, 2.5),
+            ]
         )
-        assert ("link", key) in dynamics.route_blocked(route, 0.5, 0.6)
-        assert dynamics.route_blocked(route, 1.0, 2.0) == []
+        windows = schedule.route_windows(route.nodes)
+        # Nodes first, then links; elements that never fail are left out.
+        assert [element for element, _ in windows] == [("node", relay), ("link", key)]
+        # (blocked, earliest end of a blocking window, earliest later start)
+        assert route_blocking(windows, 0.5, 0.6) == ([("link", key)], 1.0, 2.0)
+        assert route_blocking(windows, 1.0, 1.5) == ([], math.inf, 2.0)
+        assert route_blocking(windows, 1.0, 2.0) == ([("node", relay)], 2.5, 3.0)
+        assert route_blocking(windows, 5.0, 6.0) == ([], math.inf, math.inf)
+        assert route_blocking((), 0.0, 9.0) == ([], math.inf, math.inf)
 
     def test_round_trip(self):
         dynamics = NetworkDynamics(

@@ -13,6 +13,8 @@ from repro.network.dynamics import (  # noqa: E402
     NetworkDynamics,
     OutageSchedule,
     OutageWindow,
+    link_key,
+    route_blocking,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -67,6 +69,23 @@ def outage_windows(draw):
     start = draw(times)
     length = draw(positive)
     return OutageWindow(element, name, start, start + length)
+
+
+near = st.floats(min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+short = st.floats(min_value=0.0, max_value=5.0, allow_nan=False, allow_infinity=False)
+
+#: A path over every element :func:`outage_windows` can fail (links ``a|b``
+#: and ``b|c``, nodes ``n1`` and ``n2``).
+PATH = ("n1", "a", "b", "c", "n2")
+
+
+@st.composite
+def near_outage_windows(draw):
+    """Windows packed into ``[0, 25]`` so that queries often meet them."""
+    element = draw(st.sampled_from(["link", "node"]))
+    name = draw(st.sampled_from(["a|b", "b|c", "n1", "n2"]))
+    start = draw(near)
+    return OutageWindow(element, name, start, start + draw(positive.filter(lambda x: x <= 5)))
 
 
 @st.composite
@@ -144,6 +163,36 @@ class TestOutageScheduleProperties:
         schedule = OutageSchedule(windows)
         rebuilt = OutageSchedule.from_dict(schedule.to_dict())
         assert rebuilt.to_dict() == schedule.to_dict()
+
+    @SETTINGS
+    @given(
+        windows=st.lists(near_outage_windows(), max_size=10),
+        start=near,
+        duration=short,
+        later=short,
+    )
+    def test_route_blocking_answer_holds_within_its_bounds(
+        self, windows, start, duration, later
+    ):
+        """The blocked elements equal the per-element queries, and a later
+        interval inside the reported bounds gets the same answer."""
+        schedule = OutageSchedule(windows)
+        along = schedule.route_windows(PATH)
+        end = start + duration
+        blocked, until, next_start = route_blocking(along, start, end)
+        expected = [
+            ("node", name) for name in PATH if schedule.node_blocked(name, start, end)
+        ] + [
+            ("link", link_key(a, b))
+            for a, b in zip(PATH, PATH[1:])
+            if schedule.link_blocked(a, b, start, end)
+        ]
+        assert blocked == expected
+        assert until > start and next_start > end
+        later_start = start + later
+        later_end = later_start + duration
+        if later_start < until and later_end < next_start:
+            assert route_blocking(along, later_start, later_end)[0] == blocked
 
 
 class TestDynamicsRoundTrip:

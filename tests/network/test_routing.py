@@ -126,6 +126,35 @@ class TestRoutingTable:
         with pytest.raises(NetworkError):
             RoutingTable(line_topology(3), policy="magic")
 
+    def test_failures_are_searched_once_per_key(self, monkeypatch):
+        import repro.network.routing as routing
+
+        calls = []
+
+        def counting_find_route(*args, **kwargs):
+            calls.append((args, kwargs))
+            return find_route(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "find_route", counting_find_route)
+        table = RoutingTable(line_topology(4))
+        cut = frozenset({"n2"})
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NetworkError) as raised:
+                table.route("n0", "n3", exclude_nodes=cut)
+            messages.add(str(raised.value))
+        assert messages == {"no route from 'n0' to 'n3'"}
+        assert len(calls) == 1
+        # Another exclusion set is another key: searched once, then memoised.
+        for _ in range(2):
+            with pytest.raises(NetworkError, match="an endpoint is unavailable"):
+                table.route("n0", "n3", exclude_nodes=frozenset({"n3"}))
+        assert len(calls) == 2
+        # Failures keep the message string, not the exception and its frames.
+        assert all(isinstance(found, (Route, str)) for found in table._routes.values())
+        assert table.route("n0", "n3").nodes == ("n0", "n1", "n2", "n3")
+        assert len(calls) == 3
+
 
 class TestMeanRouteHops:
     """Checked against closed forms of the mean graph distance."""

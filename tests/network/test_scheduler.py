@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -145,6 +146,45 @@ class TestDeterminism:
             NetworkScheduler(_noiseless_grid(), executor="process")
 
 
+def _pinned_dynamic_run() -> NetworkResult:
+    """Hand-placed outage windows under QoS (see ``test_dynamic_schedule_pinned``)."""
+    from repro.network.dynamics import NetworkDynamics, OutageSchedule, OutageWindow
+    from repro.network.topology import NetworkTopology
+
+    topology = NetworkTopology("pin")
+    for name in ("a", "b", "c", "d", "e", "f", "p", "q", "r"):
+        topology.add_node(name)
+    topology.node("b").qubit_capacity = 2 * QUICK.pairs_per_hop(8)
+    for node_a, node_b in (
+        ("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("c", "e"),
+        ("a", "f"), ("p", "b"), ("b", "q"), ("q", "r"),
+    ):
+        topology.add_link(node_a, node_b, NoiselessChannel())
+    dynamics = NetworkDynamics(
+        outages=OutageSchedule(
+            [
+                OutageWindow("link", "b|c", 2.875, 20.0),
+                OutageWindow("node", "e", 0.5, 3.5),
+                OutageWindow("node", "f", 1.0, 10.0),
+            ]
+        )
+    )
+    traffic = TraceTraffic(
+        [
+            (0.0, "p", "r", 8, "bulk"),
+            (0.25, "a", "b", 8, "bulk"),
+            (0.75, "a", "c", 8, "interactive"),
+            (1.0, "c", "e", 8, "control"),
+            (1.5, "a", "f", 8, "bulk"),
+            (5.0, "b", "c", 8, "control"),
+        ]
+    )
+    return simulate_network(
+        topology, traffic, session_params=QUICK, seed=3, hop_overhead=1.0,
+        max_wait=2.5, dynamics=dynamics, qos=QoSPolicy(),
+    )
+
+
 class TestCapacityAccounting:
     def test_all_sessions_accounted(self):
         topology = _noiseless_grid(2, 2, qubit_capacity=100)
@@ -255,6 +295,36 @@ class TestCapacityAccounting:
         ]
         assert result.sim_time == 0.005
 
+    def test_dynamic_schedule_pinned(self):
+        """The exact schedule under hand-placed outage windows and QoS.
+
+        Session 2 queues for the relay ``b`` while its route ``a-b-c`` is
+        clear; the ``b|c`` window *starts* while it waits (no recovery event
+        marks that), so when ``b`` frees at t=3 it is re-routed over ``d``.
+        Session 3 waits out an endpoint outage to the recovery at t=3.5 (the
+        same instant as its patience expiry: recoveries come first), session
+        4's endpoint stays down past its patience (``outage_timeout``),
+        session 1 never gets room on ``b`` (``capacity_timeout``), and
+        session 5 is re-routed on arrival around the window in force.
+        """
+        result = _pinned_dynamic_run()
+        rows = [
+            (
+                r.session_id, r.admitted, r.start_time, r.finish_time, r.hold_time,
+                r.abort_reason, r.route_nodes, r.rerouted,
+            )
+            for r in result.records
+        ]
+        assert rows == [
+            (0, True, 0.0, 3.0, 0.0, None, ("p", "b", "q", "r"), False),
+            (1, False, None, None, 0.0, "capacity_timeout", ("a", "b"), False),
+            (2, True, 3.0, 5.0, 2250.0, None, ("a", "d", "c"), True),
+            (3, True, 3.5, 4.5, 2500.0, None, ("c", "e"), False),
+            (4, False, None, None, 0.0, "outage_timeout", ("a", "f"), False),
+            (5, True, 5.0, 8.0, 0.0, None, ("b", "a", "d", "c"), True),
+        ]
+        assert result.sim_time == 8.0
+
     def test_no_route_is_rejected(self):
         from repro.network.topology import NetworkTopology
 
@@ -266,6 +336,141 @@ class TestCapacityAccounting:
         result = simulate_network(topology, traffic, session_params=QUICK, seed=1)
         assert result.rejected_count == 1
         assert result.records[0].abort_reason == "no_route"
+
+
+class TestReservationPassPinned:
+    """The reservation pass's scheduling fields over seeded 4×4-grid cells.
+
+    Sixteen cells — FIFO and weighted-fair QoS, the ``outage`` and
+    ``drift_outage`` profiles, a light and an overloaded arrival rate, two
+    seeds — drive ``_prepare`` and ``_reservation_pass`` only (no quantum
+    sessions run), and one SHA-256 digest of every record's scheduling
+    fields holds the loop to its exact output.
+    """
+
+    SESSIONS = 80
+    MEAN_SESSION_S = 0.00279
+    PARAMS = SessionParameters(identity_pairs=2, check_pairs_per_round=32)
+
+    def _cell(self, seed, profile, rate, qos):
+        from repro.network.dynamics import condition_profile
+        from repro.network.topology import grid_topology
+        from repro.utils.rng import as_rng, point_seed
+
+        topology = grid_topology(4, 4, qubit_capacity=256)
+        horizon = 1.5 * self.SESSIONS / rate + 4 * self.MEAN_SESSION_S
+        scheduler = NetworkScheduler(
+            topology,
+            session_params=self.PARAMS,
+            max_wait=8 * self.MEAN_SESSION_S,
+            seed=seed,
+            dynamics=condition_profile(profile, topology, seed=seed, horizon=horizon),
+            qos=qos,
+        )
+        traffic = PoissonTraffic(
+            num_sessions=self.SESSIONS,
+            rate=rate,
+            message_length=16,
+            priority_mix={"control": 1.0, "interactive": 1.0, "bulk": 2.0},
+        )
+        requests = traffic.generate(topology, as_rng(point_seed(seed, {"stream": "traffic"})))
+        requests.sort(key=lambda r: (r.arrival_time, r.session_id))
+        pendings = [scheduler._prepare(request) for request in requests]
+        sim_time = scheduler._reservation_pass(pendings)
+        return [pending.record for pending in pendings], sim_time
+
+    def test_grid_cells_digest_pinned(self):
+        digest = hashlib.sha256()
+        reasons: dict[str, int] = {}
+        reroutes = 0
+        for seed in (1, 2):
+            for profile in ("outage", "drift_outage"):
+                for rate in (2100.0, 10600.0):
+                    for qos in (None, QoSPolicy()):
+                        records, sim_time = self._cell(seed, profile, rate, qos)
+                        rows = [
+                            (
+                                r.session_id, r.admitted, r.start_time, r.finish_time,
+                                r.hold_time, r.abort_reason, r.route_nodes, r.rerouted,
+                            )
+                            for r in records
+                        ]
+                        digest.update(repr((rows, sim_time)).encode())
+                        reroutes += sum(r.admitted and r.rerouted for r in records)
+                        for r in records:
+                            reasons[r.abort_reason] = reasons.get(r.abort_reason, 0) + 1
+        assert reroutes > 0
+        assert reasons.get("outage_timeout", 0) > 0
+        assert reasons.get("capacity_timeout", 0) > 0
+        assert digest.hexdigest() == (
+            "4aabeb5f41490bc8a5472fd7d550316a1edae9215c10456258436d32446e075c"
+        )
+
+
+class TestSchedulerTelemetry:
+    """``scheduler.queue_wait`` and ``scheduler.outage_blocked`` against the records."""
+
+    @staticmethod
+    def _run() -> NetworkResult:
+        from repro.network.dynamics import condition_profile
+
+        topology = _noiseless_grid(3, 3, qubit_capacity=96)
+        traffic = PoissonTraffic(
+            num_sessions=40,
+            rate=1500.0,
+            message_length=8,
+            priority_mix={"control": 1.0, "interactive": 1.0, "bulk": 2.0},
+        )
+        return simulate_network(
+            topology,
+            traffic,
+            session_params=QUICK,
+            max_wait=0.01,
+            seed=5,
+            dynamics=condition_profile("drift_outage", topology, seed=5, horizon=0.05),
+            qos=QoSPolicy(),
+        )
+
+    def test_queue_wait_matches_records_and_tracing_changes_nothing(self):
+        from repro import telemetry
+
+        plain = self._run()
+        with telemetry.capture(clock="ticks") as session:
+            traced = self._run()
+        assert [r.summary() for r in traced.records] == [r.summary() for r in plain.records]
+        metrics = session.document.metrics
+        admitted = metrics["counters"]["scheduler.admitted_by_class"]
+        waits = metrics["histograms"]["scheduler.queue_wait"]
+        assert set(waits) == set(admitted)
+        for label, histogram in waits.items():
+            priority = label.split("=", 1)[1]
+            records = [r for r in traced.records if r.admitted and r.priority == priority]
+            assert histogram["count"] == admitted[label] == len(records)
+            assert histogram["sum"] == pytest.approx(
+                sum(r.start_time - r.arrival_time for r in records), rel=1e-12, abs=1e-15
+            )
+        assert any(histogram["sum"] > 0 for histogram in waits.values())
+        blocked = metrics["counters"]["scheduler.outage_blocked"]
+        for label, count in blocked.items():
+            priority = label.split("=", 1)[1]
+            sessions = [r for r in traced.records if r.priority == priority]
+            timed_out = sum(r.abort_reason == "outage_timeout" for r in sessions)
+            assert timed_out <= count <= len(sessions)
+        assert sum(blocked.values()) > 0
+
+    def test_outage_blocked_counts_each_session_once(self):
+        from repro import telemetry
+
+        with telemetry.capture(clock="ticks") as session:
+            _pinned_dynamic_run()
+        counters = session.document.metrics["counters"]
+        # Session 3 (control) waits out its endpoint's outage and session 4
+        # (bulk) times out behind one; both are re-checked several times.
+        assert counters["scheduler.outage_blocked"] == {
+            "priority=bulk": 1.0,
+            "priority=control": 1.0,
+        }
+        assert counters["scheduler.reroutes"][""] == 2.0
 
 
 class TestMetrics:
