@@ -807,4 +807,6 @@ def condition_profile(name: str, topology: Any, seed: int, horizon: float) -> Ne
         )
     _require_finite(seed, "condition-profile seed")
     _require_finite(horizon, "condition-profile horizon")
+    if horizon <= 0:
+        raise NetworkError(f"condition-profile horizon must be positive, got {horizon!r}")
     return CONDITION_PROFILES[name](topology, int(seed), float(horizon))

@@ -8,8 +8,9 @@ both reproducible and parallel:
    control reserves EPR-pair capacity on every route node in a
    :class:`~repro.runtime.admission.NodeCapacityLedger` (endpoints hold one
    qubit per pair, relays hold two — one per adjacent hop).  Sessions that
-   do not fit wait in a FIFO queue and are retried whenever capacity frees; a
-   session still queued after ``max_wait`` is rejected.  Admitted sessions
+   cannot start wait in arrival order, per QoS class, and are retried
+   whenever capacity or a failed element frees; a session still waiting
+   ``max_wait`` after it started waiting is rejected.  Admitted sessions
    occupy their reservation for a duration derived from route length, pair
    budget and per-link channel delay.  The event queue is a heap ordered by
    ``(time, kind, sequence)``, so the pass is fully deterministic.
@@ -36,8 +37,9 @@ every configuration.  It (a) evaluates channel conditions at each session's
 *admission* time and snapshots the per-hop channels for the execution pass,
 (b) re-routes sessions around elements whose failure windows intersect the
 reservation interval (growing an exclusion set to a fixed point), and
-(c) serves the waiting queue FIFO, or by per-class virtual time under a
-:class:`QoSPolicy`.  Conditions come from a
+(c) serves the waiting sessions by per-class virtual time under a
+:class:`QoSPolicy` — without one they form a single class, served FIFO.
+Conditions come from a
 :class:`~repro.network.dynamics.NetworkDynamics` (drift curves, calibration
 aging, failure/recovery windows); without one the environment is frozen
 (:meth:`NetworkDynamics.static`): every snapshot is the link's own channel
@@ -258,47 +260,38 @@ class QoSPolicy:
                 )
         object.__setattr__(self, "weights", weights)
 
-    def weight(self, priority: str) -> float:
-        return self.weights.get(priority, 1.0)
-
     def selector(self) -> WeightedFairSelector:
         """A fresh virtual-time selector for one reservation pass."""
         return WeightedFairSelector(self.weights)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"weights": {name: self.weights[name] for name in sorted(self.weights)}}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QoSPolicy":
-        return cls(weights={k: float(v) for k, v in data.get("weights", {}).items()})
-
-
-@dataclass
+@dataclass(eq=False)
 class _Pending:
     """Scheduling state of one request during the reservation pass.
 
-    Besides the route and its capacity/duration needs, the pass tracks the
-    admission-time channel snapshots (``channels`` — the per-hop channels
-    the execution pass runs over), whether the session left its originally
-    prepared route (``rerouted``), and whether its latest failed admission
-    attempt was blocked by an outage rather than capacity
+    The pass settles the route's footprint — capacity needs and reservation
+    duration from its per-pass memo, and whether those needs could ever fit
+    (``viable``) — on arrival and again when a reroute adopts another
+    route.  It also tracks the admission-time channel snapshots (``channels`` — the per-hop
+    channels the execution pass runs over) and whether the latest failed
+    admission attempt was blocked by an outage rather than capacity
     (``outage_blocked`` — which turns a patience expiry into an
     ``outage_timeout`` rejection, and is the negation of the last outage
     check's answer).  That answer holds while ``now < answer_until`` and
     ``now + duration < start`` for every ``(duration, start)`` in
     ``answer_clear`` (see :func:`~repro.network.dynamics.route_blocking`);
     ``outage_counted`` marks a session already counted as outage-blocked.
+    Admission and rerouting are read off the record.
     """
 
     request: SessionRequest
     record: SessionRecord
     route: Route | None
-    qubits_needed: dict[str, int]
-    duration: float
-    admitted: bool = False
+    qubits_needed: dict[str, int] = field(default_factory=dict)
+    duration: float = 0.0
+    viable: bool = True
     resolved: bool = False
     channels: tuple[Any, ...] | None = None
-    rerouted: bool = False
     outage_blocked: bool = False
     answer_until: float = -math.inf
     answer_clear: tuple[tuple[float, float], ...] = ()
@@ -340,7 +333,8 @@ class NetworkScheduler:
         (:meth:`NetworkDynamics.static`).
     qos:
         Optional :class:`QoSPolicy` — weighted-fair service of priority
-        classes in the waiting queue.  ``None`` (default) serves FIFO.
+        classes among waiting sessions.  ``None`` (default) keeps a single
+        class, served FIFO.
     """
 
     def __init__(
@@ -411,7 +405,7 @@ class NetworkScheduler:
             with telemetry.span(
                 "network.execution",
                 "network",
-                {"admitted": sum(1 for p in pendings if p.admitted)},
+                {"admitted": sum(1 for p in pendings if p.record.admitted)},
             ):
                 self._execution_pass(pendings)
         return NetworkResult(
@@ -424,22 +418,8 @@ class NetworkScheduler:
         )
 
     # -- phase 1: reservation ------------------------------------------------------------
-    def _route_needs(self, route: Route, message_length: int) -> tuple[dict[str, int], float]:
-        """Capacity map and reservation duration of one route."""
-        pairs = self.session_params.pairs_per_hop(message_length)
-        qubits_needed: dict[str, int] = {}
-        for sender, receiver in route.hops():
-            qubits_needed[sender] = qubits_needed.get(sender, 0) + pairs
-            qubits_needed[receiver] = qubits_needed.get(receiver, 0) + pairs
-        duration = sum(
-            pairs * self.topology.link(sender, receiver).quantum_channel.duration()
-            + self.hop_overhead
-            for sender, receiver in route.hops()
-        )
-        return qubits_needed, duration
-
     def _prepare(self, request: SessionRequest) -> _Pending:
-        """Route one request and precompute its capacity and duration needs."""
+        """Route one request; the reservation pass sets its footprint."""
         record = SessionRecord(
             session_id=request.session_id,
             source=request.source,
@@ -459,20 +439,20 @@ class NetworkScheduler:
                 request.source,
                 request.target,
             )
-            return _Pending(request, record, None, {}, 0.0)
+            return _Pending(request, record, None)
         record.route_nodes = route.nodes
-
-        qubits_needed, duration = self._route_needs(route, request.message_length)
-        return _Pending(request, record, route, qubits_needed, duration)
+        return _Pending(request, record, route)
 
     def _reservation_pass(self, pendings: list[_Pending]) -> float:
         """Discrete-event admission/timing; fills scheduling fields of records.
 
         Events are ``(time, kind, sequence)`` heap entries; capacity
         accounting lives in
-        :class:`~repro.runtime.admission.NodeCapacityLedger`.  Three
-        condition-aware behaviours are evaluated at the session's admission
-        time ``now``, so the pass stays a pure serial function of the seed:
+        :class:`~repro.runtime.admission.NodeCapacityLedger`.  Arrivals and
+        waiting sessions go through one readiness check at the current time
+        ``now`` — outage check and re-route, viability, then
+        ``ledger.fits`` — so the pass stays a pure serial function of the
+        seed:
 
         * **re-routing**: a session whose route has a failure window
           intersecting ``[now, now + duration]`` is re-routed around the
@@ -483,13 +463,27 @@ class NetworkScheduler:
           can have changed (a window it intersects ending, or a later one
           coming within reach), so a waiting session is re-checked only
           when an outage window it depends on moves;
+        * **viability per footprint**: a route's capacity needs and
+          duration are computed once per (route, message length) in the
+          pass; they and their viability are set on the pending once per
+          route it takes (on arrival and when a re-route adopts another),
+          and a session whose footprint could never fit is rejected
+          (``insufficient_capacity``);
         * **channel snapshots**: the drifted per-hop channels at ``now``
           are captured on the pending (``NetworkDynamics.channel_at``
           returns the link's own object when every factor is 1.0, keeping
           trivial dynamics bit-identical) and handed to the execution pass;
-        * **weighted-fair service**: with a :class:`QoSPolicy`, the waiting
-          queue is served by per-class virtual time instead of FIFO; every
-          admission charges its capacity footprint to its class.
+        * **weighted-fair service**: a session that cannot start waits in
+          its class's list, in arrival order — one class per priority under
+          a :class:`QoSPolicy`, a single class without one — and its
+          patience timer starts then.  When capacity or an element frees,
+          each class's list is scanned to its first session that can start,
+          the selector picks among these class heads by per-class virtual
+          time, the pick is admitted (charging its footprint to its class)
+          and its class's scan resumes after it.  ``now`` is fixed and
+          admissions only take capacity, so a session passed over cannot
+          start for the rest of that service; with a single class this is
+          FIFO.
 
         Invariant (pinned by the scheduler test battery): no admitted
         session's route crosses a link or node inside a failure window at
@@ -501,36 +495,58 @@ class NetworkScheduler:
         ledger = NodeCapacityLedger(self.topology)
         events: list[tuple[float, int, int, _Pending | None]] = []
         sequence = 0
+        # Looked up once per pass and dropped with it: each route's outage
+        # windows, and its footprint per message length.
+        windows_of: dict[tuple[str, ...], RouteWindows] = {}
+        footprints: dict[tuple[tuple[str, ...], int], tuple[dict[str, int], float]] = {}
+        # Waiting sessions per class, in arrival order.
+        waiting: dict[str | None, list[_Pending]] = {}
+
+        def class_of(pending: _Pending) -> str | None:
+            return None if selector is None else pending.request.priority
 
         def push(time: float, kind: int, pending: "_Pending | None") -> None:
             nonlocal sequence
             heapq.heappush(events, (time, kind, sequence, pending))
             sequence += 1
 
+        def footprint(route: Route, message_length: int) -> tuple[dict[str, int], float]:
+            """Capacity needs and reservation duration of one route."""
+            key = (route.nodes, message_length)
+            found = footprints.get(key)
+            if found is None:
+                pairs = self.session_params.pairs_per_hop(message_length)
+                qubits_needed: dict[str, int] = {}
+                for sender, receiver in route.hops():
+                    qubits_needed[sender] = qubits_needed.get(sender, 0) + pairs
+                    qubits_needed[receiver] = qubits_needed.get(receiver, 0) + pairs
+                duration = sum(
+                    pairs * self.topology.link(sender, receiver).quantum_channel.duration()
+                    + self.hop_overhead
+                    for sender, receiver in route.hops()
+                )
+                found = footprints[key] = (qubits_needed, duration)
+            return found
+
+        def settle(pending: _Pending, route: Route) -> None:
+            """Put *pending* on *route*: its footprint, and whether it could ever fit."""
+            pending.route = route
+            pending.qubits_needed, pending.duration = footprint(
+                route, pending.request.message_length
+            )
+            pending.viable = ledger.viable(pending.qubits_needed)
+
         for pending in pendings:
             if pending.route is None:
                 pending.resolved = True  # rejected outright: no route
                 continue
+            settle(pending, pending.route)
             push(pending.request.arrival_time, _ARRIVAL, pending)
-            if self.max_wait is not None:
-                push(pending.request.arrival_time + self.max_wait, _TIMEOUT, pending)
         for recovery_time in dynamics.recovery_times():
             push(recovery_time, _RECOVERY, None)
 
-        queue: list[_Pending] = []
         sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
         outage_free = not outages
-        # Looked up once per pass and dropped with it: each route's outage
-        # windows, and its capacity needs and duration per message length.
-        windows_of: dict[tuple[str, ...], RouteWindows] = {}
-        needs_of: dict[tuple[tuple[str, ...], int], tuple[dict[str, int], float]] = {}
-
-        def route_needs(route: Route, message_length: int) -> tuple[dict[str, int], float]:
-            key = (route.nodes, message_length)
-            needs = needs_of.get(key)
-            if needs is None:
-                needs = needs_of[key] = self._route_needs(route, message_length)
-            return needs
 
         def reroute(pending: _Pending, now: float) -> bool:
             """Settle a feasible route for *pending* at *now* (False = outage-blocked)."""
@@ -542,8 +558,7 @@ class NetworkScheduler:
                 return not pending.outage_blocked  # no window it read has moved
             request = pending.request
             endpoints = (request.source, request.target)
-            route = pending.route
-            qubits_needed, duration = pending.qubits_needed, pending.duration
+            route, duration = pending.route, pending.duration
             exclude_nodes: set[str] = set()
             exclude_links: set[tuple[str, str]] = set()
             until = math.inf
@@ -581,12 +596,9 @@ class NetworkScheduler:
                 except NetworkError:
                     feasible = False
                     break
-                qubits_needed, duration = route_needs(route, request.message_length)
+                _, duration = footprint(route, request.message_length)
             if feasible and route is not pending.route:
-                pending.rerouted = True
-                pending.route = route
-                pending.qubits_needed = qubits_needed
-                pending.duration = duration
+                settle(pending, route)
                 pending.record.route_nodes = route.nodes
                 pending.record.rerouted = True
                 # The next check starts from the new route, which is clear:
@@ -609,6 +621,15 @@ class NetworkScheduler:
                 "session %d rejected: %s", pending.request.session_id, reason
             )
 
+        def ready(pending: _Pending, now: float) -> bool:
+            """Whether *pending* can start at *now*; rejects it if it never can."""
+            if not reroute(pending, now):
+                return False
+            if not pending.viable:
+                reject(pending, "insufficient_capacity")
+                return False
+            return ledger.fits(pending.qubits_needed)
+
         def admit(pending: _Pending, now: float) -> None:
             record = pending.record
             request = pending.request
@@ -621,7 +642,7 @@ class NetworkScheduler:
             telemetry.observe(
                 "scheduler.queue_wait", now - request.arrival_time, priority=request.priority
             )
-            if pending.rerouted:
+            if record.rerouted:
                 telemetry.counter_inc("scheduler.reroutes")
             _log.debug(
                 "session %d (%s) admitted at t=%g (queued %g, %d qubits)",
@@ -635,7 +656,6 @@ class NetworkScheduler:
             record.start_time = now
             record.finish_time = now + pending.duration
             record.hold_time = (now - request.arrival_time) / self.hold_time_unit
-            pending.admitted = True
             pending.resolved = True
             pending.channels = tuple(
                 dynamics.channel_at(self.topology.link(sender, receiver), now)
@@ -653,84 +673,56 @@ class NetworkScheduler:
                 )
             push(record.finish_time, _COMPLETION, pending)
 
-        def service_queue(now: float) -> None:
-            nonlocal queue
-            if selector is None:
-                # FIFO: admit every waiting session that fits, in order.
-                still_waiting = []
-                for waiting in queue:
-                    if waiting.resolved:
-                        continue
-                    if not reroute(waiting, now):
-                        still_waiting.append(waiting)
-                    elif not ledger.viable(waiting.qubits_needed):
-                        # Only reachable when re-routing grew the capacity
-                        # footprint past every node (queued sessions were
-                        # viable on arrival).
-                        reject(waiting, "insufficient_capacity")
-                    elif ledger.fits(waiting.qubits_needed):
-                        admit(waiting, now)
-                    else:
-                        still_waiting.append(waiting)
-                queue = still_waiting
-                return
-            # Weighted-fair: serve one admissible head-of-class at a time,
-            # lowest virtual time first, until no class can start.  ``now``
-            # is fixed and admissions only take capacity, so a session found
-            # outage-blocked or not fitting stays so for the rest of the call.
-            stuck: set[int] = set()
+        def serve(now: float) -> None:
+            """Admit every waiting session that can start at *now*, picking among class heads."""
+            scan = dict.fromkeys(waiting, 0)
             while True:
-                candidates: dict[str, _Pending] = {}
-                for waiting in queue:
-                    if (
-                        waiting.resolved
-                        or waiting.request.priority in candidates
-                        or id(waiting) in stuck
-                    ):
-                        continue
-                    if not reroute(waiting, now):
-                        stuck.add(id(waiting))
-                    elif not ledger.viable(waiting.qubits_needed):
-                        reject(waiting, "insufficient_capacity")
-                    elif ledger.fits(waiting.qubits_needed):
-                        candidates[waiting.request.priority] = waiting
-                    else:
-                        stuck.add(id(waiting))
-                choice = selector.pick(candidates)
-                if choice is None:
-                    queue = [w for w in queue if not w.resolved]
-                    return
-                admit(candidates[choice], now)
+                heads: dict[str | None, _Pending] = {}
+                for key, sessions in waiting.items():
+                    index = scan[key]
+                    while index < len(sessions) and not ready(sessions[index], now):
+                        index += 1
+                    scan[key] = index
+                    if index < len(sessions):
+                        heads[key] = sessions[index]
+                if not heads:
+                    break
+                key = next(iter(heads)) if len(heads) == 1 else selector.pick(heads)
+                admit(heads[key], now)
+                scan[key] += 1
+            for key, sessions in waiting.items():
+                waiting[key] = [w for w in sessions if not w.resolved]
 
         while events:
             now, kind, _, pending = heapq.heappop(events)
             if kind == _RECOVERY:
-                # An outage window ended: retry the queue.  Advances
-                # sim_time only when there is work to retry, so recovery
-                # events on an idle network don't pad the horizon.
-                if any(not w.resolved for w in queue):
+                # An outage window ended: retry the waiting sessions.
+                # Advances sim_time only when there is work to retry, so
+                # recovery events on an idle network don't pad the horizon.
+                if any(waiting.values()):
                     sim_time = max(sim_time, now)
-                    service_queue(now)
+                    serve(now)
                 continue
             assert pending is not None
             if kind == _TIMEOUT and pending.resolved:
-                # Stale timeout of an already-scheduled session: must not
-                # advance sim_time, or every run with max_wait set would have
-                # its horizon padded to last_arrival + max_wait and all
+                # Stale timeout of a session admitted while it waited: must
+                # not advance sim_time, or every run with max_wait set would
+                # have its horizon padded to last_arrival + max_wait and all
                 # throughput figures silently deflated.
                 continue
             sim_time = max(sim_time, now)
             if kind == _ARRIVAL:
-                if not reroute(pending, now):
-                    queue.append(pending)
-                    telemetry.observe("scheduler.queue_depth", len(queue))
-                elif not ledger.viable(pending.qubits_needed):
-                    reject(pending, "insufficient_capacity")
-                elif ledger.fits(pending.qubits_needed):
+                if ready(pending, now):
                     admit(pending, now)
-                else:
-                    queue.append(pending)
-                    telemetry.observe("scheduler.queue_depth", len(queue))
+                elif not pending.resolved:
+                    waiting.setdefault(class_of(pending), []).append(pending)
+                    telemetry.observe(
+                        "scheduler.queue_depth", sum(map(len, waiting.values()))
+                    )
+                    # The patience timer starts with the wait, so at
+                    # max_wait=0 it fires after this arrival, not before.
+                    if self.max_wait is not None:
+                        push(now + self.max_wait, _TIMEOUT, pending)
             elif kind == _COMPLETION:
                 session_id = pending.request.session_id
                 ledger.release(session_id, pending.qubits_needed)
@@ -738,20 +730,20 @@ class NetworkScheduler:
                     self.topology.link(sender, receiver).classical_channel.broadcast(
                         "scheduler", "route_released", {"session": session_id}
                     )
-                service_queue(now)
+                serve(now)
             elif kind == _TIMEOUT:
                 reject(
                     pending,
                     "outage_timeout" if pending.outage_blocked else "capacity_timeout",
                 )
-                queue = [waiting for waiting in queue if waiting is not pending]
+                waiting[class_of(pending)].remove(pending)
 
-        # With max_wait=None a queued session is eventually admitted once
+        # With max_wait=None a waiting session is eventually admitted once
         # reservations drain and outages recover, so this is a defensive
         # sweep, not an expected path; outage-blocked stragglers are labelled
         # as such so the SLA decomposition attributes them.
-        for pending in queue:
-            if not pending.resolved:
+        for sessions in waiting.values():
+            for pending in sessions:
                 pending.resolved = True
                 pending.record.abort_reason = (
                     "outage_timeout" if pending.outage_blocked else "capacity_timeout"
@@ -766,7 +758,7 @@ class NetworkScheduler:
         # time would bypass the patch.
         from repro.experiments.sweep import run_sweep
 
-        admitted = [pending for pending in pendings if pending.admitted]
+        admitted = [pending for pending in pendings if pending.record.admitted]
         if not admitted:
             return
         by_id = {pending.request.session_id: pending for pending in admitted}

@@ -319,12 +319,6 @@ class WeightedFairSelector:
             )
         self._virtual[priority] = self.virtual_time(priority) + cost / self.weight(priority)
 
-    def served(self) -> "OrderedDict[str, float]":
-        """Per-class normalised service, in sorted class order (telemetry)."""
-        return OrderedDict(
-            (priority, self._virtual[priority]) for priority in sorted(self._virtual)
-        )
-
 
 class NodeCapacityLedger:
     """Per-node EPR-pair occupancy: the network scheduler's capacity model.

@@ -82,6 +82,14 @@ class TestNonFiniteInputs:
         with pytest.raises(NetworkError):
             condition_profile(name, grid_topology(2, 2), **kwargs)
 
+    @pytest.mark.parametrize("horizon", [0.0, -5.0])
+    @pytest.mark.parametrize("name", ["static", "drift", "outage", "drift_outage"])
+    def test_condition_profiles_need_a_positive_horizon(self, name, horizon):
+        # A negative horizon used to give ``drift`` a 1e-9 s period and an
+        # aging rate of 5e8 per second; ``outage`` already refused it.
+        with pytest.raises(NetworkError):
+            condition_profile(name, grid_topology(2, 2), seed=3, horizon=horizon)
+
     @pytest.mark.parametrize("field", ["rate", "period"])
     def test_from_dict_inherits_the_checks(self, field):
         data = DriftProfile.linear(rate=0.5).to_dict()

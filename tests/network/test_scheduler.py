@@ -254,6 +254,55 @@ class TestCapacityAccounting:
         rejected = [r for r in result.records if r.status == STATUS_REJECTED]
         assert rejected[0].abort_reason == "capacity_timeout"
 
+    @staticmethod
+    def _zero_patience_run(dynamics=None):
+        """Two simultaneous ``n0→n2`` requests, relay room for one, ``max_wait=0``."""
+        from repro import telemetry
+
+        topology = line_topology(3, channel_factory=lambda length: NoiselessChannel())
+        topology.node("n1").qubit_capacity = 2 * QUICK.pairs_per_hop(8)
+        scheduler = NetworkScheduler(
+            topology, session_params=QUICK, max_wait=0.0, dynamics=dynamics
+        )
+        requests = TraceTraffic([(0.0, "n0", "n2", 8), (0.0, "n0", "n2", 8)]).generate(
+            topology
+        )
+        pendings = [scheduler._prepare(request) for request in requests]
+        with telemetry.capture(clock="ticks") as session:
+            scheduler._reservation_pass(pendings)
+        rows = [
+            (p.record.session_id, p.record.admitted, p.record.start_time, p.record.abort_reason)
+            for p in pendings
+        ]
+        counters = session.document.metrics["counters"]
+        return rows, counters.get("scheduler.rejections"), counters.get("scheduler.admitted")
+
+    def test_zero_patience_resolves_each_session_once(self):
+        """``max_wait=0``: a session that cannot start at once is rejected, once.
+
+        Each patience timer starts when its session starts waiting; a timer
+        at the arrival instant used to fire before the arrival itself, so
+        every request was rejected and then ran anyway.
+        """
+        rows, rejections, admitted = self._zero_patience_run()
+        assert rows == [(0, True, 0.0, None), (1, False, None, "capacity_timeout")]
+        assert rejections == {"reason=capacity_timeout": 1.0}
+        assert admitted == {"": 1.0}
+
+    def test_zero_patience_outage_blocked_session_is_an_outage_timeout(self):
+        from repro.network.dynamics import NetworkDynamics, OutageSchedule, OutageWindow
+
+        dynamics = NetworkDynamics(
+            outages=OutageSchedule([OutageWindow("node", "n2", 0.0, 1.0)])
+        )
+        rows, rejections, admitted = self._zero_patience_run(dynamics)
+        assert rows == [
+            (0, False, None, "outage_timeout"),
+            (1, False, None, "outage_timeout"),
+        ]
+        assert rejections == {"reason=outage_timeout": 2.0}
+        assert admitted is None
+
     def test_static_schedule_pinned(self):
         """The frozen configuration's exact schedule (no dynamics, no QoS).
 
@@ -352,7 +401,7 @@ class TestReservationPassPinned:
     MEAN_SESSION_S = 0.00279
     PARAMS = SessionParameters(identity_pairs=2, check_pairs_per_round=32)
 
-    def _cell(self, seed, profile, rate, qos):
+    def _cell(self, seed, profile, rate, qos, max_wait=8 * MEAN_SESSION_S):
         from repro.network.dynamics import condition_profile
         from repro.network.topology import grid_topology
         from repro.utils.rng import as_rng, point_seed
@@ -362,9 +411,11 @@ class TestReservationPassPinned:
         scheduler = NetworkScheduler(
             topology,
             session_params=self.PARAMS,
-            max_wait=8 * self.MEAN_SESSION_S,
+            max_wait=max_wait,
             seed=seed,
-            dynamics=condition_profile(profile, topology, seed=seed, horizon=horizon),
+            dynamics=None if profile is None else condition_profile(
+                profile, topology, seed=seed, horizon=horizon
+            ),
             qos=qos,
         )
         traffic = PoissonTraffic(
@@ -404,6 +455,36 @@ class TestReservationPassPinned:
         assert reasons.get("capacity_timeout", 0) > 0
         assert digest.hexdigest() == (
             "4aabeb5f41490bc8a5472fd7d550316a1edae9215c10456258436d32446e075c"
+        )
+
+    def test_fifo_static_cells_digest_pinned(self):
+        """The path ``relay_static`` runs: no dynamics, no QoS, FIFO service.
+
+        Eight cells — two rates, two seeds, a patience of eight mean
+        sessions and none — hashed over the same row fields as above.
+        """
+        digest = hashlib.sha256()
+        queued = timed_out = 0
+        for seed in (1, 2):
+            for rate in (2100.0, 10600.0):
+                for max_wait in (8 * self.MEAN_SESSION_S, None):
+                    records, sim_time = self._cell(seed, None, rate, None, max_wait)
+                    rows = [
+                        (
+                            r.session_id, r.admitted, r.start_time, r.finish_time,
+                            r.hold_time, r.abort_reason, r.route_nodes, r.rerouted,
+                        )
+                        for r in records
+                    ]
+                    digest.update(repr((rows, sim_time)).encode())
+                    queued += sum(
+                        r.admitted and r.start_time > r.arrival_time for r in records
+                    )
+                    timed_out += sum(r.abort_reason == "capacity_timeout" for r in records)
+        assert queued > 0
+        assert timed_out > 0
+        assert digest.hexdigest() == (
+            "9ef9309ec5c5426936e61c397782a1eaf4d2bea576c76ec6761bf4cbef7ea690"
         )
 
 
