@@ -30,6 +30,9 @@ Hooks (all optional — the runner checks ``hasattr``):
 
 from __future__ import annotations
 
+import math
+import numbers
+
 from repro.channel.classical_channel import Announcement
 from repro.exceptions import AttackError
 from repro.protocol.identity import Identity
@@ -63,8 +66,15 @@ class Attack:
     @staticmethod
     def validate_fraction(value: float, name: str = "attack_fraction") -> float:
         """Validate a per-pair probability knob (shared by the partial attacks)."""
-        if not 0.0 <= value <= 1.0:
+        if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
             raise AttackError(f"{name} must lie in [0, 1]")
+        return float(value)
+
+    @staticmethod
+    def validate_finite(value: float, name: str) -> float:
+        """*value* as a float; :class:`AttackError` unless it is a finite real number."""
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise AttackError(f"{name} must be a finite real number, got {value!r}")
         return float(value)
 
     def attacks_this_pair(self, attack_fraction: float) -> bool:

@@ -24,17 +24,28 @@ two modes:
 Both collapse the entanglement of every attacked pair, so the DI check bounds
 them identically; they differ in the correlation structure Eve's records keep,
 which the scenario engine's detection studies compare.
+
+The deterministic part of a measurement (the outcome cdf and each outcome's
+resent state) is a :func:`~repro.quantum.density.state_statistic` of the
+pair, tagged with the basis vectors' bytes, so attacked pairs of equal
+content share it and receive one read-only resent state per outcome.  Each
+attacked pair still makes its own draws in order: the attack decision, the
+random basis, then one ``random()`` searched in the cdf, which is exactly
+what ``Generator.choice(2, p=…)`` draws.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from repro.attacks.base import Attack
 from repro.exceptions import AttackError
-from repro.quantum.density import DensityMatrix
+from repro.quantum.density import DensityMatrix, state_statistic
+from repro.quantum.measurement import embedded_operator
+from repro.utils.rng import choice_cdf
 
 __all__ = ["InterceptResendAttack"]
 
@@ -72,9 +83,16 @@ class InterceptResendAttack(Attack):
             raise AttackError(
                 f"basis_mode must be 'fixed' or 'random', got {basis_mode!r}"
             )
-        self.theta = float(theta)
-        self.phi = float(phi)
+        self.theta = self.validate_finite(theta, "theta")
+        self.phi = self.validate_finite(phi, "phi")
         self.basis_mode = basis_mode
+        # (memo tag, measurement) per basis; the individual attack draws an
+        # index into the (Z, X) pair.
+        self._measurements = (
+            (self._measurement(0.0, 0.0), self._measurement(math.pi / 2, 0.0))
+            if basis_mode == "random"
+            else (self._measurement(self.theta, self.phi),)
+        )
         self.name = (
             f"intercept_resend(theta={self.theta:.3f}, "
             f"fraction={self.attack_fraction:g}, mode={self.basis_mode})"
@@ -99,6 +117,13 @@ class InterceptResendAttack(Attack):
         """The configured fixed measurement basis ``(|u⟩, |v⟩)`` as state vectors."""
         return self._basis_for(self.theta, self.phi)
 
+    @classmethod
+    def _measurement(cls, theta: float, phi: float) -> tuple[tuple, partial]:
+        """The memo tag and the deterministic measurement of one basis."""
+        u, v = cls._basis_for(theta, phi)
+        projectors = (np.outer(u, u.conj()), np.outer(v, v.conj()))
+        return ("intercept", u.tobytes(), v.tobytes()), partial(_branches, projectors)
+
     # -- hook -------------------------------------------------------------------------------
     def intercept_transmission(self, position: int, state: DensityMatrix) -> DensityMatrix:
         """Measure Alice's qubit (qubit 0) in the ``{|u⟩, |v⟩}`` basis and resend it."""
@@ -107,35 +132,50 @@ class InterceptResendAttack(Attack):
         self.intercepted_pairs += 1
         if self.basis_mode == "random":
             # Individual attack: flip between the Z and X bases per qubit.
-            u, v = self._basis_for(
-                0.0 if int(self.rng.integers(2)) == 0 else math.pi / 2, 0.0
-            )
+            tag, measure = self._measurements[int(self.rng.integers(2))]
         else:
-            u, v = self.basis_states()
-        projectors = [np.outer(u, u.conj()), np.outer(v, v.conj())]
-        probabilities = []
-        for projector in projectors:
-            probabilities.append(
-                max(float(np.real(state.expectation_value(projector, [0]))), 0.0)
-            )
-        total = sum(probabilities)
-        if total <= 0:
-            raise AttackError("interception hit a zero-probability branch")
-        probabilities = [p / total for p in probabilities]
-        outcome = int(self.rng.choice(2, p=probabilities))
+            tag, measure = self._measurements[0]
+        cdf, resent = state_statistic(tag, state, measure)
+        outcome = int(cdf.searchsorted(self.rng.random(), side="right"))
         self.measurement_record.append((position, outcome))
-        chosen = projectors[outcome]
-        # Project qubit 0 onto the observed basis state and renormalise: this is
-        # exactly "measure and resend the result".
-        from repro.quantum.operators import embed_operator
-
-        full_projector = embed_operator(chosen, [0], state.num_qubits)
-        projected = full_projector @ state.matrix @ full_projector
-        norm = float(np.real(np.trace(projected)))
-        return DensityMatrix(projected / norm, validate=False)
+        return resent[outcome]
 
     # -- analytic predictions --------------------------------------------------------------------
     @staticmethod
     def expected_chsh_after_full_attack() -> float:
         """Upper bound on the CHSH value once every pair has been measured (classical: 2)."""
         return 2.0
+
+
+def _branches(
+    projectors: tuple[np.ndarray, np.ndarray], state: DensityMatrix
+) -> tuple[np.ndarray, tuple["DensityMatrix | None", ...]]:
+    """The outcome cdf of measuring qubit 0 with *projectors*, and each outcome's state.
+
+    The cdf is the one ``Generator.choice(2, p=…)`` searches for the
+    normalised branch probabilities ``Tr(ρ P)``.  Each outcome's state is
+    qubit 0 projected onto the observed basis state and renormalised: this
+    is exactly "measure and resend the result".  An outcome the cdf never
+    draws (a zero-probability branch) has no state.
+    """
+    rho = state.matrix
+    full = [embedded_operator(projector, (0,), state.num_qubits) for projector in projectors]
+    probabilities = [max(float(np.real(complex(np.trace(rho @ f)))), 0.0) for f in full]
+    total = sum(probabilities)
+    if total <= 0:
+        raise AttackError("interception hit a zero-probability branch")
+    cdf = choice_cdf(np.array([p / total for p in probabilities]))
+    cdf.setflags(write=False)
+    resent: list[DensityMatrix | None] = []
+    lower = 0.0
+    for projector, upper in zip(full, cdf.tolist()):
+        if upper > lower:
+            projected = projector @ rho @ projector
+            norm = float(np.real(np.trace(projected)))
+            post = DensityMatrix(projected / norm, validate=False)
+            post.matrix.setflags(write=False)
+            resent.append(post)
+        else:
+            resent.append(None)
+        lower = upper
+    return cdf, tuple(resent)

@@ -56,7 +56,7 @@ from repro.attacks.impersonation import ImpersonationAttack
 from repro.attacks.information_leakage import ClassicalEavesdropper
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.attacks.man_in_the_middle import ManInTheMiddleAttack
-from repro.attacks.schedule import ComposedAttack, ScheduledAttack
+from repro.attacks.schedule import ComposedAttack, ScheduledAttack, check_schedule
 from repro.attacks.source_tamper import SourceTamperAttack
 from repro.exceptions import AttackError
 from repro.utils.rng import as_rng, derive_rng
@@ -190,14 +190,12 @@ class AttackScenario:
     def validate(self) -> "AttackScenario":
         """Raise :class:`AttackError` if the scenario is inconsistent."""
         spec = get_strategy(self.strategy)
-        if not 0.0 <= self.strength <= 1.0:
-            raise AttackError("strength must lie in [0, 1]")
-        if self.onset < 0:
-            raise AttackError("onset must be non-negative")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise AttackError("duty_cycle must lie in (0, 1]")
-        if self.duty_period < 1:
-            raise AttackError("duty_period must be at least 1")
+        Attack.validate_fraction(self.strength, "strength")
+        check_schedule(self.onset, self.duty_cycle, self.duty_period)
+        if not isinstance(self.params, Mapping):
+            raise AttackError(
+                f"params must be a mapping, got {type(self.params).__name__}"
+            )
         if self.layer not in spec.layers:
             raise AttackError(
                 f"strategy {self.strategy!r} does not operate on layer "
@@ -296,14 +294,15 @@ class AttackScenario:
             raise AttackError(f"unknown scenario fields: {sorted(unknown)}")
         if "strategy" not in payload:
             raise AttackError("a scenario dict needs a 'strategy' field")
+        params = payload.get("params", {})
         return cls(
             strategy=str(payload["strategy"]),
-            strength=float(payload.get("strength", 1.0)),
-            onset=int(payload.get("onset", 0)),
-            duty_cycle=float(payload.get("duty_cycle", 1.0)),
-            duty_period=int(payload.get("duty_period", 16)),
+            strength=Attack.validate_finite(payload.get("strength", 1.0), "strength"),
+            onset=payload.get("onset", 0),
+            duty_cycle=Attack.validate_finite(payload.get("duty_cycle", 1.0), "duty_cycle"),
+            duty_period=payload.get("duty_period", 16),
             target_layer=payload.get("target_layer"),
-            params=dict(payload.get("params", {})),
+            params=dict(params) if isinstance(params, Mapping) else params,
         ).validate()
 
 
@@ -429,8 +428,8 @@ def _build_intercept_resend(
     scenario: AttackScenario, rng: np.random.Generator
 ) -> Attack:
     return InterceptResendAttack(
-        theta=float(scenario.params.get("theta", 0.0)),
-        phi=float(scenario.params.get("phi", 0.0)),
+        theta=scenario.params.get("theta", 0.0),
+        phi=scenario.params.get("phi", 0.0),
         attack_fraction=scenario.strength,
         basis_mode=str(scenario.params.get("basis_mode", "fixed")),
         rng=rng,
@@ -442,7 +441,7 @@ def _build_entangle_measure(
 ) -> Attack:
     return EntangleMeasureAttack(
         strength=scenario.strength,
-        attack_fraction=float(scenario.params.get("attack_fraction", 1.0)),
+        attack_fraction=scenario.params.get("attack_fraction", 1.0),
         rng=rng,
     )
 

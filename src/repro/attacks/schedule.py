@@ -27,15 +27,34 @@ facade and the network relay layer treat them like any single attack.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 
 from repro.attacks.base import Attack
 from repro.channel.classical_channel import Announcement
-from repro.exceptions import AttackError
+from repro.exceptions import AttackError, ConfigurationError
+from repro.protocol.config import check_count
 from repro.protocol.identity import Identity
 from repro.quantum.density import DensityMatrix
 
-__all__ = ["ScheduledAttack", "ComposedAttack"]
+__all__ = ["ScheduledAttack", "ComposedAttack", "check_schedule"]
+
+
+def check_schedule(onset, duty_cycle, duty_period) -> tuple[int, float, int]:
+    """The schedule as ``(int, float, int)``; :class:`AttackError` unless it is valid.
+
+    *onset* must be an integer ≥ 0 and *duty_period* an integer ≥ 1, checked
+    as :func:`~repro.protocol.config.check_count` checks counts (NaN, ±∞,
+    fractions and strings fail); *duty_cycle* must be a real in (0, 1].
+    """
+    try:
+        onset = check_count(onset, "onset", minimum=0)
+        duty_period = check_count(duty_period, "duty_period")
+    except ConfigurationError as error:
+        raise AttackError(str(error)) from None
+    if not (isinstance(duty_cycle, numbers.Real) and 0.0 < duty_cycle <= 1.0):
+        raise AttackError("duty_cycle must lie in (0, 1]")
+    return onset, float(duty_cycle), duty_period
 
 
 class ScheduledAttack(Attack):
@@ -75,16 +94,10 @@ class ScheduledAttack(Attack):
         duty_period: int = 16,
     ):
         super().__init__(rng=getattr(inner, "rng", None))
-        if onset < 0:
-            raise AttackError("onset must be non-negative")
-        if not 0.0 < duty_cycle <= 1.0:
-            raise AttackError("duty_cycle must lie in (0, 1]")
-        if duty_period < 1:
-            raise AttackError("duty_period must be at least 1")
         self.inner = inner
-        self.onset = int(onset)
-        self.duty_cycle = float(duty_cycle)
-        self.duty_period = int(duty_period)
+        self.onset, self.duty_cycle, self.duty_period = check_schedule(
+            onset, duty_cycle, duty_period
+        )
         self._active_slots = min(
             self.duty_period, int(math.ceil(self.duty_cycle * self.duty_period))
         )

@@ -14,7 +14,6 @@ is Bob's half.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.quantum.bell import BellState
 from repro.quantum.density import DensityMatrix, group_by_object, map_distinct, state_statistic
 from repro.quantum.measurement import BELL_OUTCOME_ORDER, bell_basis_probability_vector
 from repro.utils.bits import Bits
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, choice_cdf
 
 __all__ = ["Alice", "Bob"]
 
@@ -74,37 +73,6 @@ def _apply_plan(
 
 def _bell_probabilities(state: DensityMatrix):
     return bell_basis_probability_vector(state, [ALICE_QUBIT, BOB_QUBIT])
-
-
-#: ``Generator.choice``'s tolerance on ``|Σp − 1|`` for float64 ``p``.
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
-def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
-    """The cdf ``Generator.choice(len(p), p=probabilities)`` searches.
-
-    Runs ``choice``'s input checks (a Kahan sum, then NaN, negative entries
-    and the sum's distance from 1) and raises its ``ValueError``s.
-    """
-    values = probabilities.tolist()
-    total, compensation = values[0], 0.0
-    for value in values[1:]:
-        term = value - compensation
-        new_total = total + term
-        compensation = (new_total - total) - term
-        total = new_total
-    if math.isnan(total):
-        raise ValueError("Probabilities contain NaN")
-    if any(value < 0 for value in values):
-        raise ValueError("Probabilities are not non-negative")
-    if abs(total - 1.0) > _CHOICE_ATOL:
-        raise ValueError(
-            "Probabilities do not sum to 1. See Notes section of docstring "
-            "for more information."
-        )
-    cdf = probabilities.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 @dataclass
@@ -254,7 +222,7 @@ class Bob:
         slots, distinct = group_by_object([pairs[position] for position in positions])
         cdfs = np.array(
             [
-                _choice_cdf(state_statistic("bell", state, _bell_probabilities))
+                choice_cdf(state_statistic("bell", state, _bell_probabilities))
                 for state in distinct
             ]
         ).reshape(-1, 4)

@@ -337,14 +337,16 @@ def map_distinct(
     return [outputs[slot] for slot in slots]
 
 
-#: Entries kept by :func:`state_statistic`; the memo is cleared when full, as
-#: the projector memos in :mod:`repro.quantum.measurement` are.  At 1024
-#: entries of one 2-qubit state each it holds ≲0.5 MB, and ≲2 MB when every
-#: entry is a channel transmit tagged with its map's bytes (≈1 KB).
+#: Entries kept by :func:`state_statistic`.  When it is full a miss evicts
+#: the least recently used entry (a hit moves its entry to the end of the
+#: dict, a miss pops the front), so the entries every session shares survive
+#: a stream of one-off drifted or attacked states.  At 1024 entries of one
+#: 2-qubit state each it holds ≲0.5 MB, and ≲2 MB when every entry is a
+#: channel transmit tagged with its map's bytes (≈1 KB).
 _STATISTIC_MEMO_MAX = 1024
 _STATISTIC_MEMO: dict[tuple, Any] = {}
-#: Makes the size check and the insertion one step, so concurrent misses
-#: cannot push the memo past its bound.  Lookups need no lock.
+#: Makes each hit's move and each miss's eviction and insertion one step, so
+#: concurrent lookups cannot lose an entry or push the memo past its bound.
 _STATISTIC_MEMO_LOCK = threading.Lock()
 
 
@@ -364,14 +366,17 @@ def state_statistic(
     :class:`DensityMatrix`, are made read-only.
     """
     key = (tag, *_content_key(state))
-    value = _STATISTIC_MEMO.get(key)
-    if value is None:
-        value = compute(state)
-        array = value.matrix if isinstance(value, DensityMatrix) else value
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
-        with _STATISTIC_MEMO_LOCK:
-            if len(_STATISTIC_MEMO) >= _STATISTIC_MEMO_MAX:
-                _STATISTIC_MEMO.clear()
+    with _STATISTIC_MEMO_LOCK:
+        value = _STATISTIC_MEMO.pop(key, None)
+        if value is not None:
             _STATISTIC_MEMO[key] = value
+            return value
+    value = compute(state)
+    array = value.matrix if isinstance(value, DensityMatrix) else value
+    if isinstance(array, np.ndarray):
+        array.setflags(write=False)
+    with _STATISTIC_MEMO_LOCK:
+        if key not in _STATISTIC_MEMO and len(_STATISTIC_MEMO) >= _STATISTIC_MEMO_MAX:
+            del _STATISTIC_MEMO[next(iter(_STATISTIC_MEMO))]
+        _STATISTIC_MEMO[key] = value
     return value

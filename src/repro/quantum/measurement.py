@@ -19,9 +19,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import DimensionError, NonPhysicalStateError
-from repro.quantum.bell import BellState, equatorial_observable_matrix
+from repro.quantum.bell import BellState, bell_projector, equatorial_observable_matrix
 from repro.quantum.density import DensityMatrix
-from repro.quantum.operators import Operator
+from repro.quantum.operators import Operator, embed_operator
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng
 
@@ -35,6 +35,7 @@ __all__ = [
     "bell_measurement_probabilities",
     "bell_basis_probability_vector",
     "bell_measurement_counts",
+    "embedded_operator",
     "BELL_BITS_TO_STATE",
     "BELL_STATE_TO_BITS",
     "BELL_OUTCOME_ORDER",
@@ -110,7 +111,7 @@ def _computational_projector(
     """Full-register projector onto *outcome* of the listed qubits."""
     ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
     ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    from repro.quantum.operators import embed_operator, kron_all
+    from repro.quantum.operators import kron_all
 
     locals_ = [ket0 if bit == "0" else ket1 for bit in outcome]
     return embed_operator(kron_all(locals_), list(qubits), num_qubits)
@@ -124,10 +125,32 @@ def _computational_projector(
 _PROJECTOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _PROJECTOR_CACHE_MAX = 256
 
-#: Bounded memo of full-register embeddings of those projectors, keyed by
-#: (observable bytes, qubits, register size).
-_EMBEDDED_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+#: Bounded memo of full-register embeddings of constant operators (the
+#: observables' eigenprojectors, the four Bell projectors, an intercepting
+#: attacker's basis projectors), keyed by (dimension, operator bytes, target
+#: qubits, register size) and cleared when full.
+_EMBEDDED_CACHE: dict[tuple, np.ndarray] = {}
 _EMBEDDED_CACHE_MAX = 1024
+
+
+def embedded_operator(
+    matrix: np.ndarray, qubits: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    """``embed_operator(matrix, qubits, num_qubits)``, memoised and read-only.
+
+    Equal operator bytes, targets and register size return the one array the
+    first call embedded, so callers that apply a constant operator to many
+    states embed it once.
+    """
+    key = (matrix.shape[0], matrix.tobytes(), qubits, num_qubits)
+    embedded = _EMBEDDED_CACHE.get(key)
+    if embedded is None:
+        embedded = embed_operator(matrix, list(qubits), num_qubits)
+        embedded.setflags(write=False)
+        if len(_EMBEDDED_CACHE) >= _EMBEDDED_CACHE_MAX:
+            _EMBEDDED_CACHE.clear()
+        _EMBEDDED_CACHE[key] = embedded
+    return embedded
 
 
 def _observable_projectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -154,21 +177,10 @@ def _embedded_projectors(
     op: Operator, qubits: tuple[int, ...], num_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-register embeddings of an observable's eigenprojectors, memoised."""
-    key = (op.dim, op.matrix.tobytes(), qubits, num_qubits)
-    cached = _EMBEDDED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from repro.quantum.operators import embed_operator
-
-    plus_local, minus_local = _observable_projectors(op)
-    embedded = (
-        embed_operator(plus_local, list(qubits), num_qubits),
-        embed_operator(minus_local, list(qubits), num_qubits),
+    return tuple(
+        embedded_operator(local, qubits, num_qubits)
+        for local in _observable_projectors(op)
     )
-    if len(_EMBEDDED_CACHE) >= _EMBEDDED_CACHE_MAX:
-        _EMBEDDED_CACHE.clear()
-    _EMBEDDED_CACHE[key] = embedded
-    return embedded
 
 
 def observable_branches(
@@ -278,6 +290,9 @@ BELL_OUTCOME_ORDER = (
     BellState.PSI_MINUS,
 )
 
+#: Each outcome's local projector, in :data:`BELL_OUTCOME_ORDER`.
+_BELL_PROJECTORS = tuple(bell_projector(which).matrix for which in BELL_OUTCOME_ORDER)
+
 
 def bell_basis_probability_vector(
     state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
@@ -285,16 +300,22 @@ def bell_basis_probability_vector(
     """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
 
     Callers that measure many pairs of one state (Bob's Bell measurement)
-    compute the vector once and sample each outcome from it.
+    compute the vector once and sample each outcome from it.  A density
+    matrix reads the embedded projectors from :func:`embedded_operator` and
+    takes ``Tr(ρ P)`` as :meth:`DensityMatrix.expectation_value` does.
     """
-    from repro.quantum.bell import bell_projector
-
-    probs = []
-    for which in BELL_OUTCOME_ORDER:
-        projector = bell_projector(which)
-        value = state.expectation_value(projector, qubit_pair)
-        probs.append(max(float(np.real(value)), 0.0))
-    probs = np.array(probs)
+    if isinstance(state, DensityMatrix):
+        rho, targets = state.matrix, tuple(int(q) for q in qubit_pair)
+        values = [
+            complex(np.trace(rho @ embedded_operator(local, targets, state.num_qubits)))
+            for local in _BELL_PROJECTORS
+        ]
+    else:
+        values = [
+            state.expectation_value(bell_projector(which), qubit_pair)
+            for which in BELL_OUTCOME_ORDER
+        ]
+    probs = np.array([max(float(np.real(value)), 0.0) for value in values])
     total = probs.sum()
     if total <= 0:
         raise NonPhysicalStateError("state has no support on the Bell basis")

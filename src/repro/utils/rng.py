@@ -14,12 +14,15 @@ network session, a fragment retransmission, a runtime request —
 alone, so the result never depends on call order.
 
 :func:`draw_setting_pairs` returns per-round scalar draws as arrays, bit for
-bit and with the generator left in the same state.
+bit and with the generator left in the same state, and :func:`choice_cdf`
+is the cdf ``Generator.choice`` searches, so a caller that keeps it per
+distinct distribution draws each sample with one ``random()``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from collections.abc import Mapping
 from typing import Any
@@ -28,7 +31,15 @@ import numpy as np
 
 from repro.exceptions import ExperimentError
 
-__all__ = ["RngLike", "as_rng", "derive_rng", "draw_setting_pairs", "point_seed", "spawn_rngs"]
+__all__ = [
+    "RngLike",
+    "as_rng",
+    "choice_cdf",
+    "derive_rng",
+    "draw_setting_pairs",
+    "point_seed",
+    "spawn_rngs",
+]
 
 #: Anything convertible to a :class:`numpy.random.Generator`.
 RngLike = "np.random.Generator | int | None"
@@ -130,6 +141,39 @@ def draw_setting_pairs(
     ).reshape(count, 4)
     settings = draws[:, :2].astype(np.int64)
     return settings[:, 0], settings[:, 1], draws[:, 2], draws[:, 3]
+
+
+#: ``Generator.choice``'s tolerance on ``|Σp − 1|`` for float64 ``p``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(len(p), p=probabilities)`` searches.
+
+    Runs ``choice``'s input checks (a Kahan sum, then NaN, negative entries
+    and the sum's distance from 1) and raises its ``ValueError``s.  With
+    no ``size``, ``choice`` returns ``cdf.searchsorted(random(),
+    side="right")``: one uniform per sample, searched in this array.
+    """
+    values = probabilities.tolist()
+    total, compensation = values[0], 0.0
+    for value in values[1:]:
+        term = value - compensation
+        new_total = total + term
+        compensation = (new_total - total) - term
+        total = new_total
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if any(value < 0 for value in values):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring "
+            "for more information."
+        )
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _canonical_value(value: Any) -> str:

@@ -5,7 +5,7 @@ service instance may serve concurrent ``send()`` calls, and with pinned
 per-send seeds every concurrent report is byte-identical to the one a serial
 loop produces.  Shared infrastructure exercised on purpose: one backend,
 one (locked) propagator cache inside the simulator stack, the process-wide
-pair-state statistic memo (also shrunk so it clears mid-send), the telemetry
+pair-state statistic memo (also shrunk so it evicts mid-send), the telemetry
 module state, and — in the networked variant — one topology with its
 channels.
 """
@@ -33,13 +33,13 @@ def _payload_for(thread: int, index: int) -> str:
 
 
 class _CountingMemo(dict):
-    """A statistic memo that counts how often it was cleared."""
+    """A statistic memo that counts the entries it evicted."""
 
-    clears = 0
+    evictions = 0
 
-    def clear(self) -> None:
-        self.clears += 1
-        super().clear()
+    def __delitem__(self, key) -> None:
+        self.evictions += 1
+        super().__delitem__(key)
 
 
 def _canonical(report) -> str:
@@ -74,7 +74,7 @@ def _hammer(service: MessagingService) -> dict[tuple[int, int], str]:
             lambda: ServiceConfig.ideal().with_backend("batch"), None, id="batch-backend"
         ),
         # Four entries hold less than one session needs, so the statistic
-        # memo is cleared again and again while the threads send.
+        # memo evicts again and again while the threads send.
         pytest.param(lambda: ServiceConfig.ideal(), 4, id="local-backend-memo-bound-4"),
     ],
 )
@@ -86,7 +86,7 @@ def test_sixteen_threads_match_serial_reference(make_config, memo_bound, monkeyp
     concurrent = _hammer(MessagingService(make_config()))
     assert len(concurrent) == NUM_THREADS * SENDS_PER_THREAD
     if memo_bound is not None:
-        assert memo.clears > 0
+        assert memo.evictions > 0
 
     serial_service = MessagingService(make_config())
     for (thread, index), concurrent_report in sorted(concurrent.items()):

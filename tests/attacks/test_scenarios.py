@@ -85,6 +85,64 @@ class TestScenarioValidation:
         AttackScenario("intercept_resend", target_layer="relay").validate()
 
 
+class TestBadInputRaisesAttackError:
+    """Malformed scenario fields and intercept angles raise AttackError,
+    never a bare ValueError/TypeError/OverflowError or a silent truncation."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"onset": "x"},
+            {"onset": 1.5},
+            {"onset": math.nan},
+            {"duty_period": math.inf},
+            {"duty_period": 2.7},
+            {"params": [1, 2]},
+            {"strength": "x"},
+            {"duty_cycle": "x"},
+        ],
+        ids=lambda fields: "-".join(f"{key}={value!r}" for key, value in fields.items()),
+    )
+    def test_from_dict(self, fields):
+        with pytest.raises(AttackError, match=next(iter(fields))):
+            AttackScenario.from_dict({"strategy": "intercept_resend", **fields})
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"onset": math.nan},
+            {"onset": 1.5},
+            {"duty_period": math.inf},
+            {"duty_period": "8"},
+            {"duty_cycle": "x"},
+        ],
+        ids=lambda fields: "-".join(f"{key}={value!r}" for key, value in fields.items()),
+    )
+    def test_scheduled_attack(self, schedule):
+        with pytest.raises(AttackError, match=next(iter(schedule))):
+            ScheduledAttack(InterceptResendAttack(rng=0), **schedule)
+
+    @pytest.mark.parametrize("angle", ["theta", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "abc"])
+    def test_intercept_angles(self, angle, value):
+        with pytest.raises(AttackError, match=angle):
+            InterceptResendAttack(rng=0, **{angle: value})
+        with pytest.raises(AttackError, match=angle):
+            AttackScenario("intercept_resend", params={angle: value}).build(0)
+
+    def test_entangle_measure_attack_fraction(self):
+        with pytest.raises(AttackError, match="attack_fraction"):
+            AttackScenario("entangle_measure", params={"attack_fraction": "x"}).build(0)
+
+    def test_integer_schedules_of_any_integer_type_pass(self):
+        scenario = AttackScenario(
+            "intercept_resend", onset=np.int64(3), duty_period=np.int64(8), duty_cycle=0.5
+        )
+        attack = scenario.validate().build(0)
+        assert (attack.onset, attack.duty_period) == (3, 8)
+        assert type(attack.onset) is int and type(attack.duty_period) is int
+
+
 class TestScenarioBuild:
     def test_builds_expected_attack_types(self):
         cases = {

@@ -167,10 +167,34 @@ class TestStateStatistic:
             value = state_statistic("p0", state, lambda s: float(s.matrix[0, 0].real))
             assert value == float(state.matrix[0, 0].real)
             assert len(empty_memo) <= bound
-        # Entries that survived the last clear still answer correctly.
+        # The most recently used entries survive and still answer correctly.
         for state in states[-50:]:
             value = state_statistic("p0", state, lambda s: -1.0)
             assert value == float(state.matrix[0, 0].real)
+
+    def test_an_entry_hit_before_the_memo_fills_is_not_recomputed(self, monkeypatch):
+        """A full memo evicts its least recently used entry, not everything."""
+        bound = 8
+        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", bound)
+        monkeypatch.setattr(density, "_STATISTIC_MEMO", {})
+        states = [_diagonal(p) for p in np.linspace(0.0, 1.0, bound + 1)]
+        computed = []
+
+        def p0(state):
+            computed.append(state)
+            return float(state.matrix[0, 0].real)
+
+        for state in states[: bound - 1]:
+            state_statistic("p0", state, p0)
+        state_statistic("p0", states[0], p0)  # a hit just before the memo fills
+        state_statistic("p0", states[bound - 1], p0)  # fills it
+        state_statistic("p0", states[bound], p0)  # evicts states[1], the oldest
+        assert len(density._STATISTIC_MEMO) == bound
+        computed.clear()
+        assert state_statistic("p0", states[0], p0) == 0.0
+        assert computed == []
+        state_statistic("p0", states[1], p0)
+        assert computed == [states[1]]
 
     def test_concurrent_misses_never_exceed_the_bound(self, monkeypatch):
         """Many threads missing at once keep the memo within its bound."""
