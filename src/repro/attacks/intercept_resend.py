@@ -44,7 +44,7 @@ import numpy as np
 from repro.attacks.base import Attack
 from repro.exceptions import AttackError
 from repro.quantum.density import DensityMatrix, state_statistic
-from repro.quantum.measurement import embedded_operator
+from repro.quantum.operators import embedded_operator
 from repro.utils.rng import choice_cdf
 
 __all__ = ["InterceptResendAttack"]

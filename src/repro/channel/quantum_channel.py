@@ -22,6 +22,8 @@ All channels expose two complementary interfaces:
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -48,6 +50,13 @@ __all__ = [
     "IdentityChainChannel",
     "FiberLossChannel",
 ]
+
+
+def _check_finite(value: float, name: str, positive: bool = False) -> None:
+    """Raise :class:`ChannelError` unless *value* is finite and ≥ 0 (> 0 if *positive*)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else "non-negative"
+        raise ChannelError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _built_once(
@@ -217,12 +226,17 @@ class IdentityChainChannel(QuantumChannel):
     include_thermal_relaxation: bool = True
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ChannelError(f"eta must be non-negative, got {self.eta}")
+        try:
+            eta = operator.index(self.eta)
+        except TypeError:
+            raise ChannelError(f"eta must be an integer, got {self.eta!r}") from None
+        if eta < 0:
+            raise ChannelError(f"eta must be non-negative, got {eta}")
         if not 0.0 <= self.gate_error <= 1.0:
             raise ChannelError("gate_error must lie in [0, 1]")
-        if self.gate_duration < 0:
-            raise ChannelError("gate_duration must be non-negative")
+        _check_finite(self.gate_duration, "gate_duration")
+        _check_finite(self.t1, "t1", positive=True)
+        _check_finite(self.t2, "t2", positive=True)
 
     @property
     def name(self) -> str:
@@ -296,12 +310,11 @@ class FiberLossChannel(QuantumChannel):
     speed_km_per_s: float = 2.0e5
 
     def __post_init__(self):
-        if self.length_km < 0:
-            raise ChannelError("length_km must be non-negative")
-        if self.attenuation_db_per_km < 0:
-            raise ChannelError("attenuation must be non-negative")
+        _check_finite(self.length_km, "length_km")
+        _check_finite(self.attenuation_db_per_km, "attenuation_db_per_km")
         if not 0.0 <= self.dephasing_per_km <= 1.0:
             raise ChannelError("dephasing_per_km must lie in [0, 1]")
+        _check_finite(self.speed_km_per_s, "speed_km_per_s", positive=True)
 
     @property
     def name(self) -> str:
@@ -316,8 +329,6 @@ class FiberLossChannel(QuantumChannel):
 
     def duration(self) -> float:
         """Propagation delay of the fibre."""
-        if self.speed_km_per_s <= 0:
-            raise ChannelError("speed_km_per_s must be positive")
         return self.length_km / self.speed_km_per_s
 
     @_built_once

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.device.calibration import (
     DeviceCalibration,
     QubitCalibration,
@@ -25,6 +23,7 @@ from repro.device.calibration import (
 )
 from repro.device.topology import (
     EAGLE_NUM_QUBITS,
+    CouplingMap,
     heavy_hex_coupling_map,
     linear_coupling_map,
 )
@@ -59,7 +58,7 @@ class DeviceModel:
 
     name: str
     num_qubits: int
-    coupling_map: nx.Graph | None = None
+    coupling_map: CouplingMap | None = None
     calibration: DeviceCalibration | None = None
     include_thermal_relaxation: bool = True
     metadata: dict = field(default_factory=dict)
@@ -68,9 +67,9 @@ class DeviceModel:
         if self.num_qubits < 1:
             raise DeviceError("a device needs at least one qubit")
         if self.coupling_map is not None:
-            if self.coupling_map.number_of_nodes() != self.num_qubits:
+            if self.coupling_map.num_qubits != self.num_qubits:
                 raise DeviceError(
-                    f"coupling map has {self.coupling_map.number_of_nodes()} nodes "
+                    f"coupling map has {self.coupling_map.num_qubits} nodes "
                     f"but the device declares {self.num_qubits} qubits"
                 )
 

@@ -6,21 +6,20 @@ consecutive rows.  :func:`heavy_hex_coupling_map` reconstructs that layout
 (127 nodes, 144 edges, maximum degree 3); :func:`linear_coupling_map` provides
 the simple chain used for EPLG-style layered-gate benchmarks.
 
-Graphs are returned as :class:`networkx.Graph` instances so distance, path and
-subgraph queries are available to higher layers.
+Graphs are :class:`CouplingMap` values: a qubit count and a set of
+undirected edges, enough for the device's size check and coupling queries.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass, field
 
 from repro.exceptions import DeviceError
 
 __all__ = [
+    "CouplingMap",
     "heavy_hex_coupling_map",
     "linear_coupling_map",
-    "coupling_distance",
-    "coupling_path",
     "EAGLE_NUM_QUBITS",
 ]
 
@@ -37,7 +36,25 @@ _ROW_LENGTH = 15
 _BRIDGES_PER_GAP = 4
 
 
-def heavy_hex_coupling_map() -> nx.Graph:
+@dataclass(frozen=True)
+class CouplingMap:
+    """An undirected coupling graph on qubits ``0 .. num_qubits - 1``.
+
+    ``edges`` holds each coupling once, as ``(lower, higher)``; ``bridges``
+    names the heavy-hex layout's bridge qubits (empty for other layouts).
+    """
+
+    name: str
+    num_qubits: int
+    edges: frozenset[tuple[int, int]] = field(repr=False)
+    bridges: frozenset[int] = field(default=frozenset(), repr=False)
+
+    def has_edge(self, qubit_a: int, qubit_b: int) -> bool:
+        """True if the two qubits are directly coupled."""
+        return (min(qubit_a, qubit_b), max(qubit_a, qubit_b)) in self.edges
+
+
+def heavy_hex_coupling_map() -> CouplingMap:
     """Build the 127-qubit Eagle heavy-hexagonal coupling map.
 
     Layout (matching the published ``ibm_washington``/``ibm_brisbane`` maps):
@@ -49,61 +66,26 @@ def heavy_hex_coupling_map() -> nx.Graph:
       and 14.  ``6 * 4 = 24`` bridges bring the total to 127 qubits.
     * Qubits are numbered row by row, interleaving each row with the bridge
       group below it, which reproduces IBM's numbering scheme.
-
-    Returns a graph whose nodes carry a ``"kind"`` attribute (``"row"`` or
-    ``"bridge"``) and ``"row"``/``"column"`` coordinates.
     """
-    graph = nx.Graph(name="heavy_hex_127")
-    next_index = 0
-    row_qubits: list[dict[int, int]] = []
-
+    edges: list[tuple[int, int]] = []
+    bridges: list[int] = []
+    below: list[tuple[int, int]] = []  # (bridge, column) awaiting the next row
+    qubit = 0
     for row in range(_NUM_ROWS):
         columns = _row_columns(row)
-        mapping: dict[int, int] = {}
-        for column in columns:
-            graph.add_node(next_index, kind="row", row=row, column=column)
-            mapping[column] = next_index
-            next_index += 1
-        # Chain the row qubits left to right.
-        for left, right in zip(columns, columns[1:]):
-            graph.add_edge(mapping[left], mapping[right])
-        row_qubits.append(mapping)
-
+        chain = {column: qubit + offset for offset, column in enumerate(columns)}
+        qubit += len(columns)
+        edges += [(chain[left], chain[right]) for left, right in zip(columns, columns[1:])]
+        edges += [(bridge, chain[column]) for bridge, column in below]
+        below = []
         if row < _NUM_ROWS - 1:
             for bridge_slot in range(_BRIDGES_PER_GAP):
                 column = _bridge_column(row, bridge_slot)
-                graph.add_node(
-                    next_index, kind="bridge", row=row + 0.5, column=column
-                )
-                next_index += 1
-
-    # Second pass: connect bridges now that both adjacent rows exist.
-    bridge_index = 0
-    next_index = 0
-    for row in range(_NUM_ROWS):
-        next_index += len(_row_columns(row))
-        if row >= _NUM_ROWS - 1:
-            break
-        for bridge_slot in range(_BRIDGES_PER_GAP):
-            column = _bridge_column(row, bridge_slot)
-            bridge = next_index
-            upper = row_qubits[row].get(column)
-            lower = row_qubits[row + 1].get(column)
-            if upper is None or lower is None:
-                raise DeviceError(
-                    f"bridge at row {row} column {column} has no anchor qubit"
-                )
-            graph.add_edge(bridge, upper)
-            graph.add_edge(bridge, lower)
-            next_index += 1
-            bridge_index += 1
-
-    if graph.number_of_nodes() != EAGLE_NUM_QUBITS:
-        raise DeviceError(
-            f"heavy-hex construction produced {graph.number_of_nodes()} qubits, "
-            f"expected {EAGLE_NUM_QUBITS}"
-        )
-    return graph
+                edges.append((chain[column], qubit))
+                below.append((qubit, column))
+                bridges.append(qubit)
+                qubit += 1
+    return CouplingMap("heavy_hex_127", qubit, frozenset(edges), frozenset(bridges))
 
 
 def _row_columns(row: int) -> list[int]:
@@ -121,27 +103,9 @@ def _bridge_column(row: int, bridge_slot: int) -> int:
     return offset + 4 * bridge_slot
 
 
-def linear_coupling_map(num_qubits: int) -> nx.Graph:
+def linear_coupling_map(num_qubits: int) -> CouplingMap:
     """A simple 1-D chain of *num_qubits* qubits (used for EPLG-style chains)."""
     if num_qubits < 1:
         raise DeviceError("a coupling map needs at least one qubit")
-    graph = nx.Graph(name=f"linear_{num_qubits}")
-    graph.add_nodes_from(range(num_qubits), kind="row")
-    graph.add_edges_from((i, i + 1) for i in range(num_qubits - 1))
-    return graph
-
-
-def coupling_distance(graph: nx.Graph, qubit_a: int, qubit_b: int) -> int:
-    """Number of coupling-map edges on the shortest path between two qubits."""
-    try:
-        return int(nx.shortest_path_length(graph, qubit_a, qubit_b))
-    except (nx.NodeNotFound, nx.NetworkXNoPath) as exc:
-        raise DeviceError(str(exc)) from exc
-
-
-def coupling_path(graph: nx.Graph, qubit_a: int, qubit_b: int) -> list[int]:
-    """Shortest path (list of qubits) between two qubits on the coupling map."""
-    try:
-        return [int(q) for q in nx.shortest_path(graph, qubit_a, qubit_b)]
-    except (nx.NodeNotFound, nx.NetworkXNoPath) as exc:
-        raise DeviceError(str(exc)) from exc
+    edges = frozenset((i, i + 1) for i in range(num_qubits - 1))
+    return CouplingMap(f"linear_{num_qubits}", num_qubits, edges)

@@ -23,7 +23,6 @@ from repro.quantum.operators import (
     X_MATRIX,
     Y_MATRIX,
     Z_MATRIX,
-    embed_operator,
     kron_all,
 )
 
@@ -42,11 +41,6 @@ __all__ = [
 
 _ATOL = 1e-8
 
-#: Widest register whose embedded Kraus operators :meth:`KrausChannel.apply`
-#: keeps (16 operators embedded in 4 qubits take 64 KB).  Wider registers,
-#: which only the per-gate reference simulator builds, embed on every call.
-_EMBED_CACHE_MAX_QUBITS = 4
-
 
 class KrausChannel:
     """A completely-positive trace-preserving map given by Kraus operators.
@@ -62,7 +56,7 @@ class KrausChannel:
         If True (default), check the completeness relation.
     """
 
-    __slots__ = ("_kraus", "_num_qubits", "_embedded", "name")
+    __slots__ = ("_kraus", "_num_qubits", "name")
 
     def __init__(
         self,
@@ -90,21 +84,15 @@ class KrausChannel:
                 )
         self._kraus = kraus
         self._num_qubits = num_qubits
-        self._embedded: dict[tuple[tuple[int, ...], int], list[np.ndarray]] = {}
         self.name = name
-
-    def __reduce__(self):
-        # A pickle carries the operators only; embeddings are rebuilt (and
-        # made read-only again) on first use.
-        return KrausChannel, (self._kraus, self.name, False)
 
     # -- accessors -------------------------------------------------------------
     @property
     def kraus_operators(self) -> list[np.ndarray]:
         """The list of Kraus matrices (not copied).
 
-        Treat them as read-only: :meth:`apply` keeps their embeddings, and
-        memos of the map's outputs are keyed by :meth:`content_key`.
+        Treat them as read-only: memos of their embeddings and of the map's
+        outputs are keyed by their bytes.
         """
         return self._kraus
 
@@ -133,24 +121,11 @@ class KrausChannel:
     ) -> DensityMatrix:
         """Apply the channel to *state* (optionally on a subset of its qubits).
 
-        The operators embedded into the register are built once per (target
-        qubits, register size), made read-only and kept on this channel, so
-        the result is :meth:`DensityMatrix.apply_kraus`'s arithmetic on the
-        same matrices and bit-identical to
-        ``state.apply_kraus(self.kraus_operators, qubits)``.  Invalid targets
-        raise :class:`~repro.exceptions.DimensionError` on every call.
+        ``state.apply_kraus(self.kraus_operators, qubits)``, which embeds each
+        operator once per (bytes, targets, register size) through
+        :func:`~repro.quantum.operators.embedded_operator`.
         """
-        if qubits is None:
-            return state.apply_kraus(self._kraus)
-        targets, num_qubits = tuple(qubits), state.num_qubits
-        embedded = self._embedded.get((targets, num_qubits))
-        if embedded is None:
-            embedded = [embed_operator(k, list(targets), num_qubits) for k in self._kraus]
-            for matrix in embedded:
-                matrix.setflags(write=False)
-            if num_qubits <= _EMBED_CACHE_MAX_QUBITS:
-                self._embedded[targets, num_qubits] = embedded
-        return state.apply_kraus(embedded)
+        return state.apply_kraus(self._kraus, qubits)
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """Sequential composition: apply *self* first, then *other*."""

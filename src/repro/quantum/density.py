@@ -17,15 +17,15 @@ of distinct values.  :func:`group_by_object`, :func:`map_distinct` and
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable, Hashable, Sequence
 from typing import Any, TypeVar
 
 import numpy as np
 
 from repro.exceptions import DimensionError, NonPhysicalStateError
-from repro.quantum.operators import Operator, embed_operator
+from repro.quantum.operators import Operator, embedded_operator
 from repro.quantum.states import Statevector
+from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
 
 __all__ = ["DensityMatrix", "group_by_object", "map_distinct", "state_statistic"]
@@ -159,26 +159,30 @@ class DensityMatrix:
                 )
             full = op.matrix
         else:
-            full = embed_operator(op.matrix, list(qubits), self._num_qubits)
+            full = embedded_operator(op.matrix, tuple(qubits), self._num_qubits)
         return DensityMatrix(full @ self._matrix @ full.conj().T, validate=False)
 
     def apply_kraus(
         self, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int] | None = None
     ) -> "DensityMatrix":
-        """Apply a quantum channel given by Kraus operators to the listed qubits."""
+        """Apply a quantum channel given by Kraus operators to the listed qubits.
+
+        Each operator's full-register embedding comes from
+        :func:`~repro.quantum.operators.embedded_operator`.
+        """
         if not kraus_operators:
             raise DimensionError("at least one Kraus operator is required")
+        targets = None if qubits is None else tuple(qubits)
         result = np.zeros_like(self._matrix)
         for kraus in kraus_operators:
-            kraus = np.asarray(kraus, dtype=complex)
-            if qubits is None:
-                full = kraus
+            if targets is None:
+                full = np.asarray(kraus, dtype=complex)
                 if full.shape != self._matrix.shape:
                     raise DimensionError(
                         f"Kraus operator shape {full.shape} does not match state"
                     )
             else:
-                full = embed_operator(kraus, list(qubits), self._num_qubits)
+                full = embedded_operator(kraus, targets, self._num_qubits)
             result = result + full @ self._matrix @ full.conj().T
         return DensityMatrix(result, validate=False)
 
@@ -261,7 +265,7 @@ class DensityMatrix:
         if qubits is None:
             full = op.matrix
         else:
-            full = embed_operator(op.matrix, list(qubits), self._num_qubits)
+            full = embedded_operator(op.matrix, tuple(qubits), self._num_qubits)
         return complex(np.trace(self._matrix @ full))
 
     # -- comparisons ---------------------------------------------------------------------
@@ -337,17 +341,21 @@ def map_distinct(
     return [outputs[slot] for slot in slots]
 
 
-#: Entries kept by :func:`state_statistic`.  When it is full a miss evicts
-#: the least recently used entry (a hit moves its entry to the end of the
-#: dict, a miss pops the front), so the entries every session shares survive
-#: a stream of one-off drifted or attacked states.  At 1024 entries of one
-#: 2-qubit state each it holds ≲0.5 MB, and ≲2 MB when every entry is a
-#: channel transmit tagged with its map's bytes (≈1 KB).
-_STATISTIC_MEMO_MAX = 1024
-_STATISTIC_MEMO: dict[tuple, Any] = {}
-#: Makes each hit's move and each miss's eviction and insertion one step, so
-#: concurrent lookups cannot lose an entry or push the memo past its bound.
-_STATISTIC_MEMO_LOCK = threading.Lock()
+#: The memo behind :func:`state_statistic`: 1024 entries, least recently used
+#: evicted first, so the entries every session shares survive a stream of
+#: one-off drifted or attacked states.  At one 2-qubit state per entry it
+#: holds ≲0.5 MB, and ≲2 MB when every entry is a channel transmit tagged
+#: with its map's bytes (≈1 KB).
+_STATISTICS = BoundedMemo(1024)
+
+
+def _read_only(compute: Callable[[Any], _T], state: Any) -> _T:
+    """``compute(state)`` with its array, or its state's matrix, made read-only."""
+    value = compute(state)
+    array = value.matrix if isinstance(value, DensityMatrix) else value
+    if isinstance(array, np.ndarray):
+        array.setflags(write=False)
+    return value
 
 
 def state_statistic(
@@ -365,18 +373,4 @@ def state_statistic(
     would.  Cached arrays, and the matrix of a cached
     :class:`DensityMatrix`, are made read-only.
     """
-    key = (tag, *_content_key(state))
-    with _STATISTIC_MEMO_LOCK:
-        value = _STATISTIC_MEMO.pop(key, None)
-        if value is not None:
-            _STATISTIC_MEMO[key] = value
-            return value
-    value = compute(state)
-    array = value.matrix if isinstance(value, DensityMatrix) else value
-    if isinstance(array, np.ndarray):
-        array.setflags(write=False)
-    with _STATISTIC_MEMO_LOCK:
-        if key not in _STATISTIC_MEMO and len(_STATISTIC_MEMO) >= _STATISTIC_MEMO_MAX:
-            del _STATISTIC_MEMO[next(iter(_STATISTIC_MEMO))]
-        _STATISTIC_MEMO[key] = value
-    return value
+    return _STATISTICS.get((tag, *_content_key(state)), _read_only, compute, state)

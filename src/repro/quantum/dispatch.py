@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -56,6 +54,7 @@ from repro.quantum.noise_model import NoiseModel, QuantumError
 from repro.quantum.operators import I_MATRIX, X_MATRIX, Y_MATRIX, Z_MATRIX, kron_all
 from repro.telemetry import runtime as telemetry
 from repro.utils.logging import get_logger
+from repro.utils.memo import BoundedMemo
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -90,13 +89,12 @@ _PAULI_1Q = {"I": I_MATRIX, "X": X_MATRIX, "Y": Y_MATRIX, "Z": Z_MATRIX}
 _ATOL = 1e-9
 
 #: Memoised error analysis, keyed like compiled propagators by
-#: ``(cache_token, version)``: per model state, ``id(error) -> (error,
+#: ``(cache_token, version)``: per model state, a dict ``id(error) -> (error,
 #: mixture)`` (holding the error keeps its id from being reused).  Tokens are
-#: process-unique, so callers never see each other's entries; entry writes
-#: are unlocked but deterministic, so a race costs a duplicate scan only.
-_MIXTURE_MEMO: OrderedDict[tuple, dict[int, tuple]] = OrderedDict()
-_MIXTURE_MEMO_MAX = 64
-_MIXTURE_MEMO_LOCK = threading.Lock()
+#: process-unique, so callers never see each other's entries; writes into a
+#: model's dict are unlocked but deterministic, so a race costs a duplicate
+#: scan only.
+_MIXTURES = BoundedMemo(64)
 
 _log = get_logger("quantum.dispatch")
 
@@ -222,13 +220,7 @@ def noise_model_mixtures(
     if noise_model is None:
         return {}
     token = _noise_token(noise_model)
-    memo: dict[int, tuple] = {}
-    if token is not None:
-        with _MIXTURE_MEMO_LOCK:
-            memo = _MIXTURE_MEMO.setdefault(token, memo)
-            _MIXTURE_MEMO.move_to_end(token)
-            while len(_MIXTURE_MEMO) > _MIXTURE_MEMO_MAX:
-                _MIXTURE_MEMO.popitem(last=False)
+    memo: dict[int, tuple] = {} if token is None else _MIXTURES.get(token, dict)
     if circuit is None:
         attached = ((gate, error) for gate, _, error in noise_model.iter_errors())
     else:

@@ -21,8 +21,9 @@ import numpy as np
 from repro.exceptions import DimensionError, NonPhysicalStateError
 from repro.quantum.bell import BellState, bell_projector, equatorial_observable_matrix
 from repro.quantum.density import DensityMatrix
-from repro.quantum.operators import Operator, embed_operator
+from repro.quantum.operators import Operator, embed_operator, embedded_operator
 from repro.quantum.states import Statevector
+from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "bell_measurement_probabilities",
     "bell_basis_probability_vector",
     "bell_measurement_counts",
-    "embedded_operator",
     "BELL_BITS_TO_STATE",
     "BELL_STATE_TO_BITS",
     "BELL_OUTCOME_ORDER",
@@ -117,48 +117,15 @@ def _computational_projector(
     return embed_operator(kron_all(locals_), list(qubits), num_qubits)
 
 
-#: Bounded memo of ±1-observable eigenprojectors keyed by matrix bytes.  The
-#: protocol measures the same five CHSH observables thousands of times per
-#: session; hermiticity checks and ``eigh`` need to run once per observable,
-#: not once per pair.  Determinism is unaffected: equal input bytes produce
-#: the identical projector arrays the uncached code would recompute.
-_PROJECTOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_PROJECTOR_CACHE_MAX = 256
-
-#: Bounded memo of full-register embeddings of constant operators (the
-#: observables' eigenprojectors, the four Bell projectors, an intercepting
-#: attacker's basis projectors), keyed by (dimension, operator bytes, target
-#: qubits, register size) and cleared when full.
-_EMBEDDED_CACHE: dict[tuple, np.ndarray] = {}
-_EMBEDDED_CACHE_MAX = 1024
+#: ±1-observable eigenprojectors keyed by matrix bytes.  The protocol
+#: measures the same five CHSH observables thousands of times per session;
+#: hermiticity checks and ``eigh`` need to run once per observable, not once
+#: per pair.  Equal input bytes give the arrays the uncached code would
+#: compute, handed out read-only.
+_PROJECTORS = BoundedMemo(256)
 
 
-def embedded_operator(
-    matrix: np.ndarray, qubits: tuple[int, ...], num_qubits: int
-) -> np.ndarray:
-    """``embed_operator(matrix, qubits, num_qubits)``, memoised and read-only.
-
-    Equal operator bytes, targets and register size return the one array the
-    first call embedded, so callers that apply a constant operator to many
-    states embed it once.
-    """
-    key = (matrix.shape[0], matrix.tobytes(), qubits, num_qubits)
-    embedded = _EMBEDDED_CACHE.get(key)
-    if embedded is None:
-        embedded = embed_operator(matrix, list(qubits), num_qubits)
-        embedded.setflags(write=False)
-        if len(_EMBEDDED_CACHE) >= _EMBEDDED_CACHE_MAX:
-            _EMBEDDED_CACHE.clear()
-        _EMBEDDED_CACHE[key] = embedded
-    return embedded
-
-
-def _observable_projectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Local (+1, −1) eigenprojectors of a ±1-valued observable, memoised."""
-    key = (op.dim, op.matrix.tobytes())
-    cached = _PROJECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _eigenprojectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     if not op.is_hermitian():
         raise DimensionError("observables must be Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
@@ -167,10 +134,14 @@ def _observable_projectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     plus_vectors = eigenvectors[:, eigenvalues > 0]
     projector_plus = plus_vectors @ plus_vectors.conj().T
     projector_minus = np.eye(op.dim) - projector_plus
-    if len(_PROJECTOR_CACHE) >= _PROJECTOR_CACHE_MAX:
-        _PROJECTOR_CACHE.clear()
-    _PROJECTOR_CACHE[key] = (projector_plus, projector_minus)
+    projector_plus.setflags(write=False)
+    projector_minus.setflags(write=False)
     return projector_plus, projector_minus
+
+
+def _observable_projectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Local (+1, −1) eigenprojectors of a ±1-valued observable, memoised."""
+    return _PROJECTORS.get((op.dim, op.matrix.tobytes()), _eigenprojectors, op)
 
 
 def _embedded_projectors(
@@ -291,7 +262,7 @@ BELL_OUTCOME_ORDER = (
 )
 
 #: Each outcome's local projector, in :data:`BELL_OUTCOME_ORDER`.
-_BELL_PROJECTORS = tuple(bell_projector(which).matrix for which in BELL_OUTCOME_ORDER)
+_BELL_PROJECTORS = tuple(bell_projector(which) for which in BELL_OUTCOME_ORDER)
 
 
 def bell_basis_probability_vector(
@@ -300,21 +271,9 @@ def bell_basis_probability_vector(
     """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
 
     Callers that measure many pairs of one state (Bob's Bell measurement)
-    compute the vector once and sample each outcome from it.  A density
-    matrix reads the embedded projectors from :func:`embedded_operator` and
-    takes ``Tr(ρ P)`` as :meth:`DensityMatrix.expectation_value` does.
+    compute the vector once and sample each outcome from it.
     """
-    if isinstance(state, DensityMatrix):
-        rho, targets = state.matrix, tuple(int(q) for q in qubit_pair)
-        values = [
-            complex(np.trace(rho @ embedded_operator(local, targets, state.num_qubits)))
-            for local in _BELL_PROJECTORS
-        ]
-    else:
-        values = [
-            state.expectation_value(bell_projector(which), qubit_pair)
-            for which in BELL_OUTCOME_ORDER
-        ]
+    values = [state.expectation_value(local, qubit_pair) for local in _BELL_PROJECTORS]
     probs = np.array([max(float(np.real(value)), 0.0) for value in values])
     total = probs.sum()
     if total <= 0:

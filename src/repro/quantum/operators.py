@@ -18,6 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import DimensionError, NonUnitaryError
+from repro.utils.memo import BoundedMemo
 
 __all__ = [
     "Operator",
@@ -37,6 +38,7 @@ __all__ = [
     "is_hermitian_matrix",
     "kron_all",
     "embed_operator",
+    "embedded_operator",
 ]
 
 _ATOL = 1e-10
@@ -128,6 +130,40 @@ def embed_operator(
     # tensordot puts the gate's output axes first; move them back into place.
     contracted = np.moveaxis(contracted, range(k), out_axes)
     return contracted.reshape(2**num_qubits, 2**num_qubits)
+
+
+#: Embeddings kept by :func:`embedded_operator`: registers of at most
+#: :data:`_EMBED_MEMO_MAX_QUBITS` qubits (an entry then takes ≤ 8 KB with its
+#: key).  Wider registers, which only the per-gate reference simulator
+#: builds, embed on every call.
+_EMBEDDINGS = BoundedMemo(1024)
+_EMBED_MEMO_MAX_QUBITS = 4
+
+
+def _read_only_embedding(
+    matrix: np.ndarray, qubits: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    embedded = embed_operator(matrix, qubits, num_qubits)
+    embedded.setflags(write=False)
+    return embedded
+
+
+def embedded_operator(
+    matrix: np.ndarray, qubits: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    """``embed_operator(matrix, qubits, num_qubits)``, memoised and read-only.
+
+    Equal operator bytes, targets and register size return the one array the
+    first call embedded, so a constant operator (a projector, a Pauli, a
+    channel's Kraus operator) applied to many states is embedded once.
+    Registers wider than four qubits get a fresh, writable embedding per
+    call.  Invalid targets raise :class:`DimensionError` on every call.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if num_qubits > _EMBED_MEMO_MAX_QUBITS:
+        return embed_operator(matrix, qubits, num_qubits)
+    key = (matrix.shape[0], matrix.tobytes(), qubits, num_qubits)
+    return _EMBEDDINGS.get(key, _read_only_embedding, matrix, qubits, num_qubits)
 
 
 class Operator:

@@ -41,7 +41,6 @@ between this backend and the dense ones.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -62,6 +61,7 @@ from repro.quantum.simulator import (
     renormalize_readout_probabilities,
 )
 from repro.telemetry import runtime as telemetry
+from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -565,6 +565,8 @@ class _AnalyticDistribution:
     __slots__ = ("probabilities", "measured_qubits", "measure_map", "num_clbits", "_keys")
 
     def __init__(self, probabilities, measured_qubits, measure_map, num_clbits):
+        if probabilities is not None:
+            probabilities.setflags(write=False)
         self.probabilities = probabilities
         self.measured_qubits = measured_qubits
         self.measure_map = measure_map
@@ -609,10 +611,8 @@ class StabilizerSimulator:
     def __init__(self, noise_model=None, seed=None):
         self._noise_model = noise_model
         self._rng = as_rng(seed)
-        self._cache: OrderedDict[tuple, _AnalyticDistribution] = OrderedDict()
-        self._cache_max = 256
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: Analytic distributions per (circuit structure, noise token).
+        self._distributions = BoundedMemo(256)
 
     @property
     def noise_model(self):
@@ -622,7 +622,7 @@ class StabilizerSimulator:
     @noise_model.setter
     def noise_model(self, noise_model) -> None:
         if noise_model is not self._noise_model:
-            self._cache.clear()
+            self._distributions.clear()
         self._noise_model = noise_model
 
     # -- public API --------------------------------------------------------------------
@@ -670,7 +670,8 @@ class StabilizerSimulator:
         if method not in ("auto", "analytic", "trajectory"):
             raise SimulationError(f"unknown stabilizer method {method!r}")
         generator = as_rng(rng) if rng is not None else self._rng
-        hits_before, misses_before = self.cache_hits, self.cache_misses
+        memo = self._distributions
+        hits_before, misses_before = memo.hits, memo.misses
         mark = telemetry.clock_mark()
 
         # Keyed by object identity (the value holds the circuit, so the id
@@ -692,8 +693,8 @@ class StabilizerSimulator:
             "method": "stabilizer_batch",
             "noise_model": None if self._noise_model is None else self._noise_model.name,
             "structures": structures,
-            "cache_hits": self.cache_hits - hits_before,
-            "cache_misses": self.cache_misses - misses_before,
+            "cache_hits": memo.hits - hits_before,
+            "cache_misses": memo.misses - misses_before,
         }
         telemetry.record_span(
             "sim.run_batch",
@@ -777,24 +778,15 @@ class StabilizerSimulator:
             return None
 
         token = _noise_token(self._noise_model)
-        cacheable = self._noise_model is None or token is not None
-        key = (circuit_structure_key(circuit), token) if cacheable else None
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-
-        distribution = self._compute_distribution(circuit, measured_qubits, measure_map)
-        if distribution is None:
-            return None
-        if key is not None:
-            self._cache[key] = distribution
-            while len(self._cache) > self._cache_max:
-                self._cache.popitem(last=False)
-        return distribution
+        if self._noise_model is not None and token is None:  # no stable key
+            return self._compute_distribution(circuit, measured_qubits, measure_map)
+        return self._distributions.get(
+            (circuit_structure_key(circuit), token),
+            self._compute_distribution,
+            circuit,
+            measured_qubits,
+            measure_map,
+        )
 
     def _compute_distribution(
         self,

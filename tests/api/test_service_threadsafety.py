@@ -19,6 +19,7 @@ import pytest
 from repro.api.config import ServiceConfig
 from repro.api.service import MessagingService
 from repro.quantum import density
+from repro.utils.memo import BoundedMemo
 
 NUM_THREADS = 16
 SENDS_PER_THREAD = 3
@@ -81,8 +82,9 @@ def _hammer(service: MessagingService) -> dict[tuple[int, int], str]:
 def test_sixteen_threads_match_serial_reference(make_config, memo_bound, monkeypatch):
     memo = _CountingMemo()
     if memo_bound is not None:
-        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", memo_bound)
-        monkeypatch.setattr(density, "_STATISTIC_MEMO", memo)
+        shared = BoundedMemo(memo_bound)
+        shared._entries = memo
+        monkeypatch.setattr(density, "_STATISTICS", shared)
     concurrent = _hammer(MessagingService(make_config()))
     assert len(concurrent) == NUM_THREADS * SENDS_PER_THREAD
     if memo_bound is not None:

@@ -1,4 +1,4 @@
-"""Per-object channel maps, cached Kraus embeddings and memoised session maps.
+"""Per-object channel maps, memoised Kraus embeddings and memoised session maps.
 
 Every cached path is held byte for byte to its uncached reference:
 ``state.apply_kraus(channel.single_use_channel().kraus_operators, [qubit])``
@@ -37,6 +37,7 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.density import DensityMatrix
+from repro.quantum.operators import embedded_operator
 
 
 def _random_mixed(num_qubits: int, seed: int) -> DensityMatrix:
@@ -76,9 +77,9 @@ def _reference(channel, state: DensityMatrix, qubit: int) -> bytes:
 
 @pytest.fixture
 def empty_memo():
-    density._STATISTIC_MEMO.clear()
-    yield density._STATISTIC_MEMO
-    density._STATISTIC_MEMO.clear()
+    density._STATISTICS.clear()
+    yield density._STATISTICS
+    density._STATISTICS.clear()
 
 
 class TestTransmitBitIdentity:
@@ -108,7 +109,7 @@ class TestTransmitBitIdentity:
         channel = _channels()[name]
         for state in _pair_states():
             batch = channel.transmit_batch([state], qubit)[0].matrix.tobytes()
-            density._STATISTIC_MEMO.clear()
+            density._STATISTICS.clear()
             assert channel.transmit(state, qubit).matrix.tobytes() == batch
 
     def test_memoised_outputs_are_read_only(self, empty_memo):
@@ -204,7 +205,7 @@ class TestKrausEmbedding:
     def test_cached_embeddings_are_read_only(self):
         kraus_channel = thermal_relaxation_channel(100e-6, 80e-6, 5e-6)
         kraus_channel.apply(_random_mixed(3, seed=2), [1])
-        (embedded,) = kraus_channel._embedded.values()
+        embedded = [embedded_operator(k, (1,), 3) for k in kraus_channel.kraus_operators]
         assert len(embedded) == len(kraus_channel.kraus_operators)
         for matrix in embedded:
             assert not matrix.flags.writeable
@@ -257,11 +258,14 @@ class TestPickling:
         states = _pair_states()
         before = [channel.transmit(state, 0).matrix.tobytes() for state in states]
         restored = pickle.loads(pickle.dumps(channel))
-        density._STATISTIC_MEMO.clear()
+        density._STATISTICS.clear()
         after = [restored.transmit(state, 0).matrix.tobytes() for state in states]
         assert after == before
-        for embedded in restored.single_use_channel()._embedded.values():
-            assert not any(matrix.flags.writeable for matrix in embedded)
+        embedded = [
+            embedded_operator(k, (0,), 2)
+            for k in restored.single_use_channel().kraus_operators
+        ]
+        assert not any(matrix.flags.writeable for matrix in embedded)
 
 
 class TestConcurrency:
@@ -270,7 +274,7 @@ class TestConcurrency:
         states = _pair_states()
         reference = IdentityChainChannel(eta=10)
         expected = [_reference(reference, state, qubit) for qubit in (0, 1) for state in states]
-        density._STATISTIC_MEMO.clear()
+        density._STATISTICS.clear()
         channel = IdentityChainChannel(eta=10)
         results: list[list[bytes]] = []
         barrier = threading.Barrier(8)

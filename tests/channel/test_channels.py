@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.channel.classical_channel import ClassicalChannel
@@ -88,6 +89,27 @@ class TestIdentityChainChannel:
             IdentityChainChannel(eta=1, gate_error=2.0)
         with pytest.raises(ChannelError):
             IdentityChainChannel(eta=1, gate_duration=-1e-9)
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            {"eta": nan},
+            {"eta": 2.5},
+            {"eta": inf},
+            {"eta": "10"},
+            {"gate_duration": nan},
+            {"gate_duration": inf},
+            {"t1": 0.0},
+            {"t1": nan},
+            {"t1": inf},
+            {"t2": -1e-6},
+            {"t2": nan},
+            {"t2": inf},
+        ):
+            with pytest.raises(ChannelError):
+                IdentityChainChannel(**kwargs)
+
+    def test_integer_eta_of_any_integer_type_passes(self):
+        assert IdentityChainChannel(eta=np.int64(12)).name == "identity_chain(eta=12)"
+        assert IdentityChainChannel(eta=0).duration() == 0.0
 
 
 class TestFiberLossChannel:
@@ -121,6 +143,21 @@ class TestFiberLossChannel:
             FiberLossChannel(length_km=-1)
         with pytest.raises(ChannelError):
             FiberLossChannel(length_km=1, dephasing_per_km=2.0)
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            {"length_km": nan},
+            {"length_km": inf},
+            {"attenuation_db_per_km": -0.1},
+            {"attenuation_db_per_km": nan},
+            {"attenuation_db_per_km": inf},
+            {"dephasing_per_km": nan},
+            {"speed_km_per_s": nan},
+            {"speed_km_per_s": inf},
+            {"speed_km_per_s": 0.0},
+            {"speed_km_per_s": -2.0e5},
+        ):
+            with pytest.raises(ChannelError):
+                FiberLossChannel(**kwargs)
 
 
 class TestClassicalChannel:

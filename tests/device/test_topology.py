@@ -2,42 +2,59 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import Counter
+
 import pytest
 
 from repro.device.topology import (
     EAGLE_NUM_QUBITS,
-    coupling_distance,
-    coupling_path,
+    CouplingMap,
     heavy_hex_coupling_map,
     linear_coupling_map,
 )
 from repro.exceptions import DeviceError
 
 
+def _degrees(graph: CouplingMap) -> Counter:
+    degrees = Counter({qubit: 0 for qubit in range(graph.num_qubits)})
+    degrees.update(qubit for edge in graph.edges for qubit in edge)
+    return degrees
+
+
+def _is_connected(graph: CouplingMap) -> bool:
+    """Connectivity, answered by networkx as an independent oracle."""
+    nx = pytest.importorskip("networkx")
+    oracle = nx.Graph(list(graph.edges))
+    oracle.add_nodes_from(range(graph.num_qubits))
+    return nx.is_connected(oracle)
+
+
 class TestHeavyHex:
     @pytest.fixture(scope="class")
-    def graph(self) -> nx.Graph:
+    def graph(self) -> CouplingMap:
         return heavy_hex_coupling_map()
 
     def test_has_127_qubits(self, graph):
-        assert graph.number_of_nodes() == EAGLE_NUM_QUBITS == 127
+        assert graph.num_qubits == EAGLE_NUM_QUBITS == 127
 
     def test_has_144_couplings(self, graph):
-        assert graph.number_of_edges() == 144
+        assert len(graph.edges) == 144
+
+    def test_edges_are_ordered_pairs_of_distinct_qubits(self, graph):
+        assert all(0 <= low < high < graph.num_qubits for low, high in graph.edges)
 
     def test_is_connected(self, graph):
-        assert nx.is_connected(graph)
+        assert _is_connected(graph)
 
     def test_max_degree_is_three(self, graph):
-        degrees = [degree for _, degree in graph.degree()]
+        degrees = _degrees(graph).values()
         assert max(degrees) == 3
         assert min(degrees) >= 1
 
     def test_bridge_qubits_have_degree_two(self, graph):
-        bridges = [n for n, data in graph.nodes(data=True) if data["kind"] == "bridge"]
-        assert len(bridges) == 24
-        assert all(graph.degree(b) == 2 for b in bridges)
+        degrees = _degrees(graph)
+        assert len(graph.bridges) == 24
+        assert all(degrees[b] == 2 for b in graph.bridges)
 
     def test_row_zero_chain(self, graph):
         # Qubits 0..13 form the first row and are chained consecutively.
@@ -49,46 +66,28 @@ class TestHeavyHex:
         # matching IBM's published Eagle numbering.
         assert graph.has_edge(14, 0)
         assert graph.has_edge(14, 18)
+        assert graph.has_edge(0, 14)
 
-    def test_nodes_are_labelled(self, graph):
-        kinds = {data["kind"] for _, data in graph.nodes(data=True)}
-        assert kinds == {"row", "bridge"}
+    def test_bridges_and_rows_partition_the_qubits(self, graph):
+        assert graph.bridges < set(range(graph.num_qubits))
+        assert graph.num_qubits - len(graph.bridges) == 103
 
 
 class TestLinearChain:
     def test_chain_structure(self):
         graph = linear_coupling_map(5)
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 4
-        assert nx.is_connected(graph)
+        assert graph.num_qubits == 5
+        assert len(graph.edges) == 4
+        assert graph.has_edge(3, 4) and not graph.has_edge(0, 2)
+
+    def test_chain_is_connected(self):
+        assert _is_connected(linear_coupling_map(5))
 
     def test_single_qubit_chain(self):
         graph = linear_coupling_map(1)
-        assert graph.number_of_nodes() == 1
-        assert graph.number_of_edges() == 0
+        assert graph.num_qubits == 1
+        assert len(graph.edges) == 0
 
     def test_rejects_empty_chain(self):
         with pytest.raises(DeviceError):
             linear_coupling_map(0)
-
-
-class TestDistanceHelpers:
-    def test_distance_on_chain(self):
-        graph = linear_coupling_map(10)
-        assert coupling_distance(graph, 0, 9) == 9
-        assert coupling_distance(graph, 4, 4) == 0
-
-    def test_path_on_chain(self):
-        graph = linear_coupling_map(4)
-        assert coupling_path(graph, 0, 3) == [0, 1, 2, 3]
-
-    def test_distance_on_heavy_hex(self):
-        graph = heavy_hex_coupling_map()
-        # Qubit 0 to qubit 18 goes through bridge 14.
-        assert coupling_distance(graph, 0, 18) == 2
-        assert coupling_path(graph, 0, 18) == [0, 14, 18]
-
-    def test_unknown_node_raises(self):
-        graph = linear_coupling_map(3)
-        with pytest.raises(DeviceError):
-            coupling_distance(graph, 0, 99)

@@ -35,6 +35,7 @@ from repro.quantum.measurement import (
 )
 from repro.quantum.operators import PAULI_X, PAULI_Z
 from repro.utils.bits import bits_to_str
+from repro.utils.memo import BoundedMemo
 
 
 def _session_fingerprint(result):
@@ -306,24 +307,23 @@ class TestWarmMemo:
     @pytest.mark.parametrize("name", ["honest-1", "intercept-resend-11", "eta50-3"])
     def test_cold_and_warm_memo_sessions_identical(self, name):
         factory, pinned = SESSION_PINS[name]
-        density._STATISTIC_MEMO.clear()
+        density._STATISTICS.clear()
         cold = _session_fingerprint(_run(factory))
         warm = _session_fingerprint(_run(factory))
         assert cold == warm == pinned
 
     def test_second_session_adds_no_memo_entries(self):
         factory, _ = SESSION_PINS["honest-0"]
-        density._STATISTIC_MEMO.clear()
+        density._STATISTICS.clear()
         _run(factory)
-        entries = len(density._STATISTIC_MEMO)
+        entries = len(density._STATISTICS)
         assert entries > 0
         _run(factory)
-        assert len(density._STATISTIC_MEMO) == entries
+        assert len(density._STATISTICS) == entries
 
     def test_bound_smaller_than_a_session_keeps_results(self, monkeypatch):
-        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", 2)
-        density._STATISTIC_MEMO.clear()
+        monkeypatch.setattr(density, "_STATISTICS", BoundedMemo(2))
         for name in ("honest-2024", "pauli-channel-5"):
             factory, pinned = SESSION_PINS[name]
             assert _session_fingerprint(_run(factory)) == pinned
-            assert len(density._STATISTIC_MEMO) <= 2
+            assert len(density._STATISTICS) <= 2

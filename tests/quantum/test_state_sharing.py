@@ -1,5 +1,7 @@
 """The contract of ``group_by_object``, ``map_distinct`` and ``state_statistic``
-in repro.quantum.density."""
+in repro.quantum.density, and of the other memos on the same
+:class:`~repro.utils.memo.BoundedMemo`: ``embedded_operator`` and the
+observable projectors."""
 
 from __future__ import annotations
 
@@ -10,18 +12,51 @@ import time
 import numpy as np
 import pytest
 
-from repro.quantum import density
+from repro.quantum import density, operators
 from repro.quantum.density import (
     DensityMatrix,
     group_by_object,
     map_distinct,
     state_statistic,
 )
+from repro.quantum.measurement import _observable_projectors, equatorial_observable
+from repro.quantum.operators import X_MATRIX, embedded_operator
 from repro.quantum.states import Statevector
+from repro.utils.memo import BoundedMemo
 
 
 def _diagonal(p: float) -> DensityMatrix:
     return DensityMatrix(np.diag([p, 1.0 - p]).astype(complex))
+
+
+def _phase(angle: float) -> np.ndarray:
+    return np.diag([1.0, np.exp(1j * angle)])
+
+
+def _hit_then_overfill(lookup, items, bound: int) -> None:
+    """Fill a *bound*-entry memo, hitting ``items[0]`` just before it fills,
+    then look up one more item, which evicts ``items[1]``, the oldest."""
+    for item in items[: bound - 1]:
+        lookup(item)
+    lookup(items[0])  # a hit just before the memo fills
+    lookup(items[bound - 1])  # fills it
+    lookup(items[bound])  # evicts items[1], the oldest
+
+
+#: Each memoised value as ``(lookup, arrays of the value)``; a second lookup
+#: that missed would compute a new object.
+CACHED_ARRAYS = {
+    "array": (
+        lambda: state_statistic("array", _diagonal(0.4), lambda s: np.real(np.diag(s.matrix))),
+        lambda value: [value],
+    ),
+    "density_matrix": (
+        lambda: state_statistic("array", _diagonal(0.4), lambda s: s.evolve(np.eye(2))),
+        lambda value: [value.matrix],
+    ),
+    "projectors": (lambda: _observable_projectors(equatorial_observable(0.3)), list),
+    "embedding": (lambda: embedded_operator(X_MATRIX, (0,), 2), lambda value: [value]),
+}
 
 
 class _YieldingMemo(dict):
@@ -36,9 +71,9 @@ class _YieldingMemo(dict):
 
 @pytest.fixture
 def empty_memo():
-    density._STATISTIC_MEMO.clear()
-    yield density._STATISTIC_MEMO
-    density._STATISTIC_MEMO.clear()
+    density._STATISTICS.clear()
+    yield density._STATISTICS
+    density._STATISTICS.clear()
 
 
 class TestGroupByObject:
@@ -143,25 +178,18 @@ class TestStateStatistic:
         state_statistic("live", state, seen.append)
         assert seen[0] is state
 
-    @pytest.mark.parametrize(
-        "compute, array_of",
-        [
-            (lambda s: np.real(np.diag(s.matrix)), lambda value: value),
-            (lambda s: s.evolve(np.eye(2)), lambda value: value.matrix),
-        ],
-        ids=["array", "density_matrix"],
-    )
-    def test_cached_arrays_reject_writes(self, empty_memo, compute, array_of):
-        state = _diagonal(0.4)
-        value = state_statistic("array", state, compute)
-        array = array_of(value)
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-        assert state_statistic("array", state, lambda s: None) is value
+    @pytest.mark.parametrize("name", list(CACHED_ARRAYS))
+    def test_cached_arrays_reject_writes(self, empty_memo, name):
+        lookup, arrays_of = CACHED_ARRAYS[name]
+        value = lookup()
+        for array in arrays_of(value):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert lookup() is value
 
     def test_more_distinct_states_than_the_bound(self, empty_memo):
-        bound = density._STATISTIC_MEMO_MAX
+        bound = density._STATISTICS.max_entries
         states = [_diagonal(p) for p in np.linspace(0.0, 1.0, bound + 100)]
         for state in states:
             value = state_statistic("p0", state, lambda s: float(s.matrix[0, 0].real))
@@ -175,8 +203,8 @@ class TestStateStatistic:
     def test_an_entry_hit_before_the_memo_fills_is_not_recomputed(self, monkeypatch):
         """A full memo evicts its least recently used entry, not everything."""
         bound = 8
-        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", bound)
-        monkeypatch.setattr(density, "_STATISTIC_MEMO", {})
+        memo = BoundedMemo(bound)
+        monkeypatch.setattr(density, "_STATISTICS", memo)
         states = [_diagonal(p) for p in np.linspace(0.0, 1.0, bound + 1)]
         computed = []
 
@@ -184,12 +212,8 @@ class TestStateStatistic:
             computed.append(state)
             return float(state.matrix[0, 0].real)
 
-        for state in states[: bound - 1]:
-            state_statistic("p0", state, p0)
-        state_statistic("p0", states[0], p0)  # a hit just before the memo fills
-        state_statistic("p0", states[bound - 1], p0)  # fills it
-        state_statistic("p0", states[bound], p0)  # evicts states[1], the oldest
-        assert len(density._STATISTIC_MEMO) == bound
+        _hit_then_overfill(lambda state: state_statistic("p0", state, p0), states, bound)
+        assert len(memo) == bound
         computed.clear()
         assert state_statistic("p0", states[0], p0) == 0.0
         assert computed == []
@@ -200,8 +224,9 @@ class TestStateStatistic:
         """Many threads missing at once keep the memo within its bound."""
         bound = 8
         memo = _YieldingMemo()
-        monkeypatch.setattr(density, "_STATISTIC_MEMO_MAX", bound)
-        monkeypatch.setattr(density, "_STATISTIC_MEMO", memo)
+        shared = BoundedMemo(bound)
+        shared._entries = memo
+        monkeypatch.setattr(density, "_STATISTICS", shared)
         states = [_diagonal(p) for p in np.linspace(0.0, 1.0, 64)]
         sizes: list[int] = []
         wrong: list[float] = []
@@ -228,3 +253,45 @@ class TestStateStatistic:
         assert len(sizes) == 8 * 200
         assert max(sizes) <= bound
         assert not wrong
+
+
+class TestOperatorMemos:
+    def test_an_entry_hit_before_the_memo_fills_is_not_recomputed(self, monkeypatch):
+        """The embedding memo evicts its least recently used entry, not everything."""
+        bound = 8
+        memo = BoundedMemo(bound)
+        monkeypatch.setattr(operators, "_EMBEDDINGS", memo)
+        embed = operators.embed_operator
+        computed = []
+
+        def recorded(matrix, qubits, num_qubits):
+            computed.append(matrix)
+            return embed(matrix, qubits, num_qubits)
+
+        monkeypatch.setattr(operators, "embed_operator", recorded)
+        phases = [_phase(angle) for angle in np.linspace(0.1, 3.0, bound + 1)]
+
+        def lookup(matrix):
+            return embedded_operator(matrix, (1,), 2)
+
+        _hit_then_overfill(lookup, phases, bound)
+        assert len(memo) == bound
+        computed.clear()
+        assert np.array_equal(lookup(phases[0]), embed(phases[0], (1,), 2))
+        assert computed == []
+        lookup(phases[1])
+        assert len(computed) == 1 and computed[0] is phases[1]
+
+    def test_embeddings_equal_embed_operator(self):
+        for qubits, num_qubits in [((0,), 1), ((1,), 2), ((2, 0), 3), ((3,), 4)]:
+            local = np.kron(X_MATRIX, _phase(0.7)) if len(qubits) == 2 else _phase(0.7)
+            embedded = embedded_operator(local, qubits, num_qubits)
+            assert embedded.tobytes() == operators.embed_operator(
+                local, list(qubits), num_qubits
+            ).tobytes()
+            assert embedded_operator(local, qubits, num_qubits) is embedded
+
+    def test_wide_registers_are_not_kept(self):
+        first = embedded_operator(X_MATRIX, (4,), 5)
+        assert first.tobytes() == operators.embed_operator(X_MATRIX, [4], 5).tobytes()
+        assert embedded_operator(X_MATRIX, (4,), 5) is not first

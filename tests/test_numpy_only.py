@@ -1,15 +1,16 @@
 """The numpy-only install can run the network scheduler and every backend.
 
-pyproject keeps the core (protocol, service facade, network scheduler)
-numpy-only; scipy is the ``analysis`` extra.  Network and batch sends look
-up the sweep substrate at call time, and when that import dragged in the
-experiment harnesses (and through them scipy) a numpy-only install failed on
-its first networked send.
+pyproject keeps the core (protocol, service facade, network scheduler,
+device emulation) numpy-only; scipy is the ``analysis`` extra and networkx a
+test dependency.  Network and batch sends look up the sweep substrate at call
+time, and when that import dragged in the experiment harnesses (and through
+them scipy) a numpy-only install failed on its first networked send; the
+device coupling maps once needed networkx.
 
-Run as a script, this module blocks every scipy import and then runs a
-2-session ``simulate_network`` and one send each through the batch and
-network backends, so it checks the promise whether or not scipy is
-installed::
+Run as a script, this module blocks every scipy and networkx import and then
+runs a 2-session ``simulate_network``, one send each through the batch and
+network backends and one Bell circuit on the emulated ``ibm_brisbane``, so it
+checks the promise whether or not scipy and networkx are installed::
 
     python tests/test_numpy_only.py
 
@@ -28,15 +29,18 @@ from pathlib import Path
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-class _BlockScipy(importlib.abc.MetaPathFinder):
+_BLOCKED = ("scipy", "networkx")
+
+
+class _BlockOptional(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name.split(".")[0] in _BLOCKED:
             raise ImportError(f"{name} is blocked: the core must stay numpy-only")
         return None
 
 
 def main() -> None:
-    sys.meta_path.insert(0, _BlockScipy())
+    sys.meta_path.insert(0, _BlockOptional())
 
     from repro.api import MessagingService, ServiceConfig
     from repro.channel.quantum_channel import NoiselessChannel
@@ -57,7 +61,14 @@ def main() -> None:
     for config in (batch, network.with_network(session_params=session_params)):
         report = MessagingService(config.with_fragment_bits(16)).send(b"ok")
         assert report.success, report.summary()
-    assert "scipy" not in sys.modules
+    from repro.device import DeviceModel, NoisyBackend
+    from repro.quantum.circuit import QuantumCircuit
+
+    bell = QuantumCircuit(2).h(0).cx(0, 1).measure_all()
+    counts = NoisyBackend(DeviceModel.ibm_brisbane(), seed=1).run(bell, shots=256)
+    assert counts.total() == 256 and counts.get("00") > 64, dict(counts)
+
+    assert not any(name in sys.modules for name in _BLOCKED)
     print("numpy-only smoke OK")
 
 
