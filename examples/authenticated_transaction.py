@@ -77,10 +77,14 @@ def main() -> None:
           f"{len(mismatches)} sessions (expected ≈ 0.75 for random guesses)")
     print(f"   order delivered    : {attacked.delivered_payload}")
     print()
+    tolerance = impostor_config.authentication_tolerance
     print("The impostor is rejected before the bank discloses which EPR pairs")
     print("carry the order, so no part of the transaction leaks; a genuine")
     print(f"identity of l=8 pairs detects impostors with probability "
-          f"1-(1/4)^l = {ImpersonationAttack.detection_probability(8):.8f}.")
+          f"{ImpersonationAttack.detection_probability(8, tolerance):.8f} per session "
+          f"at authentication tolerance {tolerance:g}")
+    print(f"(1-(1/4)^l = {ImpersonationAttack.detection_probability(8):.8f} when "
+          f"every identity pair must match).")
 
 
 if __name__ == "__main__":

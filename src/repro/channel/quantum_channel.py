@@ -41,7 +41,7 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density import DensityMatrix, map_distinct
+from repro.quantum.density import DensityMatrix, PairTable, map_distinct
 
 __all__ = [
     "QuantumChannel",
@@ -122,19 +122,23 @@ class QuantumChannel:
         return self.transmit_batch([state], qubit)[0]
 
     def transmit_batch(
-        self, states: Sequence[DensityMatrix], qubit: int
-    ) -> list[DensityMatrix]:
-        """Send qubit *qubit* of every state through the channel, aligned with *states*.
+        self, states: "PairTable | Sequence[DensityMatrix]", qubit: int
+    ) -> "PairTable | list[DensityMatrix]":
+        """Send qubit *qubit* of every state through the channel.
 
-        One :func:`~repro.quantum.density.map_distinct` lookup per distinct
-        state object, tagged with *qubit* and the map's
+        A session's :class:`~repro.quantum.density.PairTable` gives a table
+        with the same ids; a sequence gives the list aligned with it.  One
+        :func:`~repro.quantum.density.map_distinct` lookup per distinct
+        state, tagged with *qubit* and the map's
         :meth:`~repro.quantum.channels.KrausChannel.content_key`, so every
         session over an equal map shares the (read-only) outputs.  A miss
         applies the map to the live state: each output is exactly the bytes
         of ``state.apply_kraus(self.single_use_channel().kraus_operators, [qubit])``.
         A subclass that samples a random error realization per use must
-        override this method (e.g. with a per-pair loop); otherwise equal
-        pairs would share one realization.
+        override this method, e.g. with
+        :meth:`~repro.quantum.density.PairTable.map_pairs` for a table and a
+        per-state loop for a sequence; otherwise equal pairs would share one
+        realization.
         """
         channel = self.single_use_channel()
         return map_distinct(

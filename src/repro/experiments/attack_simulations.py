@@ -193,7 +193,7 @@ def _impersonation_point_worker(
         identity_pairs=identity_pairs,
         empirical_detection_rate=evaluation.detection_rate,
         theoretical_detection_probability=ImpersonationAttack.detection_probability(
-            identity_pairs
+            identity_pairs, config.authentication_tolerance
         ),
         trials=trials,
     )

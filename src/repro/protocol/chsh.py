@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.exceptions import NonPhysicalStateError, ProtocolError
 from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
-from repro.quantum.density import DensityMatrix, group_by_object, state_statistic
+from repro.quantum.density import DensityMatrix, PairTable, state_statistic
 from repro.quantum.measurement import equatorial_observable, observable_branches
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng, draw_setting_pairs
@@ -138,7 +138,7 @@ class DISecurityCheck:
 
     def estimate(
         self,
-        pairs: Sequence["Statevector | DensityMatrix"],
+        pairs: "PairTable | Sequence[Statevector | DensityMatrix]",
         rng=None,
     ) -> CHSHEstimate:
         """Estimate the CHSH value from single-shot measurements on *pairs*.
@@ -154,29 +154,33 @@ class DISecurityCheck:
         all of them as arrays, so the stream is the one a pair-by-pair loop
         consumes.  The branch statistics ``(p_alice_plus, p_bob_plus |
         alice=+1, p_bob_plus | alice=−1)`` are looked up once per distinct
-        pair object (:func:`~repro.quantum.density.group_by_object`) and
-        drawn setting pair (:func:`~repro.quantum.density.state_statistic`),
-        and every outcome compares its uniform against those floats.  A
-        zero-probability branch raises
-        :class:`~repro.exceptions.NonPhysicalStateError` only if it is drawn.
+        pair state (the ids of a :class:`~repro.quantum.density.PairTable`;
+        a sequence is grouped by object once) and drawn setting pair
+        (:func:`~repro.quantum.density.state_statistic`), and every outcome
+        compares its uniform against those floats.  A zero-probability
+        branch raises :class:`~repro.exceptions.NonPhysicalStateError` only
+        if it is drawn.
         """
         if not pairs:
             raise ProtocolError("the DI security check needs at least one pair")
+        table = PairTable.of(pairs)
         alice, bob, alice_uniforms, bob_uniforms = draw_setting_pairs(
-            as_rng(rng), len(pairs), alice_low=0 if self.settings.use_a0 else 1
+            as_rng(rng), len(table), alice_low=0 if self.settings.use_a0 else 1
         )
 
-        slots, distinct = group_by_object(pairs)
-        if any(pair.num_qubits != 2 for pair in distinct):
-            raise ProtocolError("security-check pairs must be two-qubit states")
-
-        # One row per (distinct pair, Alice setting, Bob setting).
-        rows = (np.array(slots) * 3 + alice) * 3 + bob
+        # One row per (distinct pair, Alice setting, Bob setting); every
+        # state some pair holds has a drawn row.
+        distinct = table.states
+        slots = table.ids if len(table) == len(table.ids) else table.ids[table.ids >= 0]
+        rows = (slots * 3 + alice) * 3 + bob
         drawn = np.zeros(len(distinct) * 9, dtype=bool)
         drawn[rows] = True
+        drawn_rows = np.flatnonzero(drawn).tolist()
+        if any(distinct[row // 9].num_qubits != 2 for row in drawn_rows):
+            raise ProtocolError("security-check pairs must be two-qubit states")
         statistics = np.zeros((len(drawn), 3))
         missing = np.zeros((len(drawn), 3), dtype=bool)
-        for row in np.flatnonzero(drawn).tolist():
+        for row in drawn_rows:
             slot, alice_setting, bob_setting = row // 9, row // 3 % 3, row % 3
             values = state_statistic(
                 ("chsh", self.settings, alice_setting, bob_setting),
@@ -215,7 +219,7 @@ class DISecurityCheck:
             value=value,
             correlations=correlations,
             counts=counts,
-            num_pairs=len(pairs),
+            num_pairs=len(table),
             threshold=self.settings.threshold,
         )
 

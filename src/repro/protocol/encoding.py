@@ -26,7 +26,6 @@ from repro.quantum.bell import BellState, bell_state
 from repro.quantum.operators import Operator, PAULI_MATRICES
 from repro.utils.bits import (
     Bits,
-    chunk_bits,
     insert_check_bits,
     random_bits,
     remove_check_bits,
@@ -141,7 +140,7 @@ def random_cover_operations(count: int, rng=None) -> tuple[str, ...]:
         raise ProtocolError("count must be non-negative")
     generator = as_rng(rng)
     indices = generator.integers(0, len(PAULI_LABELS), size=count)
-    return tuple(PAULI_LABELS[int(i)] for i in indices)
+    return tuple(PAULI_LABELS[i] for i in indices.tolist())
 
 
 @dataclass(frozen=True)
@@ -209,13 +208,11 @@ class MessageEncoder:
         generator = as_rng(rng)
         check_bits = random_bits(self.num_check_bits, rng=generator)
         positions = tuple(
-            int(p)
-            for p in np.sort(
-                generator.choice(total, size=self.num_check_bits, replace=False)
-            )
+            np.sort(generator.choice(total, size=self.num_check_bits, replace=False)).tolist()
         )
         combined = insert_check_bits(bits, check_bits, positions)
-        labels = tuple(encode_bits_to_pauli(chunk) for chunk in chunk_bits(combined, 2))
+        # ``combined`` holds valid bits and has even length: one label per pair.
+        labels = tuple(BITS_TO_PAULI[chunk] for chunk in zip(combined[::2], combined[1::2]))
         return EncodedMessage(
             message=bits,
             combined=combined,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from repro.exceptions import ProtocolError
 from repro.utils.rng import as_rng
 
@@ -47,7 +49,8 @@ class EPRPairRegister:
     num_message_pairs: int
     num_identity_pairs: int
     num_check_pairs: int
-    #: Each role's positions in increasing order, kept as roles are assigned.
+    #: Each assigned role's positions in increasing order, kept as roles are
+    #: assigned; the unassigned positions are the index array ``_available``.
     _positions: dict[PairRole, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -57,8 +60,8 @@ class EPRPairRegister:
             raise ProtocolError("the protocol needs at least one identity pair per party")
         if self.num_check_pairs < 1:
             raise ProtocolError("the protocol needs at least one check pair per round")
-        self._positions = {role: () for role in PairRole}
-        self._positions[PairRole.UNASSIGNED] = tuple(range(self.total_pairs))
+        self._positions = {role: () for role in PairRole if role is not PairRole.UNASSIGNED}
+        self._available = np.arange(self.total_pairs)
 
     # -- sizes -----------------------------------------------------------------------
     @property
@@ -92,7 +95,7 @@ class EPRPairRegister:
         return self._assign(PairRole.BOB_IDENTITY, self.num_identity_pairs, rng)
 
     def _assign(self, role: PairRole, count: int, rng) -> tuple[int, ...]:
-        available = self._positions[PairRole.UNASSIGNED]
+        available = self._available
         if count > len(available):
             raise ProtocolError(
                 f"cannot assign {count} pairs to {role.value}: only "
@@ -100,17 +103,19 @@ class EPRPairRegister:
             )
         generator = as_rng(rng)
         chosen = generator.choice(len(available), size=count, replace=False)
-        positions = tuple(sorted(available[int(i)] for i in chosen))
-        taken = set(positions)
-        self._positions[PairRole.UNASSIGNED] = tuple(
-            position for position in available if position not in taken
-        )
+        remaining = np.ones(len(available), dtype=bool)
+        remaining[chosen] = False
+        self._available = available[remaining]
+        # ``available`` is increasing, so the chosen positions come out sorted.
+        positions = tuple(available[~remaining].tolist())
         self._positions[role] = tuple(sorted(self._positions[role] + positions))
         return positions
 
     # -- queries ---------------------------------------------------------------------
     def role_of(self, position: int) -> PairRole:
         """Role of the pair at *position*."""
+        if position in self._available.tolist():
+            return PairRole.UNASSIGNED
         for role, positions in self._positions.items():
             if position in positions:
                 return role
@@ -118,12 +123,19 @@ class EPRPairRegister:
 
     def positions(self, role: PairRole) -> tuple[int, ...]:
         """All positions currently assigned to *role*, in increasing order."""
+        if role is PairRole.UNASSIGNED:
+            return tuple(self._available.tolist())
         return self._positions[role]
 
     def assignment_complete(self) -> bool:
         """True once every pair has a role."""
-        return not self._positions[PairRole.UNASSIGNED]
+        return not len(self._available)
 
     def summary(self) -> dict[str, int]:
         """Number of pairs per role (for transcripts and reports)."""
-        return {role.value: len(self._positions[role]) for role in PairRole}
+        return {
+            role.value: len(
+                self._available if role is PairRole.UNASSIGNED else self._positions[role]
+            )
+            for role in PairRole
+        }

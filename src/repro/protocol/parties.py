@@ -7,28 +7,33 @@ when, what is announced — lives in :class:`~repro.protocol.runner.UADIQSDCProt
 the parties only implement the individual operations so that attack models can
 substitute or impersonate either side cleanly.
 
-Pair states are handled as a mapping ``position -> DensityMatrix`` where
-qubit 0 of each two-qubit state is the half originating at Alice and qubit 1
-is Bob's half.
+A session's pair states travel as one :class:`~repro.quantum.density.PairTable`
+(an id per position into the distinct states), where qubit 0 of each
+two-qubit state is the half originating at Alice and qubit 1 is Bob's half.
+The public methods also take a mapping ``position -> DensityMatrix`` and
+convert it once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.exceptions import ProtocolError
 from repro.protocol.encoding import (
+    BELL_STATE_TO_BITS,
+    BITS_TO_PAULI,
     decode_bell_state_to_bits,
-    encode_bits_to_pauli,
     expected_bell_state,
     pauli_operator,
     random_cover_operations,
 )
 from repro.protocol.identity import Identity
 from repro.quantum.bell import BellState
-from repro.quantum.density import DensityMatrix, group_by_object, map_distinct, state_statistic
+from repro.quantum.density import DensityMatrix, PairTable, state_statistic
 from repro.quantum.measurement import BELL_OUTCOME_ORDER, bell_basis_probability_vector
 from repro.utils.bits import Bits
 from repro.utils.rng import as_rng, choice_cdf
@@ -42,37 +47,38 @@ ALICE_QUBIT = 0
 BOB_QUBIT = 1
 
 
-def _apply_plan(
-    pairs: dict[int, DensityMatrix], plan: dict[int, str], qubit: int
-) -> dict[int, DensityMatrix]:
+#: Pairs as the parties' public methods take them.
+Pairs = PairTable | Mapping[int, DensityMatrix]
+
+
+def _apply_plan(pairs: Pairs, plan: dict[int, str], qubit: int) -> PairTable:
     """Apply a position → Pauli plan to one half of the given pairs.
 
-    Positions are grouped by label, and each label's Pauli goes through
-    :func:`~repro.quantum.density.map_distinct`, tagged
-    ``("pauli", label.upper(), qubit)``: one memo lookup per distinct pair
-    object, shared by every session (evolved states are read-only).
+    Each label's Pauli goes through
+    :meth:`~repro.quantum.density.PairTable.map_plan`, tagged
+    ``("pauli", label.upper(), qubit)``: one memo lookup per label and
+    distinct pair state, shared by every session (evolved states are
+    read-only).  ``I`` keeps the pair as it is.
     """
-    by_label: dict[str, list[int]] = {}
-    for position, label in plan.items():
-        if position not in pairs:
-            raise ProtocolError(f"no pair at position {position}")
-        by_label.setdefault(label, []).append(position)
-    updated = dict(pairs)
-    for label, positions in by_label.items():
-        if label.upper() == "I":
-            continue
+
+    def pauli_map(label: str):
+        key = label.upper()
+        if key == "I":
+            return None
         pauli = pauli_operator(label)
-        evolved = map_distinct(
-            ("pauli", label.upper(), qubit),
-            [pairs[position] for position in positions],
-            lambda state: state.evolve(pauli, [qubit]),
-        )
-        updated.update(zip(positions, evolved))
-    return updated
+        return ("pauli", key, qubit), lambda state: state.evolve(pauli, [qubit])
+
+    return PairTable.of(pairs).map_plan(plan, pauli_map)
 
 
-def _bell_probabilities(state: DensityMatrix):
-    return bell_basis_probability_vector(state, [ALICE_QUBIT, BOB_QUBIT])
+def _bell_cdf(state: DensityMatrix) -> np.ndarray:
+    return choice_cdf(bell_basis_probability_vector(state, [ALICE_QUBIT, BOB_QUBIT]))
+
+
+def _identity_labels(identity: Identity) -> list[str]:
+    """The Pauli label of each 2-bit chunk of *identity* (its bits are valid)."""
+    bits = identity.bits
+    return [BITS_TO_PAULI[chunk] for chunk in zip(bits[::2], bits[1::2])]
 
 
 @dataclass
@@ -110,15 +116,12 @@ class Alice:
 
     def identity_pauli_plan(self, positions: tuple[int, ...]) -> dict[int, str]:
         """Assign Alice's identity chunks to the ``C_A`` positions (in order)."""
-        chunks = self.identity.chunks()
-        if len(chunks) != len(positions):
+        labels = _identity_labels(self.identity)
+        if len(labels) != len(positions):
             raise ProtocolError(
-                f"identity spans {len(chunks)} pairs but {len(positions)} positions were given"
+                f"identity spans {len(labels)} pairs but {len(positions)} positions were given"
             )
-        return {
-            position: encode_bits_to_pauli(chunk)
-            for position, chunk in zip(positions, chunks)
-        }
+        return dict(zip(positions, labels))
 
     def cover_plan(self, positions: tuple[int, ...]) -> dict[int, str]:
         """Draw and remember random cover operations for the ``D_A`` positions."""
@@ -128,9 +131,7 @@ class Alice:
         return plan
 
     @staticmethod
-    def apply_plan(
-        pairs: dict[int, DensityMatrix], plan: dict[int, str]
-    ) -> dict[int, DensityMatrix]:
+    def apply_plan(pairs: Pairs, plan: dict[int, str]) -> PairTable:
         """Apply a position → Pauli plan to Alice's halves of the given pairs."""
         return _apply_plan(pairs, plan, ALICE_QUBIT)
 
@@ -143,17 +144,17 @@ class Alice:
         Determined by her cover operation on each pair and Bob's identity
         chunk on the partner qubit.
         """
-        chunks = self.peer_identity.chunks()
-        if len(chunks) != len(positions):
+        labels = _identity_labels(self.peer_identity)
+        if len(labels) != len(positions):
             raise ProtocolError("peer identity length does not match the D_A set")
         expected: dict[int, BellState] = {}
-        for position, chunk in zip(positions, chunks):
+        for position, label in zip(positions, labels):
             cover = self.cover_operations.get(position)
             if cover is None:
                 raise ProtocolError(
                     f"no cover operation was recorded for position {position}"
                 )
-            expected[position] = expected_bell_state(cover, encode_bits_to_pauli(chunk))
+            expected[position] = expected_bell_state(cover, label)
         return expected
 
     def verify_bob(
@@ -183,71 +184,57 @@ class Bob:
     # -- identity encoding -------------------------------------------------------------------
     def identity_pauli_plan(self, positions: tuple[int, ...]) -> dict[int, str]:
         """Assign Bob's identity chunks to the ``D_B`` (partner of ``D_A``) positions."""
-        chunks = self.identity.chunks()
-        if len(chunks) != len(positions):
+        labels = _identity_labels(self.identity)
+        if len(labels) != len(positions):
             raise ProtocolError(
-                f"identity spans {len(chunks)} pairs but {len(positions)} positions were given"
+                f"identity spans {len(labels)} pairs but {len(positions)} positions were given"
             )
-        return {
-            position: encode_bits_to_pauli(chunk)
-            for position, chunk in zip(positions, chunks)
-        }
+        return dict(zip(positions, labels))
 
     @staticmethod
-    def apply_plan(
-        pairs: dict[int, DensityMatrix], plan: dict[int, str]
-    ) -> dict[int, DensityMatrix]:
+    def apply_plan(pairs: Pairs, plan: dict[int, str]) -> PairTable:
         """Apply a position → Pauli plan to Bob's halves of the given pairs."""
         return _apply_plan(pairs, plan, BOB_QUBIT)
 
     # -- measurements ----------------------------------------------------------------------------
     def bell_measure(
-        self, pairs: dict[int, DensityMatrix], positions: tuple[int, ...]
+        self, pairs: Pairs, positions: tuple[int, ...]
     ) -> dict[int, BellState]:
         """Bell-state measurement of the listed pairs (one shot per pair).
 
-        Each distinct pair state's Bell-outcome probabilities are computed
-        once (:func:`~repro.quantum.density.state_statistic`) and checked
-        once as ``Generator.choice`` checks them.  The uniforms come from one
+        Each distinct pair state's Bell-outcome cdf is computed once
+        (:func:`~repro.quantum.density.state_statistic`), after
+        ``Generator.choice``'s checks.  The uniforms come from one
         ``random(len(positions))`` call, equal to one ``random()`` per pair,
-        and each pair's outcome is its uniform's place in the state's cdf, as
-        in ``choice(4, p=probabilities)``: the outcomes and the generator's
-        state are those of one
+        and each pair's outcome is its uniform's place in its state's cdf,
+        as in ``choice(4, p=probabilities)``: the outcomes and the
+        generator's state are those of one
         :func:`~repro.quantum.measurement.bell_measurement` per pair.
         """
-        for position in positions:
-            if position not in pairs:
-                raise ProtocolError(f"no pair at position {position}")
-        uniforms = self.rng.random(len(positions))
-        slots, distinct = group_by_object([pairs[position] for position in positions])
-        cdfs = np.array(
-            [
-                choice_cdf(state_statistic("bell", state, _bell_probabilities))
-                for state in distinct
-            ]
-        ).reshape(-1, 4)
+        measured = PairTable.of(pairs).take(positions)
+        uniforms = self.rng.random(len(measured))
+        states = measured.states
+        cdfs = np.zeros((len(states), 4))
+        for slot in measured.used():
+            cdfs[slot] = state_statistic("bell", states[slot], _bell_cdf)
         # Each cdf is non-decreasing, so the number of entries ≤ u is
         # ``cdf.searchsorted(u, side="right")``.
-        indices = (cdfs[slots] <= uniforms[:, None]).sum(axis=1).tolist()
-        return {
-            position: BELL_OUTCOME_ORDER[index]
-            for position, index in zip(positions, indices)
-        }
+        indices = (cdfs[measured.ids] <= uniforms[:, None]).sum(axis=1).tolist()
+        return dict(zip(positions, [BELL_OUTCOME_ORDER[index] for index in indices]))
 
     # -- verification of Alice ----------------------------------------------------------------------
     def verify_alice(
         self, outcomes: dict[int, BellState], positions: tuple[int, ...]
     ) -> float:
         """Fraction of ``C_A`` pairs whose Bell outcome disagrees with ``id_A``."""
-        chunks = self.peer_identity.chunks()
-        if len(chunks) != len(positions):
+        labels = _identity_labels(self.peer_identity)
+        if len(labels) != len(positions):
             raise ProtocolError("peer identity length does not match the C_A set")
         mismatches = 0
-        for position, chunk in zip(positions, chunks):
+        for position, label in zip(positions, labels):
             if position not in outcomes:
                 raise ProtocolError(f"no measurement outcome for position {position}")
-            expected = expected_bell_state(encode_bits_to_pauli(chunk), "I")
-            if outcomes[position] is not expected:
+            if outcomes[position] is not expected_bell_state(label, "I"):
                 mismatches += 1
         return mismatches / len(positions)
 
@@ -257,9 +244,16 @@ class Bob:
         outcomes: dict[int, BellState], positions: tuple[int, ...]
     ) -> Bits:
         """Decode the combined bit string ``m'`` from Bell outcomes at *positions* (in order)."""
-        decoded: list[int] = []
-        for position in positions:
-            if position not in outcomes:
-                raise ProtocolError(f"no measurement outcome for position {position}")
-            decoded.extend(decode_bell_state_to_bits(outcomes[position]))
-        return tuple(decoded)
+        try:
+            return tuple(
+                chain.from_iterable(BELL_STATE_TO_BITS[outcomes[p]] for p in positions)
+            )
+        except KeyError:
+            # Name the first position without an outcome, or its unknown outcome.
+            for position in positions:
+                if position not in outcomes:
+                    raise ProtocolError(
+                        f"no measurement outcome for position {position}"
+                    ) from None
+                decode_bell_state_to_bits(outcomes[position])
+            raise

@@ -23,6 +23,7 @@ party impersonation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import (
@@ -38,7 +39,7 @@ from repro.protocol.pairs import EPRPairRegister
 from repro.protocol.parties import ALICE_QUBIT, Alice, Bob
 from repro.protocol.results import AbortReason, ProtocolResult
 from repro.protocol.transcript import ProtocolTranscript
-from repro.quantum.density import DensityMatrix, map_distinct
+from repro.quantum.density import DensityMatrix, PairTable, map_distinct
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits, bits_to_str, bitstring_to_bits, hamming_distance, validate_bits
 from repro.utils.rng import as_rng, derive_rng
@@ -123,9 +124,7 @@ class UADIQSDCProtocol:
         round1_positions = register.assign_round1_check(rng=alice_rng)
         transcript.announce("alice", "round1_check_positions", list(round1_positions))
         security_check = DISecurityCheck(self.config.chsh_settings)
-        chsh_round1 = security_check.estimate(
-            [pairs[p] for p in round1_positions], rng=chsh_rng
-        )
+        chsh_round1 = security_check.estimate(pairs.take(round1_positions), rng=chsh_rng)
         transcript.announce("both", "round1_chsh_value", chsh_round1.value)
         transcript.record_phase(
             "round1_security_check",
@@ -133,8 +132,7 @@ class UADIQSDCProtocol:
             chsh_value=chsh_round1.value,
             epsilon=chsh_round1.epsilon,
         )
-        for position in round1_positions:
-            pairs.pop(position)
+        pairs = pairs.drop(round1_positions)
         if not chsh_round1.passed():
             return self._abort(
                 attack,
@@ -189,8 +187,7 @@ class UADIQSDCProtocol:
             "authentication_bsm_results",
             {position: outcome.value for position, outcome in announced_outcomes.items()},
         )
-        for position in bob_id_positions:
-            pairs.pop(position)
+        pairs = pairs.drop(bob_id_positions)
         bob_auth_error = alice.verify_bob(announced_outcomes, bob_id_positions)
         bob_auth_passed = bob_auth_error <= self.config.authentication_tolerance
         transcript.record_phase(
@@ -210,8 +207,7 @@ class UADIQSDCProtocol:
         transcript.announce("alice", "alice_identity_positions", list(alice_id_positions))
         alice_id_outcomes = bob.bell_measure(pairs, alice_id_positions)
         # The C_A outcomes are deliberately NOT announced so id_A stays reusable.
-        for position in alice_id_positions:
-            pairs.pop(position)
+        pairs = pairs.drop(alice_id_positions)
         alice_auth_error = bob.verify_alice(alice_id_outcomes, alice_id_positions)
         alice_auth_passed = alice_auth_error <= self.config.authentication_tolerance
         transcript.record_phase(
@@ -231,9 +227,7 @@ class UADIQSDCProtocol:
 
         # ----- Step 5: second DI security check -----------------------------------------------------
         transcript.announce("alice", "round2_check_positions", list(round2_positions))
-        chsh_round2 = security_check.estimate(
-            [pairs[p] for p in round2_positions], rng=chsh_rng
-        )
+        chsh_round2 = security_check.estimate(pairs.take(round2_positions), rng=chsh_rng)
         transcript.announce("bob", "round2_chsh_value", chsh_round2.value)
         transcript.record_phase(
             "round2_security_check",
@@ -241,8 +235,7 @@ class UADIQSDCProtocol:
             chsh_value=chsh_round2.value,
             epsilon=chsh_round2.epsilon,
         )
-        for position in round2_positions:
-            pairs.pop(position)
+        pairs = pairs.drop(round2_positions)
         if not chsh_round2.passed():
             return self._abort(
                 attack,
@@ -336,9 +329,7 @@ class UADIQSDCProtocol:
             )
         return encoding_alice, encoding_bob
 
-    def _share_entanglement(
-        self, register: EPRPairRegister, attack
-    ) -> dict[int, DensityMatrix]:
+    def _share_entanglement(self, register: EPRPairRegister, attack) -> PairTable:
         """Emit every pair and distribute Bob's halves in one channel pass.
 
         The attack's source hook (if any) then sees every pair, in index
@@ -348,26 +339,25 @@ class UADIQSDCProtocol:
         if self.config.distribution_channel is not None:
             emitted = self.config.distribution_channel.transmit_batch(emitted, 1)
         if attack is not None and hasattr(attack, "intercept_source"):
-            emitted = [
-                attack.intercept_source(index, state)
-                for index, state in enumerate(emitted)
-            ]
-        return dict(enumerate(emitted))
+            emitted = emitted.map_pairs(attack.intercept_source)
+        return emitted
 
     def _memory_hold(
-        self, pairs: dict[int, DensityMatrix], transcript: ProtocolTranscript
-    ) -> dict[int, DensityMatrix]:
+        self,
+        pairs: "PairTable | Mapping[int, DensityMatrix]",
+        transcript: ProtocolTranscript,
+    ) -> PairTable:
         """Hold Alice's halves in quantum memory while the round-1 check runs.
 
         The storage-decoherence channel is applied to Alice's qubit once per
-        whole unit of ``config.memory_hold_time``, in one pass over the
-        pairs.  With the default ideal memory (no decoherence channel, zero
+        whole unit of ``config.memory_hold_time``, once per distinct pair
+        state.  With the default ideal memory (no decoherence channel, zero
         hold time) the pairs pass through untouched and no phase is recorded.
         """
         decoherence = self.config.memory_decoherence
         hold_time = self.config.memory_hold_time
         steps = int(hold_time)
-        held = pairs
+        held = PairTable.of(pairs)
         if decoherence is not None and steps > 0:
 
             def hold(state: DensityMatrix) -> DensityMatrix:
@@ -376,7 +366,7 @@ class UADIQSDCProtocol:
                 return state
 
             tag = ("hold", ALICE_QUBIT, steps, *decoherence.content_key())
-            held = dict(zip(pairs, map_distinct(tag, list(pairs.values()), hold)))
+            held = map_distinct(tag, held, hold)
         if decoherence is not None or hold_time > 0:
             transcript.record_phase(
                 "memory_hold",
@@ -387,22 +377,16 @@ class UADIQSDCProtocol:
             )
         return held
 
-    def _transmit(
-        self, pairs: dict[int, DensityMatrix], attack
-    ) -> dict[int, DensityMatrix]:
+    def _transmit(self, pairs: PairTable, attack) -> PairTable:
         """Send Alice's halves through the quantum channel in one pass.
 
         The attack's transmission hook (if any) then intercepts each
         transmitted pair in position order.
         """
-        positions = list(pairs)
-        transmitted = self.config.channel.transmit_batch(list(pairs.values()), ALICE_QUBIT)
+        transmitted = self.config.channel.transmit_batch(pairs, ALICE_QUBIT)
         if attack is not None and hasattr(attack, "intercept_transmission"):
-            transmitted = [
-                attack.intercept_transmission(position, state)
-                for position, state in zip(positions, transmitted)
-            ]
-        return dict(zip(positions, transmitted))
+            transmitted = transmitted.map_pairs(attack.intercept_transmission)
+        return transmitted
 
     def _metadata(self, attack) -> dict[str, Any]:
         return {

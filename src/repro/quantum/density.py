@@ -10,25 +10,34 @@ The qubit order convention matches :class:`repro.quantum.states.Statevector`
 (big-endian).
 
 A protocol session handles hundreds of pair states that take only a handful
-of distinct values.  :func:`group_by_object`, :func:`map_distinct` and
-:func:`state_statistic` are the one place that shares work between them.
+of distinct values.  :class:`PairTable` carries them as one id per position
+into a list of distinct state objects, and :func:`map_distinct` and
+:func:`state_statistic` are the one place that shares work between states;
+:func:`group_by_object` groups a plain sequence.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Sequence
+import numbers
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.exceptions import DimensionError, NonPhysicalStateError
+from repro.exceptions import DimensionError, NonPhysicalStateError, ProtocolError
 from repro.quantum.operators import Operator, embedded_operator
 from repro.quantum.states import Statevector
 from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
 
-__all__ = ["DensityMatrix", "group_by_object", "map_distinct", "state_statistic"]
+__all__ = [
+    "DensityMatrix",
+    "PairTable",
+    "group_by_object",
+    "map_distinct",
+    "state_statistic",
+]
 
 _ATOL = 1e-8
 
@@ -326,16 +335,172 @@ def group_by_object(states: Sequence[Any]) -> tuple[list[int], list[Any]]:
     return slots, distinct
 
 
+class PairTable:
+    """A session's pair states: one id per position into a list of distinct states.
+
+    The state at *position* is ``states[ids[position]]``.  A consumed
+    position keeps its place with id ``-1``, so positions never shift, and
+    ``len(table)`` counts the live ones; iteration yields the live states in
+    position order.  A table never changes: every step returns a new one,
+    which may share ``ids`` and ``states`` with its input.  An entry of
+    ``states`` that no live position holds is never read.
+    """
+
+    __slots__ = ("ids", "states", "_live")
+
+    def __init__(self, ids: np.ndarray, states: list[Any], live: int | None = None):
+        self.ids = ids
+        self.states = states
+        self._live = int(np.count_nonzero(ids >= 0)) if live is None else live
+
+    @classmethod
+    def of(cls, pairs: "PairTable | Mapping[int, Any] | Sequence[Any]") -> "PairTable":
+        """*pairs* as a table: a table itself, a mapping ``position -> state``,
+        or a sequence (positions 0, 1, …), grouped by object once."""
+        if isinstance(pairs, PairTable):
+            return pairs
+        if isinstance(pairs, Mapping):
+            positions = list(pairs)
+            if not all(
+                isinstance(position, numbers.Integral) and position >= 0
+                for position in positions
+            ):
+                raise ProtocolError("pair positions must be non-negative integers")
+            slots, states = group_by_object(list(pairs.values()))
+            ids = np.full(max(positions, default=-1) + 1, -1, dtype=np.intp)
+            ids[positions] = slots
+            return cls(ids, states, len(positions))
+        slots, states = group_by_object(pairs)
+        return cls(np.array(slots, dtype=np.intp), states, len(slots))
+
+    def __len__(self) -> int:
+        return self._live
+
+    def __iter__(self):
+        states = self.states
+        return (states[slot] for slot in self.ids.tolist() if slot >= 0)
+
+    def __getitem__(self, position: int) -> Any:
+        return self.states[self._index((position,))[1][0]]
+
+    # -- positions ---------------------------------------------------------------
+    def _index(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """*positions* as an index array and the ids there, checked in one pass.
+
+        Raises :class:`~repro.exceptions.ProtocolError` naming the first
+        position that is missing or consumed.
+        """
+        ids = self.ids
+        index = np.asarray(positions)
+        if index.dtype.kind == "i" and index.ndim == 1 and index.size:
+            try:
+                picked = ids[index]
+            except IndexError:  # a position past the end
+                picked = None
+            # A negative position or a consumed id (-1) sets the sign bit.
+            if picked is not None and np.minimum.reduce(index | picked) >= 0:
+                return index, picked
+        for position in positions:
+            if not (
+                isinstance(position, numbers.Integral)
+                and 0 <= position < len(ids)
+                and ids[position] >= 0
+            ):
+                raise ProtocolError(f"no pair at position {position}")
+        # Every position is live: an empty sequence or one of another type.
+        index = np.array([int(position) for position in positions], dtype=np.intp)
+        return index, ids[index]
+
+    def take(self, positions: Sequence[int]) -> "PairTable":
+        """The pairs at *positions* as a table of their own, positions 0, 1, …."""
+        return PairTable(self._index(positions)[1], self.states, len(positions))
+
+    def drop(self, positions: Sequence[int]) -> "PairTable":
+        """This table with *positions* marked consumed."""
+        index, _ = self._index(positions)
+        ids = self.ids.copy()
+        ids[index] = -1
+        return PairTable(ids, self.states)
+
+    def used(self) -> list[int]:
+        """The ids some live position holds, ascending."""
+        present = np.zeros(len(self.states) + 1, dtype=bool)
+        present[self.ids] = True  # a consumed id, -1, marks the spare last entry
+        return present[:-1].nonzero()[0].tolist()
+
+    # -- maps ----------------------------------------------------------------------
+    def map_pairs(self, fn: Callable[[int, Any], Any]) -> "PairTable":
+        """``fn(position, state)`` once per live position, in position order.
+
+        For maps that are not deterministic, such as attack hooks that draw
+        per pair.  Outputs are grouped by object into the new table's states.
+        """
+        ids = self.ids.tolist()
+        live = [position for position, slot in enumerate(ids) if slot >= 0]
+        slots, outputs = group_by_object([fn(p, self.states[ids[p]]) for p in live])
+        mapped = np.full(len(ids), -1, dtype=np.intp)
+        mapped[live] = slots
+        return PairTable(mapped, outputs, len(live))
+
+    def map_plan(
+        self,
+        plan: Mapping[int, Hashable],
+        map_of: Callable[[Any], "tuple[Hashable, Callable[[Any], Any]] | None"],
+    ) -> "PairTable":
+        """Each planned position's state through its label's map.
+
+        ``map_of(label)`` gives the ``(tag, fn)`` of a deterministic map, or
+        ``None`` to keep the states under that label.  It is called once per
+        label, in order of first appearance in *plan*, after every planned
+        position has been checked, and each (label, id) is mapped once
+        through :func:`state_statistic`.
+        """
+        index, ids = self._index(list(plan))
+        labels = list(dict.fromkeys(plan.values()))
+        code_of = {label: code for code, label in enumerate(labels)}
+        label_codes = np.fromiter(
+            map(code_of.__getitem__, plan.values()), dtype=np.intp, count=len(plan)
+        )
+        width = len(self.states)
+        keys = label_codes * width + ids
+        present = np.zeros(len(labels) * width, dtype=bool)
+        present[keys] = True
+        # Each (label, id) key's output id: the input id, or a new state's.
+        output_ids = np.empty(len(present), dtype=np.intp)
+        states = list(self.states)
+        mapping = None
+        code = -1
+        for key in present.nonzero()[0].tolist():
+            if key // width != code:
+                code = key // width
+                mapping = map_of(labels[code])
+            slot = key % width
+            if mapping is not None:
+                states.append(state_statistic(mapping[0], states[slot], mapping[1]))
+                slot = len(states) - 1
+            output_ids[key] = slot
+        mapped = self.ids.copy()
+        mapped[index] = output_ids[keys]
+        return PairTable(mapped, states, self._live)
+
+
 def map_distinct(
     tag: Hashable,
-    states: Sequence["DensityMatrix | Statevector"],
+    states: "PairTable | Sequence[DensityMatrix | Statevector]",
     fn: Callable[[Any], _T],
-) -> list[_T]:
-    """``[state_statistic(tag, state, fn) for state in states]``, one lookup per object.
+) -> "PairTable | list[_T]":
+    """``state_statistic(tag, state, fn)`` for every state, one lookup per object.
 
-    *fn* must be deterministic: a map that samples a random realization per
-    call would hand one draw to every equal input.
+    A :class:`PairTable` maps each state a live position holds and returns a
+    table with the same ids; a sequence returns the aligned list.  *fn* must
+    be deterministic: a map that samples a random realization per call
+    would hand one draw to every equal input.
     """
+    if isinstance(states, PairTable):
+        mapped = list(states.states)
+        for slot in states.used():
+            mapped[slot] = state_statistic(tag, mapped[slot], fn)
+        return PairTable(states.ids, mapped, len(states))
     slots, distinct = group_by_object(states)
     outputs = [state_statistic(tag, state, fn) for state in distinct]
     return [outputs[slot] for slot in slots]

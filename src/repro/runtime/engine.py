@@ -36,6 +36,7 @@ worker loop too, so Ctrl-C on a live load run stops cleanly.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 import time
@@ -164,10 +165,16 @@ class Delivery:
 
 @dataclass
 class _Tracked:
-    """A request plus its future (the unit the queue and workers pass around)."""
+    """A request plus its future (the unit the queue and workers pass around).
+
+    *context* is the submitter's :mod:`contextvars` context, copied at
+    submission; the worker executes the request inside it, so its spans
+    nest under the span open around :meth:`DeliveryEngine.submit`.
+    """
 
     request: SendRequest
     future: "Future[Delivery]"
+    context: contextvars.Context
     enqueued_at: float = 0.0
 
 
@@ -280,7 +287,7 @@ class DeliveryEngine:
         """
         with self._cond:
             request = self._register(payload, to=to, kind=kind, seed=seed)
-            tracked = _Tracked(request, Future())
+            tracked = _Tracked(request, Future(), contextvars.copy_context())
             telemetry.counter_inc("runtime.submitted")
             if not self._accepting:
                 return self._resolve_drop(tracked, "rejected", "engine_closed")
@@ -440,7 +447,7 @@ class DeliveryEngine:
                 if self._closing:
                     return
                 continue
-            self._execute(tracked)
+            tracked.context.run(self._execute, tracked)
             with self._cond:
                 self._inflight -= 1
                 self._cond.notify_all()

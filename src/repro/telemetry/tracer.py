@@ -12,9 +12,12 @@ three entry points:
 Parenting uses a :class:`contextvars.ContextVar`: within one thread, spans
 nest lexically.  The sweep substrate's thread executor runs each task in a
 copy of the submitting context, so spans opened there nest under the span
-open around the sweep (``network.execution``, ``service.send``).  Any other
-thread starts with an empty context, so its spans attach to the synthetic
-root span — the trace stays one connected tree whatever runs the workload.
+open around the sweep (``network.execution``, ``service.send``), and the
+delivery runtime's workers run each request in a copy of the context it was
+submitted from, so its ``runtime.execute`` span nests under the span open
+around ``DeliveryEngine.submit``.  A thread started any other way begins
+with an empty context, so its spans attach to the synthetic root span — the
+trace stays one connected tree whatever runs the workload.
 All tracer state is mutated under one lock; the clock is only read by the
 thread owning the span, so a deterministic :class:`~repro.telemetry.clock.TickClock`
 yields reproducible timestamps under the serial executor.

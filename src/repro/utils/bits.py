@@ -40,16 +40,18 @@ __all__ = [
 #: Canonical bit-sequence type used across the library.
 Bits = tuple[int, ...]
 
+_BIT_VALUES = frozenset((0, 1))
+
 
 def validate_bits(bits: Iterable[int]) -> Bits:
     """Return *bits* as a canonical tuple, raising if any value is not 0/1.
 
     Accepts any iterable of integers (including numpy integers and booleans).
     """
-    out = tuple(int(b) for b in bits)
-    for b in out:
-        if b not in (0, 1):
-            raise ReproError(f"bit values must be 0 or 1, got {b!r}")
+    out = tuple(map(int, bits))
+    if not _BIT_VALUES.issuperset(out):
+        bad = next(b for b in out if b not in _BIT_VALUES)
+        raise ReproError(f"bit values must be 0 or 1, got {bad!r}")
     return out
 
 
@@ -96,7 +98,7 @@ def random_bits(n: int, rng=None) -> Bits:
     if n < 0:
         raise ReproError(f"number of bits must be non-negative, got {n}")
     generator = as_rng(rng)
-    return tuple(int(b) for b in generator.integers(0, 2, size=n))
+    return tuple(generator.integers(0, 2, size=n).tolist())
 
 
 def xor_bits(a: Iterable[int], b: Iterable[int]) -> Bits:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.attacks import ImpersonationAttack, evaluate_attack
+from repro.channel.quantum_channel import NoiselessChannel
 from repro.exceptions import ExperimentError
 from repro.experiments.attack_simulations import (
     run_attack_simulations,
     run_impersonation_sweep,
 )
 from repro.experiments.report import render_result
+from repro.protocol.config import ProtocolConfig
 
 
 class TestAttackSimulations:
@@ -79,12 +84,79 @@ class TestImpersonationSweep:
         assert len(sweep) == 2
         short, long = sweep
         assert short.theoretical_detection_probability == pytest.approx(0.75)
-        assert long.theoretical_detection_probability == pytest.approx(1 - 0.25**4)
-        # Empirical rates should be within a few standard errors of theory.
-        assert short.empirical_detection_rate == pytest.approx(0.75, abs=0.25)
+        # The default tolerance 0.25 lets one mismatch in four pass.
+        assert long.theoretical_detection_probability == pytest.approx(1 - 13 / 256)
         assert long.empirical_detection_rate > 0.9
         assert render_result(sweep).count("l=") == 2
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
             run_impersonation_sweep(trials=0)
+
+
+def _binomial_band(trials: int, p: float, alpha: float) -> tuple[int, int]:
+    """``[low, high]`` with ``P(X < low) <= alpha/2`` and ``P(X > high) <= alpha/2``
+    for ``X ~ Binomial(trials, p)``, from the exact pmf."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pmf = [
+        math.exp(
+            math.lgamma(trials + 1)
+            - math.lgamma(k + 1)
+            - math.lgamma(trials - k + 1)
+            + k * log_p
+            + (trials - k) * log_q
+        )
+        for k in range(trials + 1)
+    ]
+    low, tail = 0, pmf[0]
+    while tail <= alpha / 2:
+        low += 1
+        tail += pmf[low]
+    high, tail = trials, pmf[trials]
+    while tail <= alpha / 2:
+        high -= 1
+        tail += pmf[high]
+    return low, high
+
+
+class TestImpersonationOracle:
+    """Authentication failures of an impersonator against the exact binomial law.
+
+    On a noiseless channel each forged identity pair mismatches with
+    probability 3/4, so among the sessions that reach the impersonated
+    party's check the failures are Binomial(reached, p) with p from
+    ``detection_probability(l, tolerance)``.  Sessions the round-1 CHSH
+    check aborts by finite-sample chance (≈7% at d=32) never reach it, so
+    the rate is conditioned on reaching.  Each of the four cells allows a
+    two-sided false alarm of 2.5e-7, 1e-6 for the whole test.
+    """
+
+    TRIALS = 1500
+    ALPHA = 2.5e-7
+
+    @pytest.mark.parametrize("identity_pairs", [1, 4])
+    @pytest.mark.parametrize("target", ["alice", "bob"])
+    def test_failure_rate_lies_in_the_binomial_band(self, target, identity_pairs):
+        config = ProtocolConfig.default(
+            message_length=8, identity_pairs=identity_pairs, check_pairs_per_round=32
+        ).with_channel(NoiselessChannel())
+        evaluation = evaluate_attack(
+            config,
+            lambda rng: ImpersonationAttack(target, rng=rng),
+            "10110010",
+            trials=self.TRIALS,
+            rng=1000 * identity_pairs + len(target),
+        )
+        aborts = evaluation.abort_reasons
+        # Bob's check comes first; an honest Bob always passes it here.
+        earlier = ["round1_chsh_failed"] + (
+            ["bob_authentication_failed"] if target == "alice" else []
+        )
+        reached = self.TRIALS - sum(aborts.get(reason, 0) for reason in earlier)
+        failed = aborts.get(f"{target}_authentication_failed", 0)
+        p = ImpersonationAttack.detection_probability(
+            identity_pairs, config.authentication_tolerance
+        )
+        low, high = _binomial_band(reached, p, self.ALPHA)
+        assert reached > 0.85 * self.TRIALS
+        assert low <= failed <= high, (failed, reached, p, (low, high))

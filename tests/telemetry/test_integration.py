@@ -84,6 +84,56 @@ class TestThreadedParenting:
                 ancestors.append(span.name)
             assert "network.simulate" in ancestors
 
+    @staticmethod
+    def _engine_sends(traced: bool) -> tuple:
+        """Four sends through a two-worker engine, submitted inside one span."""
+        from repro.runtime.engine import DeliveryEngine
+
+        payloads = [f"engine {index}" for index in range(4)]
+        if not traced:
+            with DeliveryEngine(ServiceConfig.ideal(), max_workers=2, seed=17) as engine:
+                return [future.result() for future in map(engine.submit, payloads)], None
+        with telemetry.capture(clock="ticks") as session:
+            with telemetry.span("load.submit") as outer:
+                with DeliveryEngine(ServiceConfig.ideal(), max_workers=2, seed=17) as engine:
+                    futures = [engine.submit(payload) for payload in payloads]
+                deliveries = [future.result() for future in futures]
+        return deliveries, (session.document, outer.span_id)
+
+    def test_delivery_engine_spans_nest_under_the_submitting_span(self):
+        deliveries, (document, outer_id) = self._engine_sends(traced=True)
+        executes = [span for span in document.spans if span.name == "runtime.execute"]
+        assert len(executes) == 4
+        assert {span.parent_id for span in executes} == {outer_id}
+        # Every send's own spans hang below its runtime.execute span.
+        by_id = {span.span_id: span for span in document.spans}
+        sends = [span for span in document.spans if span.name == "service.send"]
+        assert len(sends) == 4
+        assert {by_id[span.parent_id].name for span in sends} == {"runtime.execute"}
+
+        # The same sends without the engine give the same spans, less the
+        # engine's own.
+        service = MessagingService(ServiceConfig.ideal())
+        with telemetry.capture(clock="ticks") as session:
+            with telemetry.span("load.submit"):
+                for delivery in deliveries:
+                    request = delivery.request
+                    service.send(request.payload, kind=request.kind, seed=request.seed)
+        serial = Counter(span.name for span in session.document.spans)
+        serial["runtime.execute"] += 4
+        assert Counter(span.name for span in document.spans) == serial
+
+    def test_delivery_engine_outcomes_equal_with_and_without_telemetry(self):
+        traced, _ = self._engine_sends(traced=True)
+        plain, _ = self._engine_sends(traced=False)
+        assert [
+            (d.request.seed, d.status, d.report.delivered_payload, d.report.summary())
+            for d in traced
+        ] == [
+            (d.request.seed, d.status, d.report.delivered_payload, d.report.summary())
+            for d in plain
+        ]
+
 
 class TestDisabledModeBitIdentity:
     def test_send_results_identical_with_and_without_telemetry(self):
