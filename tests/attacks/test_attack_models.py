@@ -66,6 +66,30 @@ class TestImpersonationAttack:
         with pytest.raises(AttackError):
             ImpersonationAttack.detection_probability(-1)
 
+    @pytest.mark.parametrize("tolerance", [0.0, 0.2, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("identity_pairs", [1, 2, 3, 4, 5])
+    def test_detection_probability_counts_every_guess(self, identity_pairs, tolerance):
+        """Enumerate all 4**l guesses: one chunk in four matches the secret,
+        and the verifier passes ``mismatches / l <= tolerance``."""
+        passing = sum(
+            math.comb(identity_pairs, k) * 3**k
+            for k in range(identity_pairs + 1)
+            if k / identity_pairs <= tolerance
+        )
+        guesses = [
+            sum(guess >> (2 * pair) & 3 != 0 for pair in range(identity_pairs))
+            for guess in range(4**identity_pairs)
+        ]
+        assert passing == sum(k / identity_pairs <= tolerance for k in guesses)
+        assert ImpersonationAttack.detection_probability(
+            identity_pairs, tolerance
+        ) == pytest.approx(1 - passing / 4**identity_pairs, rel=1e-15)
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.0, float("nan")])
+    def test_detection_probability_rejects_tolerance_outside_unit_interval(self, tolerance):
+        with pytest.raises(AttackError):
+            ImpersonationAttack.detection_probability(4, tolerance)
+
     def test_expected_mismatch_fraction(self):
         assert ImpersonationAttack.expected_mismatch_fraction() == pytest.approx(0.75)
 
