@@ -70,9 +70,9 @@ class ImpersonationAttack(Attack):
         return 1.0 - survival
 
     @staticmethod
-    def survival_probability(identity_pairs: int, tolerance: float = 0.0) -> float:
-        """Probability Eve's random guesses pass verification (``(1/4)**l`` at tolerance 0)."""
-        return 1.0 - ImpersonationAttack.detection_probability(identity_pairs, tolerance)
+    def survival_probability(identity_pairs: int) -> float:
+        """Probability Eve's random guesses pass verification: ``(1/4)**l``."""
+        return 1.0 - ImpersonationAttack.detection_probability(identity_pairs)
 
     @staticmethod
     def expected_mismatch_fraction() -> float:

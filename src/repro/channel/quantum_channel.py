@@ -126,19 +126,18 @@ class QuantumChannel:
     ) -> "PairTable | list[DensityMatrix]":
         """Send qubit *qubit* of every state through the channel.
 
-        A session's :class:`~repro.quantum.density.PairTable` gives a table
-        with the same ids; a sequence gives the list aligned with it.  One
-        :func:`~repro.quantum.density.map_distinct` lookup per distinct
-        state, tagged with *qubit* and the map's
+        One :func:`~repro.quantum.density.map_distinct` lookup per distinct
+        state: a session's :class:`~repro.quantum.density.PairTable` gives a
+        table with the same ids, and a sequence the list aligned with it.
+        Each lookup is tagged with *qubit* and the map's
         :meth:`~repro.quantum.channels.KrausChannel.content_key`, so every
         session over an equal map shares the (read-only) outputs.  A miss
         applies the map to the live state: each output is exactly the bytes
         of ``state.apply_kraus(self.single_use_channel().kraus_operators, [qubit])``.
         A subclass that samples a random error realization per use must
         override this method, e.g. with
-        :meth:`~repro.quantum.density.PairTable.map_pairs` for a table and a
-        per-state loop for a sequence; otherwise equal pairs would share one
-        realization.
+        :meth:`~repro.quantum.density.PairTable.map_pairs`; otherwise equal
+        pairs would share one realization.
         """
         channel = self.single_use_channel()
         return map_distinct(

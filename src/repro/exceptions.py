@@ -18,6 +18,7 @@ __all__ = [
     "CircuitError",
     "SimulationError",
     "NoiseModelError",
+    "PairPositionError",
     "DeviceError",
     "ChannelError",
     "ProtocolError",
@@ -62,6 +63,10 @@ class SimulationError(QuantumError):
 
 class NoiseModelError(QuantumError):
     """Invalid noise model construction (non-CPTP channel, bad probability)."""
+
+
+class PairPositionError(QuantumError):
+    """A :class:`~repro.quantum.density.PairTable` holds no pair at a requested position."""
 
 
 class DeviceError(ReproError):

@@ -11,7 +11,8 @@ A session's pair states travel as one :class:`~repro.quantum.density.PairTable`
 (an id per position into the distinct states), where qubit 0 of each
 two-qubit state is the half originating at Alice and qubit 1 is Bob's half.
 The public methods also take a mapping ``position -> DensityMatrix`` and
-convert it once.
+convert it once; a position that holds no pair raises
+:class:`~repro.exceptions.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import PairPositionError, ProtocolError
 from repro.protocol.encoding import (
     BELL_STATE_TO_BITS,
     BITS_TO_PAULI,
@@ -68,7 +69,10 @@ def _apply_plan(pairs: Pairs, plan: dict[int, str], qubit: int) -> PairTable:
         pauli = pauli_operator(label)
         return ("pauli", key, qubit), lambda state: state.evolve(pauli, [qubit])
 
-    return PairTable.of(pairs).map_plan(plan, pauli_map)
+    try:
+        return PairTable.of(pairs).map_plan(plan, pauli_map)
+    except PairPositionError as error:
+        raise ProtocolError(str(error)) from None
 
 
 def _bell_cdf(state: DensityMatrix) -> np.ndarray:
@@ -211,7 +215,10 @@ class Bob:
         generator's state are those of one
         :func:`~repro.quantum.measurement.bell_measurement` per pair.
         """
-        measured = PairTable.of(pairs).take(positions)
+        try:
+            measured = PairTable.of(pairs).take(positions)
+        except PairPositionError as error:
+            raise ProtocolError(str(error)) from None
         uniforms = self.rng.random(len(measured))
         states = measured.states
         cdfs = np.zeros((len(states), 4))

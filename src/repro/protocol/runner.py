@@ -23,7 +23,6 @@ party impersonation.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import (
@@ -342,11 +341,7 @@ class UADIQSDCProtocol:
             emitted = emitted.map_pairs(attack.intercept_source)
         return emitted
 
-    def _memory_hold(
-        self,
-        pairs: "PairTable | Mapping[int, DensityMatrix]",
-        transcript: ProtocolTranscript,
-    ) -> PairTable:
+    def _memory_hold(self, pairs: PairTable, transcript: ProtocolTranscript) -> PairTable:
         """Hold Alice's halves in quantum memory while the round-1 check runs.
 
         The storage-decoherence channel is applied to Alice's qubit once per
@@ -357,7 +352,7 @@ class UADIQSDCProtocol:
         decoherence = self.config.memory_decoherence
         hold_time = self.config.memory_hold_time
         steps = int(hold_time)
-        held = PairTable.of(pairs)
+        held = pairs
         if decoherence is not None and steps > 0:
 
             def hold(state: DensityMatrix) -> DensityMatrix:

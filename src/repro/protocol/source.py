@@ -20,8 +20,7 @@ import numpy as np
 from repro.exceptions import ProtocolError
 from repro.quantum.bell import BellState, bell_state
 from repro.quantum.channels import KrausChannel
-from repro.quantum.density import DensityMatrix, PairTable, state_statistic
-from repro.quantum.states import Statevector
+from repro.quantum.density import DensityMatrix, PairTable
 
 __all__ = ["EntanglementSource"]
 
@@ -57,40 +56,29 @@ class EntanglementSource:
         self.emitted = 0
 
     def emit(self, pair_index: int = 0) -> DensityMatrix:
-        """Emit one pair (qubit 0 is Alice's half, qubit 1 is Bob's half).
-
-        Without an override the emission is a deterministic map of the Bell
-        state, memoised like every session map
-        (:func:`~repro.quantum.density.state_statistic`, tagged with the
-        preparation noise's content), so every session shares one
-        read-only emitted state.
-        """
+        """Emit one pair (qubit 0 is Alice's half, qubit 1 is Bob's half)."""
         self.emitted += 1
         if self.override is not None:
             state = self.override(pair_index)
             if not isinstance(state, DensityMatrix) or state.num_qubits != 2:
                 raise ProtocolError("source override must return a two-qubit DensityMatrix")
             return state
-        noise = self.preparation_noise
-        tag = ("emit",) if noise is None else ("emit", *noise.content_key())
-        return state_statistic(tag, bell_state(self.bell_state_kind), self._prepare)
-
-    def _prepare(self, pair: Statevector) -> DensityMatrix:
-        state = pair.density_matrix()
-        noise = self.preparation_noise
-        if noise is None:
+        state = bell_state(self.bell_state_kind).density_matrix()
+        if self.preparation_noise is None:
             return state
-        if noise.num_qubits == 2:
-            return noise.apply(state)
-        return noise.apply(noise.apply(state, [0]), [1])
+        if self.preparation_noise.num_qubits == 2:
+            return self.preparation_noise.apply(state)
+        noisy = self.preparation_noise.apply(state, [0])
+        return self.preparation_noise.apply(noisy, [1])
 
     def emit_many(self, count: int) -> PairTable:
         """Emit *count* pairs in order, as a :class:`~repro.quantum.density.PairTable`.
 
         Without an override hook the emission is a deterministic CPTP map, so
-        every pair carries an identical state: the one shared emitted state
-        is the table's one state, with every id 0.  Attack overrides keep
-        the per-index emission path.
+        every pair carries an identical state: it is prepared once and the
+        (immutable — :class:`DensityMatrix` operations never mutate in place)
+        instance is the table's one state, with every id 0.  Attack overrides
+        keep the per-index emission path.
         """
         if count < 0:
             raise ProtocolError("count must be non-negative")

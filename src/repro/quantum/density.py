@@ -25,7 +25,7 @@ from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.exceptions import DimensionError, NonPhysicalStateError, ProtocolError
+from repro.exceptions import DimensionError, NonPhysicalStateError, PairPositionError
 from repro.quantum.operators import Operator, embedded_operator
 from repro.quantum.states import Statevector
 from repro.utils.memo import BoundedMemo
@@ -365,7 +365,7 @@ class PairTable:
                 isinstance(position, numbers.Integral) and position >= 0
                 for position in positions
             ):
-                raise ProtocolError("pair positions must be non-negative integers")
+                raise PairPositionError("pair positions must be non-negative integers")
             slots, states = group_by_object(list(pairs.values()))
             ids = np.full(max(positions, default=-1) + 1, -1, dtype=np.intp)
             ids[positions] = slots
@@ -387,7 +387,7 @@ class PairTable:
     def _index(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """*positions* as an index array and the ids there, checked in one pass.
 
-        Raises :class:`~repro.exceptions.ProtocolError` naming the first
+        Raises :class:`~repro.exceptions.PairPositionError` naming the first
         position that is missing or consumed.
         """
         ids = self.ids
@@ -406,7 +406,7 @@ class PairTable:
                 and 0 <= position < len(ids)
                 and ids[position] >= 0
             ):
-                raise ProtocolError(f"no pair at position {position}")
+                raise PairPositionError(f"no pair at position {position}")
         # Every position is live: an empty sequence or one of another type.
         index = np.array([int(position) for position in positions], dtype=np.intp)
         return index, ids[index]
@@ -492,18 +492,17 @@ def map_distinct(
     """``state_statistic(tag, state, fn)`` for every state, one lookup per object.
 
     A :class:`PairTable` maps each state a live position holds and returns a
-    table with the same ids; a sequence returns the aligned list.  *fn* must
-    be deterministic: a map that samples a random realization per call
-    would hand one draw to every equal input.
+    table with the same ids.  A sequence is made a table once and returns
+    the list aligned with it.  *fn* must be deterministic: a map that
+    samples a random realization per call would hand one draw to every
+    equal input.
     """
-    if isinstance(states, PairTable):
-        mapped = list(states.states)
-        for slot in states.used():
-            mapped[slot] = state_statistic(tag, mapped[slot], fn)
-        return PairTable(states.ids, mapped, len(states))
-    slots, distinct = group_by_object(states)
-    outputs = [state_statistic(tag, state, fn) for state in distinct]
-    return [outputs[slot] for slot in slots]
+    if not isinstance(states, PairTable):
+        return list(map_distinct(tag, PairTable.of(states), fn))
+    mapped = list(states.states)
+    for slot in states.used():
+        mapped[slot] = state_statistic(tag, mapped[slot], fn)
+    return PairTable(states.ids, mapped, len(states))
 
 
 #: The memo behind :func:`state_statistic`: 1024 entries, least recently used

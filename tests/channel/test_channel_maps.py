@@ -36,7 +36,7 @@ from repro.quantum.channels import (
     phase_damping_channel,
     thermal_relaxation_channel,
 )
-from repro.quantum.density import DensityMatrix
+from repro.quantum.density import DensityMatrix, PairTable
 from repro.quantum.operators import embedded_operator
 
 
@@ -161,7 +161,7 @@ class TestSessionMaps:
         )
         pairs = dict(enumerate(_pair_states() * 2))
         for _ in range(2):  # a miss, then a memo hit
-            held = protocol._memory_hold(pairs, ProtocolTranscript())
+            held = protocol._memory_hold(PairTable.of(pairs), ProtocolTranscript())
             for index, state in pairs.items():
                 expected = state
                 for _ in range(int(hold_time)):

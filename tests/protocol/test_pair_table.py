@@ -10,8 +10,9 @@ per-pair references it replaced:
 * ``apply_plan``, ``bell_measure`` and ``estimate`` on a table equal their
   mapping and list forms and per-pair loops over the public references, on
   repeated objects, equal-content copies and a depolarized state;
-* a missing or consumed position raises the ``ProtocolError`` the mapping
-  path raised.
+* a missing or consumed position raises ``PairPositionError`` on the table
+  and, at the parties' entry points, the ``ProtocolError`` the mapping path
+  raised.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ProtocolError, ReproError
+from repro.exceptions import PairPositionError, ProtocolError, ReproError
 from repro.protocol.chsh import CHSHSettings, DISecurityCheck
 from repro.protocol.encoding import pauli_operator
 from repro.protocol.identity import Identity
@@ -269,9 +270,9 @@ class TestMissingPositions:
     )
     def test_the_first_missing_or_consumed_position_is_named(self, consumed, positions, named):
         message = f"no pair at position {named}"
-        with pytest.raises(ProtocolError, match=f"^{message}$"):
+        with pytest.raises(PairPositionError, match=f"^{message}$"):
             consumed.take(positions)
-        with pytest.raises(ProtocolError, match=f"^{message}$"):
+        with pytest.raises(PairPositionError, match=f"^{message}$"):
             consumed.drop(positions)
         with pytest.raises(ProtocolError, match=f"^{message}$"):
             _bob(seed=0).bell_measure(consumed, positions)
@@ -295,10 +296,12 @@ class TestMissingPositions:
         assert bob.rng.bit_generator.state == before
 
     def test_non_integer_positions_are_missing(self, consumed):
-        with pytest.raises(ProtocolError, match="^no pair at position 1.5$"):
+        with pytest.raises(PairPositionError, match="^no pair at position 1.5$"):
             consumed.take((0, 1.5))
-        with pytest.raises(ProtocolError, match="^pair positions must be"):
+        with pytest.raises(PairPositionError, match="^pair positions must be"):
             PairTable.of({-1: consumed[0]})
+        with pytest.raises(ProtocolError, match="^pair positions must be"):
+            Alice.apply_plan({-1: consumed[0]}, {})
 
 
 class TestValidateBits:
