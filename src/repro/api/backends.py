@@ -185,12 +185,11 @@ class NetworkBackend:
         self, jobs: Sequence[FragmentJob], config: Any
     ) -> list[FragmentDelivery]:
         from repro.network.scheduler import NetworkScheduler
-        from repro.network.sessions import SessionParameters, SessionRequest
+        from repro.network.sessions import SessionRequest
 
         if not jobs:
             return []
         source, target = self._endpoints(config)
-        session_params = config.session_params or SessionParameters()
         requests = [
             SessionRequest(
                 session_id=position,
@@ -207,7 +206,7 @@ class NetworkBackend:
         scheduler = NetworkScheduler(
             config.topology,
             routing_policy=config.routing_policy,
-            session_params=session_params,
+            session_params=config.session_parameters(),
             max_wait=config.max_wait,
             seed=point_seed(jobs[0].seed, {"stream": "network"}),
             executor=config.executor,

@@ -49,6 +49,13 @@ __all__ = ["BACKEND_NAMES", "ServiceConfig"]
 #: Backend names accepted by :meth:`ServiceConfig.with_backend`.
 BACKEND_NAMES = ("local", "batch", "network")
 
+#: Per-fragment fields the network backend never reads (see ``validate``).
+_PER_FRAGMENT_FIELDS = (
+    "channel", "distribution_channel", "identity_pairs", "check_pairs_per_round",
+    "num_check_bits", "authentication_tolerance", "check_bit_tolerance",
+    "memory_decoherence", "memory_hold_time", "alice_identity", "bob_identity",
+)
+
 #: Executors the batch/network backends accept (``"process"`` is excluded:
 #: fragment workers close over live channel/attack objects, which are not
 #: generally picklable — the same constraint as the network scheduler).
@@ -85,7 +92,8 @@ class ServiceConfig:
     memory_decoherence, memory_hold_time, alice_identity, bob_identity:
         Per-fragment protocol parameters, mapped one-to-one onto
         :class:`~repro.protocol.config.ProtocolConfig` (``num_check_bits``
-        None = the ``ProtocolConfig.default`` quarter-length rule).
+        None = the ``ProtocolConfig.default`` quarter-length rule); the
+        network backend rejects them unless left at their defaults.
     attack_factory:
         Optional ``(fragment_index, attempt, rng) -> attack | None`` hook for
         security studies through the facade (local/batch backends; network
@@ -308,6 +316,13 @@ class ServiceConfig:
                     "compromise a topology node or set a scenario for "
                     "network attack studies"
                 )
+            defaults = ServiceConfig()
+            for name in _PER_FRAGMENT_FIELDS:
+                if getattr(self, name) != getattr(defaults, name):
+                    raise ConfigurationError(
+                        f"the network backend ignores {name}: set session_params "
+                        "(SessionParameters) and the link channels instead"
+                    )
         # Delegate per-fragment parameter validation to ProtocolConfig using a
         # representative even-length fragment.
         self.protocol_config(message_length=2, seed=0).validate()
@@ -342,6 +357,12 @@ class ServiceConfig:
             scenario=self.scenario,
         )
 
+    def session_parameters(self) -> Any:
+        """The :class:`~repro.network.sessions.SessionParameters` of every network hop."""
+        from repro.network.sessions import SessionParameters
+
+        return self.session_params or SessionParameters()
+
     def create_backend(self) -> Any:
         """Instantiate the configured :class:`~repro.api.backends.Backend`."""
         from repro.api.backends import BACKENDS
@@ -349,20 +370,23 @@ class ServiceConfig:
         return BACKENDS[self.backend]()
 
     def describe(self) -> dict[str, Any]:
-        """Compact JSON-friendly echo of the service-level settings."""
+        """Compact JSON-friendly echo of the settings a delivery runs with."""
         scenario_label = None
         if self.scenario is not None:
             from repro.attacks.scenarios import as_schedule
 
             scenario_label = as_schedule(self.scenario).label
+        # Network hops run on session_parameters() and their links' channels.
+        network = self.backend == "network"
+        params = self.session_parameters() if network else self
         return {
             "backend": self.backend,
             **({"scenario": scenario_label} if scenario_label else {}),
             "fragment_bits": self.fragment_bits,
             "framing": self.framing,
             "max_retries": self.max_retries,
-            "channel": self.channel.name,
-            "identity_pairs": self.identity_pairs,
-            "check_pairs_per_round": self.check_pairs_per_round,
+            **({} if network else {"channel": self.channel.name}),
+            "identity_pairs": params.identity_pairs,
+            "check_pairs_per_round": params.check_pairs_per_round,
             "executor": self.executor,
         }

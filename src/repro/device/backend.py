@@ -23,9 +23,10 @@ resolved backend and the dispatch reason are recorded in every
 :meth:`NoisyBackend.run` and :meth:`NoisyBackend.run_batch` share one
 execution body (validate, dispatch, simulate, record jobs) and differ only in
 dispatching as a single-circuit or a whole-batch submission.  Either way one
-simulator ``run_batch`` call executes the circuits, dense circuits run
-compiled, and the noise model's Pauli analysis is memoised
-(:func:`repro.quantum.dispatch.noise_model_mixtures`).
+simulator ``run_batch`` call executes the circuits and dense circuits run
+compiled.  Stabilizer eligibility is decided in :mod:`repro.quantum.dispatch`
+alone: ``select_backend`` walks each submitted circuit once, and the
+stabilizer simulator only when its distribution memo computes.
 """
 
 from __future__ import annotations

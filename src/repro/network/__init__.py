@@ -2,14 +2,14 @@
 
 The paper proves and emulates one Alice–Bob UA-DI-QSDC session; this package
 scales that link into a *network*: many users and trusted relays joined by
-per-edge quantum + classical channels, concurrent sessions admitted under
+per-edge quantum channels, concurrent sessions admitted under
 per-node qubit-capacity constraints, and hop-by-hop authenticated forwarding
 where every hop runs the full protocol.
 
 Layers (bottom up):
 
 * :mod:`repro.network.topology` — the graph: nodes (capacity, memory model,
-  optional compromise), links (quantum + classical channel per edge) and the
+  optional compromise), links (one quantum channel per edge) and the
   standard generators (line, star, ring, grid, random geometric).
 * :mod:`repro.network.routing` — deterministic shortest-hop / lowest-loss
   path selection (with element exclusion for outage re-routing).

@@ -665,12 +665,6 @@ class NetworkScheduler:
                 selector.charge(
                     request.priority, cost=float(sum(pending.qubits_needed.values()))
                 )
-            for sender, receiver in pending.route.hops():
-                self.topology.link(sender, receiver).classical_channel.broadcast(
-                    "scheduler",
-                    "route_reserved",
-                    {"session": session_id, "start": now, "finish": record.finish_time},
-                )
             push(record.finish_time, _COMPLETION, pending)
 
         def serve(now: float) -> None:
@@ -724,12 +718,7 @@ class NetworkScheduler:
                     if self.max_wait is not None:
                         push(now + self.max_wait, _TIMEOUT, pending)
             elif kind == _COMPLETION:
-                session_id = pending.request.session_id
-                ledger.release(session_id, pending.qubits_needed)
-                for sender, receiver in pending.route.hops():
-                    self.topology.link(sender, receiver).classical_channel.broadcast(
-                        "scheduler", "route_released", {"session": session_id}
-                    )
+                ledger.release(pending.request.session_id, pending.qubits_needed)
                 serve(now)
             elif kind == _TIMEOUT:
                 reject(

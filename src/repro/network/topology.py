@@ -1,4 +1,4 @@
-"""Network topology: named nodes joined by quantum + classical links.
+"""Network topology: named nodes joined by quantum links.
 
 The paper evaluates one Alice–Bob session over a single emulated channel; a
 deployed QSDC service is a *network* — many users, relays and links, each
@@ -6,9 +6,7 @@ link with its own length and noise.  :class:`NetworkTopology` is the static
 description layer of the network subsystem: an undirected graph of
 :class:`NetworkNode` objects joined by :class:`NetworkLink` objects, where
 every link carries a private :class:`~repro.channel.quantum_channel.QuantumChannel`
-(the hop's noise model) and a logged
-:class:`~repro.channel.classical_channel.ClassicalChannel` (the hop's control
-plane).
+(the hop's noise model).
 
 Nodes model the *resources* of a network site: a qubit capacity (how many
 EPR-pair halves the site can hold at once), an optional storage-decoherence
@@ -24,10 +22,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.channel.classical_channel import ClassicalChannel
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
 from repro.exceptions import NetworkError
 from repro.quantum.channels import KrausChannel
@@ -105,7 +102,7 @@ class NetworkNode:
 
 @dataclass
 class NetworkLink:
-    """An undirected edge: one quantum channel plus one classical channel.
+    """An undirected edge carrying one quantum channel.
 
     Attributes
     ----------
@@ -114,10 +111,6 @@ class NetworkLink:
         address the same link).
     quantum_channel:
         The hop's transmission noise model.
-    classical_channel:
-        The hop's authenticated control plane; the scheduler logs
-        reservation/release announcements here, so the control traffic of a
-        simulation can be audited per link.
     length:
         Edge length in arbitrary distance units (euclidean distance for the
         geometric generator, 1.0 elsewhere).
@@ -126,7 +119,6 @@ class NetworkLink:
     node_a: str
     node_b: str
     quantum_channel: QuantumChannel
-    classical_channel: ClassicalChannel = field(default_factory=ClassicalChannel)
     length: float = 1.0
 
     def __post_init__(self):

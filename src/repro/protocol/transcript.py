@@ -1,15 +1,13 @@
 """Protocol transcript: classical announcements plus phase-by-phase reports.
 
 Everything Alice and Bob say over the public classical channel, and the
-outcome of every protocol phase, ends up in a :class:`ProtocolTranscript`.
-The transcript serves three purposes:
-
-* it is the audit trail attached to every :class:`~repro.protocol.results.ProtocolResult`;
-* the information-leakage analysis (§III-E) inspects exactly this object to
-  show that no message information crosses the classical channel;
-* attack models register taps on the underlying
-  :class:`~repro.channel.classical_channel.ClassicalChannel` to model an
-  eavesdropper listening to all public communication.
+outcome of every protocol phase, ends up in a :class:`ProtocolTranscript`
+for one session.  Its phase reports become the
+:class:`~repro.protocol.results.ProtocolResult`'s ``phases`` audit trail;
+its announcements stay with the session, where attack models tap the
+underlying :class:`~repro.channel.classical_channel.ClassicalChannel` — the
+information-leakage analysis (§III-E) is such a tap, showing that no message
+information crosses the classical channel.
 """
 
 from __future__ import annotations

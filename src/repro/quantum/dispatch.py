@@ -13,10 +13,11 @@ accordingly:
   bit/phase flip, general Pauli channels …) and returns the underlying
   probability mixture; channels with coherent or damping components
   (e.g. thermal relaxation) return ``None`` and force the dense path.
-* :func:`noise_model_mixtures` — the one walk over the errors a noise model
-  attaches to a circuit (dispatcher and stabilizer engine), memoised
-  per error under the propagator-cache key ``(cache_token, version)``: an
-  in-place ``add_*`` invalidates it, duck-typed models skip it.
+* :func:`stabilizer_mixtures` — the one eligibility walk (gate names, then
+  :func:`noise_model_mixtures`, memoised per error under the propagator-cache
+  key ``(cache_token, version)``; duck-typed models skip the memo), made once
+  per submitted circuit by :func:`select_backend` and, by the stabilizer
+  engine, only where its distribution memo computes.
 * :func:`select_backend` — the routing decision for a batch of circuits
   under a requested backend (``"auto"``, ``"dense"``, ``"stabilizer"`` or
   its synonym ``"stabilizer_batched"``).
@@ -68,6 +69,7 @@ __all__ = [
     "pauli_twirl_channel",
     "pauli_twirl_noise_model",
     "select_backend",
+    "stabilizer_mixtures",
 ]
 
 #: The backend names :class:`~repro.device.backend.NoisyBackend`'s
@@ -79,10 +81,11 @@ BACKEND_CHOICES = ("auto", "dense", "stabilizer", "stabilizer_batched")
 #: submissions, so job metadata still tell a batch from a single run.
 _STABILIZER_BACKENDS = ("stabilizer", "stabilizer_batched")
 
-#: Gate names the stabilizer tableau implements (single source of truth is
-#: the engine; re-exported here because eligibility analysis is this
-#: module's job).
-from repro.quantum.stabilizer import CLIFFORD_GATE_NAMES  # noqa: E402
+#: Gate names the stabilizer tableau implements (the Clifford subset of
+#: ``make_gate``); :mod:`repro.quantum.stabilizer` re-exports it.
+CLIFFORD_GATE_NAMES = frozenset(
+    {"id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "cy", "swap"}
+)
 
 _PAULI_1Q = {"I": I_MATRIX, "X": X_MATRIX, "Y": Y_MATRIX, "Z": Z_MATRIX}
 
@@ -200,10 +203,11 @@ def circuit_is_clifford(circuit: QuantumCircuit) -> bool:
     recognised — they run on the dense path (a conservative, never-wrong
     answer).
     """
-    return all(
-        instruction.kind != "gate" or instruction.name in CLIFFORD_GATE_NAMES
-        for instruction in circuit.instructions
-    )
+    try:
+        stabilizer_mixtures(None, circuit)
+    except _NotClifford:
+        return False
+    return True
 
 
 def noise_model_mixtures(
@@ -248,6 +252,25 @@ def noise_model_mixtures(
             )
         mixtures[key] = entry[1]
     return mixtures
+
+
+class _NotClifford(SimulationError):
+    """A gate outside :data:`CLIFFORD_GATE_NAMES` (outranks non-Pauli noise)."""
+
+
+def stabilizer_mixtures(noise_model: NoiseModel | None, circuit: QuantumCircuit) -> dict:
+    """*circuit*'s :func:`noise_model_mixtures` if the tableau can run it.
+
+    Raises :class:`~repro.exceptions.SimulationError` naming the first
+    non-Clifford gate, which outranks any non-Pauli error.
+    """
+    for instruction in circuit.instructions:
+        if instruction.kind == "gate" and instruction.name not in CLIFFORD_GATE_NAMES:
+            raise _NotClifford(
+                f"gate {instruction.name!r} is not Clifford; use "
+                "repro.quantum.dispatch to route such circuits to a dense simulator"
+            )
+    return noise_model_mixtures(noise_model, circuit)
 
 
 def noise_model_is_pauli(
@@ -297,25 +320,21 @@ def select_backend(
         circuits = [circuits]
     forced_stabilizer = requested in _STABILIZER_BACKENDS
 
-    non_clifford = next(
-        (circuit for circuit in circuits if not circuit_is_clifford(circuit)), None
-    )
-    if non_clifford is not None:
-        reason = f"circuit {non_clifford.name!r} contains non-Clifford gates"
-        if forced_stabilizer:
-            raise SimulationError(
-                f"simulator_backend={requested!r} was forced but {reason}"
-            )
-        return _decide(requested, "dense", reason)
-
-    non_pauli = next(
-        (
-            circuit
-            for circuit in circuits
-            if not noise_model_is_pauli(noise_model, circuit)
-        ),
-        None,
-    )
+    # One walk per circuit; any non-Clifford circuit outranks a non-Pauli one.
+    non_pauli = None
+    for circuit in circuits:
+        try:
+            stabilizer_mixtures(noise_model, circuit)
+        except _NotClifford:
+            reason = f"circuit {circuit.name!r} contains non-Clifford gates"
+            if forced_stabilizer:
+                raise SimulationError(
+                    f"simulator_backend={requested!r} was forced but {reason}"
+                ) from None
+            return _decide(requested, "dense", reason)
+        except SimulationError:
+            if non_pauli is None:
+                non_pauli = circuit
     if non_pauli is not None:
         reason = (
             f"noise model {getattr(noise_model, 'name', 'noise_model')!r} attaches "

@@ -34,9 +34,9 @@ sampling contract exactly:
   envelope run **Pauli-noise trajectories**: a batch of one tableau per
   shot, advanced by one update per instruction.
 
-Eligibility (Clifford-only gates, Pauli-diagonal noise) is *checked* here
-but *decided* by :mod:`repro.quantum.dispatch`, which routes circuits
-between this backend and the dense ones.
+Eligibility (Clifford-only gates, Pauli-diagonal noise) is decided by
+:mod:`repro.quantum.dispatch`; the simulator asks it only where its
+distribution memo computes and on the paths that skip the memo.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from repro.quantum.batch import (
     measurements_are_terminal,
 )
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.dispatch import CLIFFORD_GATE_NAMES, stabilizer_mixtures
 from repro.quantum.simulator import (
     SimulationResult,
     _format_clbits,
@@ -72,11 +73,6 @@ __all__ = [
     "StabilizerSimulator",
     "popcount",
 ]
-
-#: Gate names the tableau implements (the Clifford subset of ``make_gate``).
-CLIFFORD_GATE_NAMES = frozenset(
-    {"id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "cy", "swap"}
-)
 
 #: Order of each Clifford gate (G**order = identity); run-length-encoded
 #: repetitions reduce modulo this, so an η-identity chain costs O(1).
@@ -601,8 +597,8 @@ class StabilizerSimulator:
     ----------
     noise_model:
         Optional :class:`~repro.quantum.noise_model.NoiseModel` whose every
-        gate error is a Pauli-diagonal channel (checked at run time through
-        :func:`repro.quantum.dispatch.noise_model_mixtures`); readout errors are
+        gate error is a Pauli-diagonal channel (checked through
+        :func:`repro.quantum.dispatch.stabilizer_mixtures`); readout errors are
         applied classically exactly as the dense path does.
     seed:
         Seed or generator for all sampling performed by this instance.
@@ -683,12 +679,12 @@ class StabilizerSimulator:
             entry = resolved.get(id(circuit))
             if entry is None:
                 entry = resolved[id(circuit)] = (circuit, self._resolve(circuit, method))
-                structures += entry[1] is not None
-            distribution = entry[1]
-            if distribution is None:
-                results.append(self._run_trajectories(circuit, shots, generator))
+                structures += isinstance(entry[1], _AnalyticDistribution)
+            plan = entry[1]
+            if isinstance(plan, _AnalyticDistribution):
+                results.append(self._sample(plan, shots, generator))
             else:
-                results.append(self._sample(distribution, shots, generator))
+                results.append(self._run_trajectories(circuit, plan, shots, generator))
         metadata = {
             "method": "stabilizer_batch",
             "noise_model": None if self._noise_model is None else self._noise_model.name,
@@ -712,7 +708,7 @@ class StabilizerSimulator:
 
     def final_tableau(self, circuit: QuantumCircuit) -> CliffordTableau:
         """Tableau after a measurement- and reset-free Clifford circuit."""
-        self._require_clifford(circuit)
+        stabilizer_mixtures(None, circuit)  # the Clifford check
         tableau = CliffordTableau(circuit.num_qubits)
         for instruction in circuit.instructions:
             if instruction.kind == "barrier":
@@ -726,50 +722,31 @@ class StabilizerSimulator:
             )
         return tableau
 
-    # -- eligibility --------------------------------------------------------------------
-    @staticmethod
-    def _require_clifford(circuit: QuantumCircuit) -> None:
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.name not in CLIFFORD_GATE_NAMES:
-                raise SimulationError(
-                    f"gate {instruction.name!r} is not Clifford; use "
-                    "repro.quantum.dispatch to route such circuits to a dense simulator"
-                )
-
-    def _mixtures(self, circuit: QuantumCircuit) -> dict:
-        """Pauli mixtures of the errors attached to *circuit* (raises if any is not).
-
-        See :func:`repro.quantum.dispatch.noise_model_mixtures`; the dispatcher
-        filters ineligible circuits to the dense backend beforehand.
-        """
-        from repro.quantum.dispatch import noise_model_mixtures  # dispatch imports us
-
-        return noise_model_mixtures(self._noise_model, circuit)
-
     def _resolve(self, circuit: QuantumCircuit, method: str):
-        """Eligibility checks, then the cached distribution (``None``: trajectories)."""
-        self._require_clifford(circuit)
-        self._mixtures(circuit)  # fail fast on non-Pauli noise
-        if method == "trajectory":
-            return None
-        distribution = self._analytic(circuit, allow_fail=(method == "auto"))
-        if distribution is None and method == "analytic":
+        """The cached distribution of *circuit*, else its mixtures for trajectories.
+
+        A distribution passed eligibility where the memo computed it (the
+        key implies it on a hit); anything else is checked here, first.
+        """
+        distribution = None if method == "trajectory" else self._analytic(circuit)
+        if distribution is not None:
+            return distribution
+        mixtures = stabilizer_mixtures(self._noise_model, circuit)
+        if method == "analytic":
             raise SimulationError(
                 "circuit exceeds the analytic envelope "
                 f"(measured qubits ≤ {ANALYTIC_MAX_MEASURED_QUBITS}, "
                 f"random outcomes ≤ {ANALYTIC_MAX_SYMBOLS})"
+                if measurements_are_terminal(circuit)
+                else "the analytic stabilizer path requires terminal measurements"
             )
-        return distribution
+        return mixtures
 
     # -- analytic path -------------------------------------------------------------------
-    def _analytic(self, circuit: QuantumCircuit, allow_fail: bool):
+    def _analytic(self, circuit: QuantumCircuit):
         """Exact outcome distribution of *circuit*, or ``None`` if out of envelope."""
         if not measurements_are_terminal(circuit):
-            if allow_fail:
-                return None
-            raise SimulationError(
-                "the analytic stabilizer path requires terminal measurements"
-            )
+            return None
         measure_map = circuit_measure_map(circuit)
         measured_qubits = sorted(measure_map)
         # Strict ">" keeps the documented bound inclusive: exactly
@@ -794,7 +771,8 @@ class StabilizerSimulator:
         measured_qubits: list[int],
         measure_map: dict[int, int],
     ):
-        """One symbolic tableau pass + exact Pauli-noise and readout folding."""
+        """Eligibility, one symbolic tableau pass, exact Pauli-noise and readout folding."""
+        mixtures = stabilizer_mixtures(self._noise_model, circuit)
         if not measure_map:  # nothing to sample: no pass, and no draw later
             return _AnalyticDistribution(None, (), {}, circuit.num_clbits)
         tableau = CliffordTableau(circuit.num_qubits, track_symbols=True)
@@ -818,15 +796,14 @@ class StabilizerSimulator:
         probabilities = self._enumerate_distribution(
             [forms[qubit] for qubit in measured_qubits], tableau.num_symbols
         )
+        probabilities = self._convolve_noise(
+            circuit, measured_qubits, probabilities, mixtures
+        )
         noise_model = self._noise_model
-        if noise_model is not None:
-            probabilities = self._convolve_noise(
-                circuit, measured_qubits, probabilities
+        if noise_model is not None and noise_model.has_readout_error():
+            probabilities = renormalize_readout_probabilities(
+                noise_model.apply_readout_errors(probabilities, measured_qubits)
             )
-            if noise_model.has_readout_error():
-                probabilities = renormalize_readout_probabilities(
-                    noise_model.apply_readout_errors(probabilities, measured_qubits)
-                )
         return _AnalyticDistribution(
             probabilities=probabilities,
             measured_qubits=tuple(measured_qubits),
@@ -868,6 +845,7 @@ class StabilizerSimulator:
         circuit: QuantumCircuit,
         measured_qubits: list[int],
         probabilities: np.ndarray,
+        mixtures: dict,
     ) -> np.ndarray:
         """Fold every Pauli-noise insertion into the exact distribution.
 
@@ -878,7 +856,6 @@ class StabilizerSimulator:
         η-fold repeat of one insertion is a pointwise power — the stabilizer
         analogue of the dense path's ``matrix_power`` run compression.
         """
-        mixtures = self._mixtures(circuit)
         if not mixtures:
             return probabilities
         m = len(measured_qubits)
@@ -969,7 +946,11 @@ class StabilizerSimulator:
 
     # -- trajectory path -----------------------------------------------------------------
     def _run_trajectories(
-        self, circuit: QuantumCircuit, shots: int, generator: np.random.Generator
+        self,
+        circuit: QuantumCircuit,
+        mixtures: dict,
+        shots: int,
+        generator: np.random.Generator,
     ) -> SimulationResult:
         """Monte Carlo with the shot axis as the tableau batch axis.
 
@@ -979,7 +960,6 @@ class StabilizerSimulator:
         (chi-squared-tested by the conformance suite), but it consumes the
         generator differently, so it makes no bit-parity claim.
         """
-        mixtures = self._mixtures(circuit)
         noise_model = self._noise_model
         metadata = self._metadata("trajectory")
         if not circuit.has_measurements() or shots == 0:
@@ -997,20 +977,14 @@ class StabilizerSimulator:
                     if mixtures
                     else ()
                 )
-                if errors and instruction.repetitions > 1:
-                    for _ in range(instruction.repetitions):
-                        tableau.apply_gate(instruction.name, instruction.qubits)
-                        self._apply_sampled_errors(
-                            tableau, instruction, mixtures, generator
-                        )
-                else:
+                if not errors:
                     tableau.apply_gate(
                         instruction.name, instruction.qubits, instruction.repetitions
                     )
-                    if errors:
-                        self._apply_sampled_errors(
-                            tableau, instruction, mixtures, generator
-                        )
+                else:  # each repetition draws its own errors
+                    for _ in range(instruction.repetitions):
+                        tableau.apply_gate(instruction.name, instruction.qubits)
+                        self._apply_sampled_errors(tableau, instruction, mixtures, generator)
             elif instruction.kind == "reset":
                 tableau.reset(instruction.qubits[0], generator)
             elif instruction.kind == "measure":

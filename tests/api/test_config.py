@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
 from repro.exceptions import ConfigurationError
 from repro.network import line_topology
 from repro.protocol import Identity
+from repro.quantum.channels import phase_damping_channel
 
 
 class TestPresets:
@@ -111,6 +113,45 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("channel", IdentityChainChannel(eta=700)),
+            ("distribution_channel", NoiselessChannel()),
+            ("identity_pairs", 4),
+            ("check_pairs_per_round", 512),
+            ("num_check_bits", 6),
+            ("authentication_tolerance", 0.0),
+            ("check_bit_tolerance", 0.0),
+            ("memory_decoherence", phase_damping_channel(0.1)),
+            ("memory_hold_time", 1.0),
+            ("alice_identity", Identity.from_string("1101" * 4, owner="alice")),
+            ("bob_identity", Identity.from_string("0110" * 4, owner="bob")),
+        ],
+    )
+    def test_network_rejects_per_fragment_fields(self, name, value):
+        # The network backend runs every hop on session_params and the link
+        # channels, so these fields would change nothing but the report.
+        config = ServiceConfig.networked(
+            line_topology(3), source="n0", target="n2", seed=5
+        ).validate()
+        with pytest.raises(
+            ConfigurationError, match=rf"ignores {name}: .*session_params.*link"
+        ):
+            replace(config, **{name: value}).validate()
+
+    def test_network_names_the_first_ignored_field(self):
+        config = (
+            ServiceConfig.networked(line_topology(3), source="n0", target="n2", seed=5)
+            .with_executor("serial")
+            .with_identity_pairs(4)
+            .with_check_pairs(512)
+            .with_channel(IdentityChainChannel(eta=700))
+            .with_tolerances(0.0, 0.0)
+        )
+        with pytest.raises(ConfigurationError, match="ignores channel:"):
+            MessagingService(config)
 
     def test_identity_mismatch_caught(self):
         identity = Identity.from_string("1101", owner="alice")  # 2 pairs

@@ -207,6 +207,16 @@ class TestNetworkBackend:
         assert report.success
         assert report.fragments[0].attempts[0].details["route"] == ["n0", "n1", "n2"]
 
+    def test_metadata_reports_the_session_parameters_used(self):
+        report = MessagingService(network_config()).send(b"x")
+        assert report.metadata["identity_pairs"] == 2
+        assert report.metadata["check_pairs_per_round"] == 64
+        assert "channel" not in report.metadata  # each hop uses its link's
+        default = ServiceConfig.networked(noiseless_line()).describe()
+        used = SessionParameters()
+        assert default["identity_pairs"] == used.identity_pairs
+        assert default["check_pairs_per_round"] == used.check_pairs_per_round
+
     def test_deterministic(self):
         service = MessagingService(network_config())
         assert service.send(b"net").summary() == service.send(b"net").summary()

@@ -588,18 +588,23 @@ class TestMetrics:
         text = json.dumps(self._run().summary())
         assert "throughput_sessions" in text
 
-    def test_classical_channels_log_reservations(self):
+    def test_runs_leave_the_topology_unchanged(self):
+        # Reservations live in each run's own ledger: two runs on one
+        # topology agree, and every link and node keeps its field objects
+        # and their state (nothing accumulates in the shared topology).
         topology = _noiseless_grid(2, 2, qubit_capacity=256)
         traffic = PoissonTraffic(num_sessions=5, rate=200.0, message_length=8)
-        result = simulate_network(topology, traffic, session_params=QUICK, seed=11)
-        logged = sum(len(link.classical_channel.log) for link in topology.links)
-        admitted_hops = sum(
-            len(record.route_nodes) - 1
-            for record in result.records
-            if record.admitted
-        )
-        # one reserve + one release broadcast per admitted hop
-        assert logged == 2 * admitted_hops
+        elements = [*topology.links, *map(topology.node, topology.node_names)]
+        fields = [dict(vars(element)) for element in elements]
+        shown = [repr(element) for element in elements]
+        first = simulate_network(topology, traffic, session_params=QUICK, seed=11)
+        second = simulate_network(topology, traffic, session_params=QUICK, seed=11)
+        assert first.admitted_count and first.summary() == second.summary()
+        for element, before, text in zip(elements, fields, shown):
+            assert vars(element).keys() == before.keys()
+            for name, value in before.items():
+                assert getattr(element, name) is value, (element, name)
+            assert repr(element) == text
 
 
 class TestRequestOverrides:

@@ -3,8 +3,8 @@
 One parameterised suite runs protocol-shaped Clifford circuits against every
 execution path in the tree —
 
-* ``StatevectorSimulator.run`` (sequential reference),
-* ``StatevectorSimulator.run_batch`` (compiled unitaries),
+* ``StatevectorSimulator.run`` / ``run_batch`` (compiled unitaries; ``run``
+  is ``run_batch([circuit])``),
 * ``DensityMatrixSimulator.run`` / ``run_batch`` (compiled superoperators;
   ``run`` is the one-circuit batch),
 * the density simulator's private per-gate evolution (the reference the
@@ -374,7 +374,7 @@ class TestStabilizerBatchConformance:
             # Every battery circuit measures qubit i into clbit i, so an
             # outcome index renders directly as its key.
             probabilities = StabilizerSimulator(noise_model=model)._analytic(
-                circuit, allow_fail=False
+                circuit
             ).probabilities
             samples = rng.multinomial(SHOTS, probabilities)
             width = circuit.num_qubits

@@ -191,7 +191,7 @@ class TestSymbolicPassAgainstDensityMatrix:
                 gate, qubits, repetitions = random_step(rng, n)
                 circuit.repeat(gate, qubits, repetitions)
         circuit.measure_all()
-        exact = StabilizerSimulator()._analytic(circuit, allow_fail=False)
+        exact = StabilizerSimulator()._analytic(circuit)
         dense = DensityMatrixSimulator().final_density_matrix(circuit)
         assert np.allclose(exact.probabilities, dense.probabilities(list(range(n))), atol=1e-9)
 
