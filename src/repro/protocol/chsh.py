@@ -34,6 +34,9 @@ from repro.utils.rng import as_rng, draw_setting_pairs
 
 __all__ = ["CHSHSettings", "CHSHEstimate", "DISecurityCheck"]
 
+#: The (Alice, Bob) setting pairs of the CHSH combination, in estimate order.
+_CHSH_CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
 
 @dataclass(frozen=True)
 class CHSHSettings:
@@ -152,62 +155,56 @@ class DISecurityCheck:
         two uniforms two :func:`~repro.quantum.measurement.measure_observable`
         calls would draw; :func:`~repro.utils.rng.draw_setting_pairs` returns
         all of them as arrays, so the stream is the one a pair-by-pair loop
-        consumes.  The branch statistics ``(p_alice_plus, p_bob_plus |
-        alice=+1, p_bob_plus | alice=−1)`` are looked up once per distinct
-        pair state (the ids of a :class:`~repro.quantum.density.PairTable`;
-        a sequence is grouped by object once) and drawn setting pair
-        (:func:`~repro.quantum.density.state_statistic`), and every outcome
-        compares its uniform against those floats.  A zero-probability
-        branch raises :class:`~repro.exceptions.NonPhysicalStateError` only
-        if it is drawn.
+        consumes.  Each distinct pair state (an id of a
+        :class:`~repro.quantum.density.PairTable`; a sequence is grouped by
+        object once) is looked up once in
+        :func:`~repro.quantum.density.state_statistic`, which keeps its block
+        of branch statistics ``(p_alice_plus, p_bob_plus | alice=+1,
+        p_bob_plus | alice=−1)``, one row per setting pair the settings can
+        draw.  Each pair's row is one gather by (id, Alice setting, Bob
+        setting), and every outcome compares its uniform against those
+        floats.  A zero-probability branch is marked −1 in the block and
+        raises :class:`~repro.exceptions.NonPhysicalStateError` only if it is
+        drawn.
         """
         if not pairs:
             raise ProtocolError("the DI security check needs at least one pair")
         table = PairTable.of(pairs)
+        alice_low = 0 if self.settings.use_a0 else 1
         alice, bob, alice_uniforms, bob_uniforms = draw_setting_pairs(
-            as_rng(rng), len(table), alice_low=0 if self.settings.use_a0 else 1
+            as_rng(rng), len(table), alice_low
         )
 
-        # One row per (distinct pair, Alice setting, Bob setting); every
-        # state some pair holds has a drawn row.
-        distinct = table.states
-        slots = table.ids if len(table) == len(table.ids) else table.ids[table.ids >= 0]
-        rows = (slots * 3 + alice) * 3 + bob
-        drawn = np.zeros(len(distinct) * 9, dtype=bool)
-        drawn[rows] = True
-        drawn_rows = np.flatnonzero(drawn).tolist()
-        if any(distinct[row // 9].num_qubits != 2 for row in drawn_rows):
+        states = table.states
+        used = table.used()
+        if any(states[slot].num_qubits != 2 for slot in used):
             raise ProtocolError("security-check pairs must be two-qubit states")
-        statistics = np.zeros((len(drawn), 3))
-        missing = np.zeros((len(drawn), 3), dtype=bool)
-        for row in drawn_rows:
-            slot, alice_setting, bob_setting = row // 9, row // 3 % 3, row % 3
-            values = state_statistic(
-                ("chsh", self.settings, alice_setting, bob_setting),
-                distinct[slot],
-                lambda state: self._branch_statistics(state, alice_setting, bob_setting),
-            )
-            missing[row] = [value is None for value in values]
-            statistics[row] = [0.0 if value is None else value for value in values]
-
-        alice_plus = alice_uniforms < statistics[rows, 0]
-        bob_column = np.where(alice_plus, 1, 2)
-        if missing[rows, bob_column].any():
+        # A setting pair's code is ``alice * 2 + bob`` (1 to 6); a block's
+        # rows start at the first code the settings can draw (3, or 1 with A0).
+        tag = ("chsh", self.settings)
+        blocks = np.empty((len(states), 2 * (3 - alice_low), 3))
+        for slot in used:
+            blocks[slot] = state_statistic(tag, states[slot], self._branch_statistics)
+        settings = alice * 2 + bob
+        ids = table.ids if len(table) == len(table.ids) else table.ids[table.ids >= 0]
+        rows = blocks[ids, settings - (2 * alice_low + 1)]
+        alice_plus = alice_uniforms < rows[:, 0]
+        p_bob_plus = np.where(alice_plus, rows[:, 1], rows[:, 2])
+        if (p_bob_plus < 0).any():
             raise NonPhysicalStateError(
                 "observable measurement hit a zero-probability outcome"
             )
-        agree = alice_plus == (bob_uniforms < statistics[rows, bob_column])
+        agree = alice_plus == (bob_uniforms < p_bob_plus)
 
-        # A0 rounds are not part of the CHSH combination.
-        kept = alice != 0
-        cells = (alice[kept] - 1) * 2 + (bob[kept] - 1)
-        totals = np.bincount(cells, minlength=4).tolist()
-        agreements = np.bincount(cells[agree[kept]], minlength=4).tolist()
-        keys = [(j, k) for j in (1, 2) for k in (1, 2)]
-        counts = dict(zip(keys, totals))
+        # Per setting pair, the pairs that disagree, then those that agree;
+        # A0 rounds (settings 1 and 2) are not part of the CHSH combination.
+        tallies = np.bincount(settings * 2 + agree, minlength=14)[6:].tolist()
+        agreements = tallies[1::2]
+        totals = [tallies[cell] + agreed for cell, agreed in zip(range(0, 8, 2), agreements)]
+        counts = dict(zip(_CHSH_CELLS, totals))
         correlations = {
             key: (2 * agreed - total) / total if total else 0.0
-            for key, agreed, total in zip(keys, agreements, totals)
+            for key, agreed, total in zip(_CHSH_CELLS, agreements, totals)
         }
         value = (
             correlations[(1, 1)]
@@ -224,23 +221,27 @@ class DISecurityCheck:
         )
 
     # -- internals ----------------------------------------------------------------------
-    def _branch_statistics(
-        self,
-        pair: "Statevector | DensityMatrix",
-        alice_setting: int,
-        bob_setting: int,
-    ) -> tuple[float, float | None, float | None]:
-        alice_observable = equatorial_observable(self.settings.alice_angles[alice_setting])
-        bob_observable = equatorial_observable(
-            self.settings.bob_angles[bob_setting - 1],
-            conjugate=self.settings.conjugate_bob,
-        )
-        p_alice, *posts = observable_branches(pair, alice_observable, [0])
-        p_bob_plus, p_bob_minus = (
-            None if post is None else observable_branches(post, bob_observable, [1])[0]
-            for post in posts
-        )
-        return p_alice, p_bob_plus, p_bob_minus
+    def _branch_statistics(self, pair: "Statevector | DensityMatrix") -> np.ndarray:
+        """The pair's block: one row per (Alice, Bob) setting pair the settings
+        can draw, Alice's major, holding ``(p_alice_plus, p_bob_plus |
+        alice=+1, p_bob_plus | alice=−1)``; −1, which no probability is,
+        where Alice's branch has no post-measurement state."""
+        settings = self.settings
+        bob_observables = [
+            equatorial_observable(angle, conjugate=settings.conjugate_bob)
+            for angle in settings.bob_angles
+        ]
+        rows = []
+        for angle in settings.alice_angles[0 if settings.use_a0 else 1 :]:
+            p_alice, *posts = observable_branches(pair, equatorial_observable(angle), [0])
+            p_bob = [
+                [-1.0] * 2
+                if post is None
+                else [observable_branches(post, bob, [1])[0] for bob in bob_observables]
+                for post in posts
+            ]
+            rows.extend(zip([p_alice] * 2, *p_bob))
+        return np.array(rows)
 
     @staticmethod
     def required_pairs(target_std_error: float = 0.1) -> int:

@@ -32,6 +32,10 @@ class PairRole(Enum):
     BOB_IDENTITY = "bob_identity"      # the D_A / D_B set
 
 
+#: The roles a pair can be assigned, in declaration order.
+_ASSIGNED_ROLES = tuple(role for role in PairRole if role is not PairRole.UNASSIGNED)
+
+
 @dataclass
 class EPRPairRegister:
     """Role assignment for the ``N + 2l + 2d`` shared pairs.
@@ -60,7 +64,7 @@ class EPRPairRegister:
             raise ProtocolError("the protocol needs at least one identity pair per party")
         if self.num_check_pairs < 1:
             raise ProtocolError("the protocol needs at least one check pair per round")
-        self._positions = {role: () for role in PairRole if role is not PairRole.UNASSIGNED}
+        self._positions = dict.fromkeys(_ASSIGNED_ROLES, ())
         self._available = np.arange(self.total_pairs)
 
     # -- sizes -----------------------------------------------------------------------
@@ -101,14 +105,13 @@ class EPRPairRegister:
                 f"cannot assign {count} pairs to {role.value}: only "
                 f"{len(available)} unassigned pairs remain"
             )
-        generator = as_rng(rng)
-        chosen = generator.choice(len(available), size=count, replace=False)
-        remaining = np.ones(len(available), dtype=bool)
-        remaining[chosen] = False
-        self._available = available[remaining]
+        chosen = np.zeros(len(available), dtype=bool)
+        chosen[as_rng(rng).choice(len(available), size=count, replace=False)] = True
+        self._available = available[~chosen]
         # ``available`` is increasing, so the chosen positions come out sorted.
-        positions = tuple(available[~remaining].tolist())
-        self._positions[role] = tuple(sorted(self._positions[role] + positions))
+        positions = tuple(available[chosen].tolist())
+        assigned = self._positions[role]
+        self._positions[role] = tuple(sorted(assigned + positions)) if assigned else positions
         return positions
 
     # -- queries ---------------------------------------------------------------------
@@ -133,9 +136,8 @@ class EPRPairRegister:
 
     def summary(self) -> dict[str, int]:
         """Number of pairs per role (for transcripts and reports)."""
-        return {
-            role.value: len(
-                self._available if role is PairRole.UNASSIGNED else self._positions[role]
-            )
-            for role in PairRole
-        }
+        counts = {PairRole.UNASSIGNED.value: len(self._available)}
+        counts.update(
+            (role.value, len(positions)) for role, positions in self._positions.items()
+        )
+        return counts

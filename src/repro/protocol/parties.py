@@ -66,8 +66,9 @@ def _apply_plan(pairs: Pairs, plan: dict[int, str], qubit: int) -> PairTable:
         key = label.upper()
         if key == "I":
             return None
-        pauli = pauli_operator(label)
-        return ("pauli", key, qubit), lambda state: state.evolve(pauli, [qubit])
+        # The operator is built only on a memo miss; an unknown label is
+        # never kept, so it raises there on every call.
+        return ("pauli", key, qubit), lambda state: state.evolve(pauli_operator(label), [qubit])
 
     try:
         return PairTable.of(pairs).map_plan(plan, pauli_map)

@@ -53,7 +53,7 @@ class ProtocolTranscript:
     # -- phase reports ------------------------------------------------------------------
     def record_phase(self, name: str, passed: bool, **details: Any) -> PhaseReport:
         """Append a phase report (and, under telemetry, a ``phase.*`` span)."""
-        report = PhaseReport(name=name, passed=passed, details=dict(details))
+        report = PhaseReport(name=name, passed=passed, details=details)
         self.phases.append(report)
         if telemetry.enabled():
             mark = self._phase_mark

@@ -44,6 +44,13 @@ _ATOL = 1e-8
 _T = TypeVar("_T")
 
 
+def require_unit_trace(matrix: np.ndarray) -> None:
+    """Raise :class:`~repro.exceptions.NonPhysicalStateError` unless ``Tr(matrix)`` is 1."""
+    trace = complex(np.trace(matrix))
+    if not math.isclose(trace.real, 1.0, abs_tol=1e-6) or abs(trace.imag) > 1e-6:
+        raise NonPhysicalStateError(f"density matrix trace is {trace:.6g}, expected 1")
+
+
 class DensityMatrix:
     """An n-qubit mixed quantum state.
 
@@ -78,11 +85,7 @@ class DensityMatrix:
         if validate:
             if not np.allclose(matrix, matrix.conj().T, atol=_ATOL):
                 raise NonPhysicalStateError("density matrix is not Hermitian")
-            trace = complex(np.trace(matrix))
-            if not math.isclose(trace.real, 1.0, abs_tol=1e-6) or abs(trace.imag) > 1e-6:
-                raise NonPhysicalStateError(
-                    f"density matrix trace is {trace:.6g}, expected 1"
-                )
+            require_unit_trace(matrix)
         self._matrix = matrix
         self._num_qubits = num_qubits
 

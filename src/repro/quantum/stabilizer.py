@@ -548,6 +548,19 @@ def _walsh_hadamard(vector: np.ndarray) -> np.ndarray:
 
 
 # -- the simulator ------------------------------------------------------------------------
+class _OutOfEnvelope:
+    """Memo entry of a structure whose random outcomes overflow the envelope.
+
+    It keeps the mixtures the eligibility walk found, so a repeat skips both
+    the symbolic pass and the walk and goes straight to trajectories.
+    """
+
+    __slots__ = ("mixtures",)
+
+    def __init__(self, mixtures: dict):
+        self.mixtures = mixtures
+
+
 class _AnalyticDistribution:
     """Cached sampling plan of one (circuit structure, noise model) pair.
 
@@ -607,7 +620,8 @@ class StabilizerSimulator:
     def __init__(self, noise_model=None, seed=None):
         self._noise_model = noise_model
         self._rng = as_rng(seed)
-        #: Analytic distributions per (circuit structure, noise token).
+        #: Analytic distributions, or out-of-envelope entries, per (circuit
+        #: structure, noise token).
         self._distributions = BoundedMemo(256)
 
     @property
@@ -725,13 +739,16 @@ class StabilizerSimulator:
     def _resolve(self, circuit: QuantumCircuit, method: str):
         """The cached distribution of *circuit*, else its mixtures for trajectories.
 
-        A distribution passed eligibility where the memo computed it (the
-        key implies it on a hit); anything else is checked here, first.
+        A memo entry passed eligibility where the memo computed it (the key
+        implies it on a hit), and an out-of-envelope entry carries the
+        mixtures found there; anything else is checked here, first.
         """
-        distribution = None if method == "trajectory" else self._analytic(circuit)
-        if distribution is not None:
-            return distribution
-        mixtures = stabilizer_mixtures(self._noise_model, circuit)
+        plan = None if method == "trajectory" else self._analytic(circuit)
+        if isinstance(plan, _AnalyticDistribution):
+            return plan
+        mixtures = (
+            stabilizer_mixtures(self._noise_model, circuit) if plan is None else plan.mixtures
+        )
         if method == "analytic":
             raise SimulationError(
                 "circuit exceeds the analytic envelope "
@@ -744,7 +761,9 @@ class StabilizerSimulator:
 
     # -- analytic path -------------------------------------------------------------------
     def _analytic(self, circuit: QuantumCircuit):
-        """Exact outcome distribution of *circuit*, or ``None`` if out of envelope."""
+        """Exact outcome distribution of *circuit*, an :class:`_OutOfEnvelope`
+        entry if its random outcomes overflow, or ``None`` if its
+        measurements are not terminal or too many qubits are measured."""
         if not measurements_are_terminal(circuit):
             return None
         measure_map = circuit_measure_map(circuit)
@@ -771,7 +790,11 @@ class StabilizerSimulator:
         measured_qubits: list[int],
         measure_map: dict[int, int],
     ):
-        """Eligibility, one symbolic tableau pass, exact Pauli-noise and readout folding."""
+        """Eligibility, one symbolic tableau pass, exact Pauli-noise and readout folding.
+
+        A pass whose random outcomes overflow the envelope stops there and
+        returns an :class:`_OutOfEnvelope` entry with the mixtures.
+        """
         mixtures = stabilizer_mixtures(self._noise_model, circuit)
         if not measure_map:  # nothing to sample: no pass, and no draw later
             return _AnalyticDistribution(None, (), {}, circuit.num_clbits)
@@ -791,7 +814,7 @@ class StabilizerSimulator:
                     forms[qubit] = tableau.measure_symbolic(qubit)
             # Strict ">": exactly ANALYTIC_MAX_SYMBOLS symbols stays analytic.
             if tableau.num_symbols > ANALYTIC_MAX_SYMBOLS:
-                return None
+                return _OutOfEnvelope(mixtures)
 
         probabilities = self._enumerate_distribution(
             [forms[qubit] for qubit in measured_qubits], tableau.num_symbols

@@ -279,12 +279,16 @@ class Statevector:
     def density_matrix(self):
         """Return the pure-state density matrix ``|psi><psi|``.
 
-        Imported lazily to avoid a circular import with
+        ``v v†`` is Hermitian by construction, so only its unit trace is
+        checked, which fails for a vector that is not normalised or not
+        finite.  Imported lazily to avoid a circular import with
         :mod:`repro.quantum.density`.
         """
-        from repro.quantum.density import DensityMatrix
+        from repro.quantum.density import DensityMatrix, require_unit_trace
 
-        return DensityMatrix(np.outer(self._vector, self._vector.conj()))
+        matrix = np.outer(self._vector, self._vector.conj())
+        require_unit_trace(matrix)
+        return DensityMatrix(matrix, validate=False)
 
     def partial_trace(self, keep: Sequence[int]):
         """Trace out all qubits not in *keep* and return a density matrix."""

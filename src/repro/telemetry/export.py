@@ -15,7 +15,8 @@ Exporters re-tree the flat span list on demand:
   ``flamegraph.pl``-style tooling, aggregated over identical stacks.
 * :func:`summarize` — human-readable span tree with durations plus the
   metrics tables, for terminal inspection.
-* :func:`diff_documents` — per-span-name count/total-duration comparison and
+* :func:`span_rollup` — per-span-name count, total, max and self time.
+* :func:`diff_documents` — per-span-name count/total/self comparison and
   counter deltas between two documents.
 """
 
@@ -158,18 +159,47 @@ def to_folded_stacks(document: TraceDocument) -> str:
 
 # -- plain-text summary --------------------------------------------------------
 def span_rollup(document: TraceDocument) -> dict[str, Any]:
-    """Aggregate spans by name: count and total/max duration (clock units).
+    """Aggregate spans by name: count, total/max duration and self time (clock units).
+
+    A span's self time is its duration minus the union of its direct
+    children's intervals, clipped to the span: children on other threads
+    may overlap, and time two of them share counts once.  In a serial trace
+    the self times of all spans add up to the root's duration.
 
     This is the compact shape attached to run artifacts — small, stable and
     diff-friendly, unlike the full span list.
     """
+    children = document.children_index()
     rollup: dict[str, dict[str, float]] = {}
     for span in document.spans:
-        entry = rollup.setdefault(span.name, {"count": 0, "total": 0.0, "max": 0.0})
+        entry = rollup.setdefault(
+            span.name, {"count": 0, "total": 0.0, "max": 0.0, "self": 0.0}
+        )
+        duration = span.duration
         entry["count"] += 1
-        entry["total"] += span.duration
-        entry["max"] = max(entry["max"], span.duration)
+        entry["total"] += duration
+        entry["max"] = max(entry["max"], duration)
+        entry["self"] += duration - _covered(span, children.get(span.span_id, []))
     return {name: rollup[name] for name in sorted(rollup)}
+
+
+def _covered(span: Span, children: list[Span]) -> float:
+    """Length of the union of the finished *children*'s intervals inside *span*."""
+    if span.end is None:
+        return 0.0
+    intervals = sorted(
+        (max(child.start, span.start), min(child.end, span.end))
+        for child in children
+        if child.end is not None
+    )
+    covered = 0.0
+    reach = span.start
+    for low, high in intervals:
+        low = max(low, reach)
+        if high > low:
+            covered += high - low
+            reach = high
+    return covered
 
 
 def _format_duration(value: float, unit: str) -> str:
@@ -240,17 +270,18 @@ def diff_documents(before: TraceDocument, after: TraceDocument) -> str:
     lines = []
     rollup_a, rollup_b = span_rollup(before), span_rollup(after)
     names = sorted(set(rollup_a) | set(rollup_b))
-    lines.append("spans (count, total):")
+    lines.append("spans (count, total, self):")
+    empty = {"count": 0, "total": 0.0, "self": 0.0}
     for name in names:
-        a = rollup_a.get(name, {"count": 0, "total": 0.0})
-        b = rollup_b.get(name, {"count": 0, "total": 0.0})
+        a, b = rollup_a.get(name, empty), rollup_b.get(name, empty)
         d_count = int(b["count"] - a["count"])
-        d_total = b["total"] - a["total"]
-        marker = "=" if d_count == 0 and abs(d_total) < 1e-12 else "~"
+        unchanged = all(abs(b[key] - a[key]) < 1e-12 for key in ("total", "self"))
+        marker = "=" if d_count == 0 and unchanged else "~"
         lines.append(
             f"  {marker} {name}: count {int(a['count'])} -> {int(b['count'])}"
             f" ({d_count:+d}), total {_format_duration(a['total'], unit)}"
-            f" -> {_format_duration(b['total'], unit)}"
+            f" -> {_format_duration(b['total'], unit)}, self"
+            f" {_format_duration(a['self'], unit)} -> {_format_duration(b['self'], unit)}"
         )
 
     def flat_counters(doc: TraceDocument) -> dict[str, float]:

@@ -87,7 +87,14 @@ def spawn_rngs(rng: np.random.Generator | int | None, count: int) -> list[np.ran
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
+#: Shifts and masks of the PCG64 path of :func:`draw_setting_pairs`.
 _LOW_WORD = np.uint64(0xFFFFFFFF)
+_BIT = np.uint64(1)
+_SETTING_BITS = np.array([31, 63], dtype=np.uint64)
+_SHIFT_32 = np.uint64(32)
+_SHIFT_63 = np.uint64(63)
+_SHIFT_DOUBLE = np.uint64(11)
+_RANGE_3 = np.uint64(3)
 
 
 def draw_setting_pairs(
@@ -101,11 +108,13 @@ def draw_setting_pairs(
 
     On a :class:`~numpy.random.PCG64` with no buffered 32-bit half, each round
     is three raw 64-bit outputs.  ``integers(low, 3)`` is Lemire's method on
-    one ``next_uint32`` (the low half of an output, then its high half), and
-    ``random()`` is one whole output shifted right by 11.  A range of 2 never
-    rejects; a range of 3 rejects only a zero word, so a call that draws one
-    restores the saved state and makes the scalar calls instead, as does any
-    other bit generator or a buffered half.
+    one ``next_uint32`` (the low half of an output, then its high half):
+    ``(word * range) >> 32``, which for a range of 2 is the word's top bit,
+    bit 31 of the low half or bit 63 of the output.  ``random()`` is one
+    whole output shifted right by 11.  A range of 2 never rejects; a range
+    of 3 rejects only a zero word, so a call that draws one restores the
+    saved state and makes the scalar calls instead, as does any other bit
+    generator or a buffered half.
     """
     if alice_low not in (0, 1):
         raise ValueError(f"alice_low must be 0 or 1, got {alice_low}")
@@ -113,20 +122,20 @@ def draw_setting_pairs(
     if type(bit_generator) is np.random.PCG64:
         state = bit_generator.state
         if state["has_uint32"] == 0:
-            raw = bit_generator.random_raw(3 * count).reshape(count, 3)
-            alice_words = raw[:, 0] & _LOW_WORD
-            if alice_low == 1 or alice_words.all():
-                # Lemire's method: (word * range) >> 32; for Bob's range of 2
-                # on the high word that is the output's top bit.
-                alice = (alice_words * np.uint64(3 - alice_low)) >> np.uint64(32)
-                bob = raw[:, 0] >> np.uint64(63)
-                uniforms = (raw[:, 1:] >> np.uint64(11)) * 2.0**-53
-                return (
-                    alice.astype(np.int64) + alice_low,
-                    bob.astype(np.int64) + 1,
-                    uniforms[:, 0],
-                    uniforms[:, 1],
-                )
+            raw = bit_generator.random_raw(3 * count)
+            first = raw[0::3]
+            if alice_low == 1:
+                # Two ranges of 2: Alice's setting is bit 31 of the low
+                # half, Bob's bit 63 of the output.
+                settings = (first[:, None] >> _SETTING_BITS & _BIT).view(np.int64) + 1
+                alice, bob = settings[:, 0], settings[:, 1]
+            else:
+                words = first & _LOW_WORD
+                alice = (words * _RANGE_3 >> _SHIFT_32).view(np.int64) if words.all() else None
+                bob = (first >> _SHIFT_63).view(np.int64) + 1
+            if alice is not None:
+                uniforms = (raw >> _SHIFT_DOUBLE) * 2.0**-53
+                return alice, bob, uniforms[1::3], uniforms[2::3]
             bit_generator.state = state
     draws = np.array(
         [

@@ -1,6 +1,7 @@
 """Tests for ``python -m repro.artifacts`` (the CI regression gate CLI)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -175,7 +176,9 @@ class TestCommittedTrajectory:
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            # The caller's environment, so settings such as
+            # PYTHONDONTWRITEBYTECODE reach the child, with src/ on the path.
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert result.returncode == 0, result.stderr
         assert "gate: PASS" in result.stdout

@@ -9,7 +9,10 @@ per-pair references it replaced:
   algorithm it replaced, copied here;
 * ``apply_plan``, ``bell_measure`` and ``estimate`` on a table equal their
   mapping and list forms and per-pair loops over the public references, on
-  repeated objects, equal-content copies and a depolarized state;
+  repeated objects, equal-content copies and a depolarized state, generator
+  state included;
+* ``estimate`` looks each distinct state up once per call and keeps one
+  block of branch statistics per state content;
 * a missing or consumed position raises ``PairPositionError`` on the table
   and, at the parties' entry points, the ``ProtocolError`` the mapping path
   raised.
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PairPositionError, ProtocolError, ReproError
+from repro.protocol import chsh
 from repro.protocol.chsh import CHSHSettings, DISecurityCheck
 from repro.protocol.encoding import pauli_operator
 from repro.protocol.identity import Identity
@@ -226,9 +230,10 @@ class TestTableEqualsPerPairReferences:
         positions = tuple(range(1, 64, 2))
         table = PairTable.of(pairs)
         check = DISecurityCheck(settings)
-        from_table = check.estimate(table.take(positions), rng=np.random.default_rng(3))
-        from_live = check.estimate(table.drop(range(0, 64, 2)), rng=np.random.default_rng(3))
-        from_list = check.estimate([pairs[p] for p in positions], rng=np.random.default_rng(3))
+        generators = [np.random.default_rng(3) for _ in range(3)]
+        from_table = check.estimate(table.take(positions), rng=generators[0])
+        from_live = check.estimate(table.drop(range(0, 64, 2)), rng=generators[1])
+        from_list = check.estimate([pairs[p] for p in positions], rng=generators[2])
 
         reference = np.random.default_rng(3)
         sums = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
@@ -253,6 +258,41 @@ class TestTableEqualsPerPairReferences:
             assert estimate.counts == counts
             assert estimate.num_pairs == len(positions)
         assert from_table.value == from_live.value == from_list.value
+        expected = reference.bit_generator.state
+        for generator in generators:
+            # ``uinteger`` is a stale buffer, never read while ``has_uint32`` is 0.
+            state = generator.bit_generator.state
+            assert (state["state"], state["has_uint32"]) == (
+                expected["state"],
+                expected["has_uint32"],
+            )
+
+
+class TestEstimateBlocks:
+    """The CHSH check keeps one block of branch statistics per pair state."""
+
+    @pytest.mark.parametrize(
+        "settings", [CHSHSettings(), CHSHSettings(use_a0=True)], ids=["paper", "use-a0"]
+    )
+    def test_one_lookup_per_distinct_state_per_call(self, monkeypatch, settings):
+        memo = density.BoundedMemo(64)
+        monkeypatch.setattr(density, "_STATISTICS", memo)
+        tags = []
+
+        def counting(tag, state, compute):
+            tags.append(tag)
+            return density.state_statistic(tag, state, compute)
+
+        monkeypatch.setattr(chsh, "state_statistic", counting)
+        table = PairTable.of(_mixed_pairs(40))  # 4 objects, 2 contents
+        check = DISecurityCheck(settings)
+        rng = np.random.default_rng(8)
+        for subset in (table, table.take(range(0, 40, 5)), table.drop(range(0, 40, 5))):
+            tags.clear()
+            check.estimate(subset, rng=rng)
+            assert tags == [("chsh", settings)] * len(subset.used())
+        # One entry per content, whatever the settings draw.
+        assert len(memo) == 2
 
 
 # -- errors ---------------------------------------------------------------------------------

@@ -128,6 +128,71 @@ class TestWalkCount:
         assert len(walks["stabilizer"]) == 1
 
 
+def reset_rounds_circuit(rounds: int = 17) -> QuantumCircuit:
+    """One qubit, *rounds* ``h``+``reset`` rounds: one random outcome each."""
+    circuit = QuantumCircuit(1, name="reset_rounds")
+    for _ in range(rounds):
+        circuit.h(0)
+        circuit.reset(0)
+    circuit.h(0)
+    circuit.measure_all()
+    return circuit
+
+
+class TestOutOfEnvelopeRepeats:
+    """More than 16 random outcomes: trajectories, analysed once per structure."""
+
+    #: SHA-256 of three ``run_batch`` calls' histograms (256 shots), as
+    #: recorded before the memo kept out-of-envelope entries.
+    DIGESTS = {
+        (None, 5): "29f33ae9eda11396f53a7c9014488c99d30f320cd50d769f1cf45a86ecc8f227",
+        (None, 6): "d306d44b7e0b9e8352fd80a601751134c2a5e9010887b839219089c519062947",
+        ("pauli", 5): "8d509df08af79fb1f554f80b5afd6f0af5c0746f366dc52ff16c7b0869d578f9",
+        ("pauli", 6): "2c37eb27659a3f3a1de8e877303cd0056161dc372670c9701d940c75ecdab0db",
+    }
+
+    @pytest.mark.parametrize("noise, seed", list(DIGESTS))
+    def test_one_miss_two_hits_one_walk_same_histograms(self, walks, noise, seed):
+        model = None
+        if noise == "pauli":
+            model = NoiseModel("pauli").add_all_qubit_error(depolarizing_channel(0.05), "h")
+        simulator = StabilizerSimulator(noise_model=model, seed=seed)
+        digest = hashlib.sha256()
+        cache = []
+        for _ in range(3):
+            batch = simulator.run_batch([reset_rounds_circuit()], shots=256)
+            histograms = [sorted(result.counts.items()) for result in batch.results]
+            digest.update(json.dumps(histograms).encode())
+            cache.append((batch.metadata["cache_hits"], batch.metadata["cache_misses"]))
+        assert cache == [(0, 1), (1, 0), (1, 0)]
+        assert len(walks["stabilizer"]) == 1
+        assert digest.hexdigest() == self.DIGESTS[(noise, seed)]
+
+    def test_forced_analytic_still_raises_after_an_entry_is_kept(self):
+        simulator = StabilizerSimulator(seed=1)
+        simulator.run(reset_rounds_circuit())
+        with pytest.raises(SimulationError, match="exceeds the analytic envelope"):
+            simulator.run(reset_rounds_circuit(), method="analytic")
+
+    def test_a_model_without_a_token_walks_once_per_call(self, walks):
+        class DuckNoise:
+            name = "duck"
+
+            def errors_for(self, gate_name, qubits):
+                return []
+
+            def has_readout_error(self):
+                return False
+
+            def readout_error_for(self, qubit):
+                return None
+
+        simulator = StabilizerSimulator(noise_model=DuckNoise(), seed=2)
+        for call in range(1, 4):
+            simulator.run(reset_rounds_circuit())
+            assert len(walks["stabilizer"]) == call
+
+
 class TestNoStaleAnswers:
     def test_non_pauli_error_added_after_a_served_structure(self):
         model = pauli_model()

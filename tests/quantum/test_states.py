@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import DimensionError, NonPhysicalStateError
 from repro.quantum.operators import H_MATRIX, X_MATRIX, Z_MATRIX
+from repro.quantum.random import haar_random_state
 from repro.quantum.states import Statevector
 
 
@@ -168,3 +169,32 @@ class TestComparisons:
         bell = Statevector(np.array([1, 0, 0, 1]) / np.sqrt(2))
         reduced = bell.partial_trace([0])
         assert reduced.purity() == pytest.approx(0.5)
+
+
+class TestDensityMatrix:
+    """``v v†`` is Hermitian by construction: only its trace is checked."""
+
+    def test_bytes_equal_the_outer_product_for_haar_random_vectors(self):
+        rng = np.random.default_rng(29)
+        for index in range(200):
+            state = haar_random_state(1 + index % 4, rng=rng)
+            matrix = state.density_matrix().matrix
+            vector = state.vector
+            assert matrix.tobytes() == np.outer(vector, vector.conj()).tobytes()
+            assert matrix.flags.writeable
+
+    def test_a_new_matrix_per_call(self):
+        state = Statevector.from_label("+0")
+        first, second = state.density_matrix(), state.density_matrix()
+        assert first.matrix is not second.matrix
+
+    @pytest.mark.parametrize(
+        "vector",
+        [[1.0, 1.0], [0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf], [np.nan, np.nan]],
+        ids=["unnormalised", "zero", "nan", "inf", "minus-inf", "all-nan"],
+    )
+    def test_non_physical_vectors_still_raise(self, vector):
+        state = Statevector(vector, validate=False)
+        # inf · 0 in the outer product is NaN; numpy warns, the check raises.
+        with np.errstate(invalid="ignore"), pytest.raises(NonPhysicalStateError):
+            state.density_matrix()

@@ -149,6 +149,38 @@ class TestSummaryAndDiff:
         assert rollup["phase.a"]["count"] == 1
         assert rollup["send"]["total"] == 8.0
 
+    def test_rollup_self_time_of_a_hand_built_tree(self):
+        # send [1, 9] has phases [2, 5] and [5, 8]; phase.a's two children on
+        # other threads overlap on [3, 4] and one runs past its parent.
+        document = _tree()
+        document.spans += [
+            Span(span_id=4, parent_id=2, name="worker", start=2.5, end=4.0, thread=1),
+            Span(span_id=5, parent_id=2, name="worker", start=3.0, end=6.0, thread=2),
+            Span(span_id=6, parent_id=3, name="open", start=6.0),
+        ]
+        rollup = span_rollup(document)
+        assert {name: entry["self"] for name, entry in rollup.items()} == {
+            "trace": 10.0 - 8.0,
+            "send": 8.0 - 6.0,
+            "phase.a": 3.0 - 2.5,  # the union [2.5, 5] clipped to [2, 5]
+            "phase.b": 3.0,  # an open child covers nothing
+            "worker": 1.5 + 3.0,
+            "open": 0.0,
+        }
+
+    def test_rollup_self_times_add_up_to_a_serial_traces_root(self):
+        from repro import telemetry
+        from repro.experiments.registry import run_experiment
+
+        with telemetry.capture(clock="ticks") as session:
+            run_experiment("e2e", quick=True)
+        document = session.document
+        rollup = span_rollup(document)
+        assert {"protocol.session", "phase.encoding"} <= set(rollup)
+        assert sum(entry["self"] for entry in rollup.values()) == document.root().duration
+        for entry in rollup.values():
+            assert 0.0 <= entry["self"] <= entry["total"]
+
     def test_diff_reports_count_and_counter_deltas(self):
         before, after = _tree(), _tree()
         after.spans.append(
@@ -158,7 +190,8 @@ class TestSummaryAndDiff:
         before.metrics = {"counters": {"retries": {"": 1.0}}}
         after.metrics = {"counters": {"retries": {"": 4.0}}}
         text = diff_documents(before, after)
-        assert "phase.b: count 1 -> 2 (+1)" in text
+        assert "phase.b: count 1 -> 2 (+1), total 3t -> 4t, self 3t -> 4t" in text
+        assert "send: count 1 -> 1 (+0), total 8t -> 8t, self 2t -> 1t" in text
         assert "retries: 1 -> 4 (+3)" in text
 
     def test_root_is_required(self):
