@@ -24,8 +24,7 @@ SEED = 404
 def _facade_config() -> ServiceConfig:
     return (
         ServiceConfig.ideal(seed=SEED)
-        .with_identity_pairs(2)
-        .with_check_pairs(64)
+        .with_session(identity_pairs=2, check_pairs_per_round=64)
         .with_framing(False)
         .with_retries(0)
     )
@@ -95,8 +94,7 @@ def test_bench_batch_backend_multi_fragment_throughput(benchmark, record):
     config = (
         ServiceConfig.ideal(seed=SEED)
         .with_backend("batch")
-        .with_identity_pairs(2)
-        .with_check_pairs(64)
+        .with_session(identity_pairs=2, check_pairs_per_round=64)
         .with_fragment_bits(32)
         .with_executor("thread")
     )

@@ -64,8 +64,7 @@ def _best_send_seconds(service: MessagingService, rounds: int = 5) -> float:
 def test_bench_disabled_telemetry_send_overhead(benchmark, record):
     config = (
         ServiceConfig.ideal(seed=SEED)
-        .with_identity_pairs(2)
-        .with_check_pairs(64)
+        .with_session(identity_pairs=2, check_pairs_per_round=64)
         .with_framing(False)
         .with_retries(0)
     )

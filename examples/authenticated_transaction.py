@@ -30,7 +30,7 @@ def build_config(seed: int) -> ServiceConfig:
     return (
         ServiceConfig.paper_default(seed=seed)
         .with_channel(IdentityChainChannel(eta=20))
-        .with_check_pairs(128)
+        .with_session(check_pairs_per_round=128)
         .with_fragment_bits(32)
         .with_retries(4)
         .with_identities(
@@ -77,7 +77,7 @@ def main() -> None:
           f"{len(mismatches)} sessions (expected ≈ 0.75 for random guesses)")
     print(f"   order delivered    : {attacked.delivered_payload}")
     print()
-    tolerance = impostor_config.authentication_tolerance
+    tolerance = impostor_config.session.authentication_tolerance
     print("The impostor is rejected before the bank discloses which EPR pairs")
     print("carry the order, so no part of the transaction leaks; a genuine")
     print(f"identity of l=8 pairs detects impostors with probability "

@@ -33,8 +33,7 @@ def service_viewpoint() -> None:
     for eta in (10, 400, 1500):
         config = (
             ServiceConfig.noisy_nisq(seed=99, eta=eta)
-            .with_identity_pairs(2)
-            .with_check_pairs(48)
+            .with_session(identity_pairs=2, check_pairs_per_round=48)
             .with_fragment_bits(24)
             .with_retries(2)
         )

@@ -41,7 +41,7 @@ def main() -> None:
     # The per-session protocol parameters come from the service-level
     # builder: paper defaults (η=10 channel, l=8) with lighter DI rounds,
     # mapped onto a ProtocolConfig for the attack-evaluation harness.
-    service_config = ServiceConfig.paper_default().with_check_pairs(64)
+    service_config = ServiceConfig.paper_default().with_session(check_pairs_per_round=64)
     config = service_config.protocol_config(message_length=len(MESSAGE), seed=0)
 
     print("Eavesdropper detection with UA-DI-QSDC — scenario registry sweep")

@@ -47,8 +47,6 @@ def facade_delivery() -> None:
     below; check pairs per DI round are raised to keep the per-hop CHSH
     sampling variance low across the 4-hop route.
     """
-    from repro.network import SessionParameters
-
     topology = grid_topology(
         3, 3, channel_factory=lambda length: NoiselessChannel(), qubit_capacity=512
     )
@@ -57,9 +55,7 @@ def facade_delivery() -> None:
         .with_fragment_bits(32)
         .with_retries(3)
         .with_executor("thread")
-        .with_network(
-            session_params=SessionParameters(identity_pairs=2, check_pairs_per_round=64)
-        )
+        .with_session(check_pairs_per_round=64)
     )
     report = MessagingService(config).send("across the metro grid", to="n2_2")
     route = report.fragments[0].attempts[0].details["route"]

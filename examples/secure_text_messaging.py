@@ -45,7 +45,7 @@ def main() -> None:
         .with_fragment_bits(32)
         .with_retries(12)
         .with_identities(alice_identity, bob_identity)
-        .with_identity_pairs(alice_identity.num_pairs)
+        .with_session(identity_pairs=alice_identity.num_pairs)
         .with_attack_factory(lambda index, attempt, rng: eavesdropper)
     )
     service = MessagingService(config)

@@ -206,7 +206,7 @@ class NetworkBackend:
         scheduler = NetworkScheduler(
             config.topology,
             routing_policy=config.routing_policy,
-            session_params=config.session_parameters(),
+            session_params=config.session,
             max_wait=config.max_wait,
             seed=point_seed(jobs[0].seed, {"stream": "network"}),
             executor=config.executor,

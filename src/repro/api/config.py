@@ -19,13 +19,14 @@ Presets
 ``noisy_nisq()``       η=50 identity-gate channel (≈3 µs NISQ link), 128 check
                        pairs — errors appear but deliveries mostly succeed.
 ``networked(topology)``  Multi-hop trusted-relay delivery through the network
-                       scheduler; pair with ``send(..., to="node")``.
+                       scheduler (2 identity pairs, 32 check pairs per hop);
+                       pair with ``send(..., to="node")``.
 =====================  ========================================================
 
-The protocol-level fields mirror :class:`~repro.protocol.config.ProtocolConfig`
-(:meth:`ServiceConfig.protocol_config` performs the mapping per fragment); the
-service-level fields control fragmentation, retransmission and backend
-selection.
+``session`` holds the protocol tunables every backend runs with
+(:meth:`ServiceConfig.with_session` changes them); the single-link fields
+complete each fragment's :class:`~repro.protocol.config.ProtocolConfig`; the
+service-level fields control fragmentation, retransmission and backends.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.channel.quantum_channel import (
     QuantumChannel,
 )
 from repro.exceptions import ConfigurationError
-from repro.protocol.config import ProtocolConfig, check_count
+from repro.protocol.config import ProtocolConfig, SessionParameters, check_count, check_seed
 from repro.protocol.identity import Identity
 from repro.quantum.channels import KrausChannel
 
@@ -49,12 +50,15 @@ __all__ = ["BACKEND_NAMES", "ServiceConfig"]
 #: Backend names accepted by :meth:`ServiceConfig.with_backend`.
 BACKEND_NAMES = ("local", "batch", "network")
 
-#: Per-fragment fields the network backend never reads (see ``validate``).
+#: Single-link fields: the network backend takes them from its topology.
 _PER_FRAGMENT_FIELDS = (
-    "channel", "distribution_channel", "identity_pairs", "check_pairs_per_round",
-    "num_check_bits", "authentication_tolerance", "check_bit_tolerance",
-    "memory_decoherence", "memory_hold_time", "alice_identity", "bob_identity",
+    "channel", "distribution_channel", "memory_decoherence", "memory_hold_time",
+    "alice_identity", "bob_identity",
 )
+
+#: The paper's session (l = 8, d = 256) and the presets' lighter one.
+_PAPER_SESSION = SessionParameters(identity_pairs=8, check_pairs_per_round=256)
+_LIGHT_SESSION = SessionParameters(identity_pairs=8, check_pairs_per_round=128)
 
 #: Executors the batch/network backends accept (``"process"`` is excluded:
 #: fragment workers close over live channel/attack objects, which are not
@@ -85,15 +89,15 @@ class ServiceConfig:
         frame verification (0 disables retransmission); a non-negative
         integer of any integer type.
     seed:
-        Service-level master seed; every fragment/attempt seed derives from
-        it (None = fresh entropy per send).
-    channel, distribution_channel, identity_pairs, check_pairs_per_round,
-    num_check_bits, authentication_tolerance, check_bit_tolerance,
-    memory_decoherence, memory_hold_time, alice_identity, bob_identity:
-        Per-fragment protocol parameters, mapped one-to-one onto
-        :class:`~repro.protocol.config.ProtocolConfig` (``num_check_bits``
-        None = the ``ProtocolConfig.default`` quarter-length rule); the
-        network backend rejects them unless left at their defaults.
+        Service-level master seed, None or a non-negative integer; every
+        fragment/attempt seed derives from it (None = fresh entropy per send).
+    session:
+        The :class:`~repro.protocol.config.SessionParameters` of every
+        fragment session and network hop, on every backend.
+    channel, distribution_channel, memory_decoherence, memory_hold_time,
+    alice_identity, bob_identity:
+        Single-link parameters of each fragment's ProtocolConfig; the network
+        backend rejects them unless left at their defaults.
     attack_factory:
         Optional ``(fragment_index, attempt, rng) -> attack | None`` hook for
         security studies through the facade (local/batch backends; network
@@ -113,10 +117,11 @@ class ServiceConfig:
     executor, max_workers:
         Worker pool for the batch backend and the network scheduler's
         execution pass (``"serial"`` or ``"thread"``; both produce identical
-        results).
-    topology, source, target, session_params, routing_policy, max_wait:
-        Network-backend settings: the graph, default endpoints, fleet-wide
-        per-hop protocol parameters, routing policy and admission patience.
+        results); ``max_workers`` is None (one per core, up to the job
+        count) or a positive integer.
+    topology, source, target, routing_policy, max_wait:
+        Network-backend settings: the graph, default endpoints, routing
+        policy and admission patience.
     """
 
     backend: str = "local"
@@ -125,13 +130,9 @@ class ServiceConfig:
     max_retries: int = 2
     seed: "int | None" = None
     # -- per-fragment protocol parameters ----------------------------------------
+    session: SessionParameters = _PAPER_SESSION
     channel: QuantumChannel = field(default_factory=lambda: IdentityChainChannel(eta=10))
     distribution_channel: "QuantumChannel | None" = None
-    identity_pairs: int = 8
-    check_pairs_per_round: int = 256
-    num_check_bits: "int | None" = None
-    authentication_tolerance: float = 0.25
-    check_bit_tolerance: float = 0.15
     memory_decoherence: "KrausChannel | None" = None
     memory_hold_time: float = 0.0
     alice_identity: "Identity | None" = None
@@ -145,7 +146,6 @@ class ServiceConfig:
     topology: Any = None
     source: "str | None" = None
     target: "str | None" = None
-    session_params: Any = None
     routing_policy: str = "hops"
     max_wait: "float | None" = None
 
@@ -158,14 +158,14 @@ class ServiceConfig:
     @classmethod
     def ideal(cls, seed: "int | None" = None) -> "ServiceConfig":
         """Noiseless channel with lighter DI rounds — fast and error-free."""
-        return cls(channel=NoiselessChannel(), check_pairs_per_round=128, seed=seed)
+        return cls(channel=NoiselessChannel(), session=_LIGHT_SESSION, seed=seed)
 
     @classmethod
     def noisy_nisq(cls, seed: "int | None" = None, eta: int = 50) -> "ServiceConfig":
         """An η-identity-gate NISQ link (default η=50 ≈ 3 µs of gates)."""
         return cls(
             channel=IdentityChainChannel(eta=eta),
-            check_pairs_per_round=128,
+            session=_LIGHT_SESSION,
             seed=seed,
         )
 
@@ -177,13 +177,15 @@ class ServiceConfig:
         target: "str | None" = None,
         seed: "int | None" = None,
     ) -> "ServiceConfig":
-        """Multi-hop delivery through the PR-2 network scheduler.
+        """Multi-hop delivery through the network scheduler.
 
         ``source``/``target`` default to the topology's first and last node;
-        ``send(..., to=...)`` overrides the target per call.
+        ``send(..., to=...)`` overrides the target per call.  Hops run with
+        the fleet's ``SessionParameters()`` (l=2, d=32), which a switch to
+        the local or batch backend keeps.
         """
         return cls(backend="network", topology=topology, source=source,
-                   target=target, seed=seed)
+                   target=target, seed=seed, session=SessionParameters())
 
     # -- fluent modifiers --------------------------------------------------------
     def with_backend(self, backend: str) -> "ServiceConfig":
@@ -209,26 +211,13 @@ class ServiceConfig:
     ) -> "ServiceConfig":
         return replace(self, distribution_channel=channel)
 
-    def with_identity_pairs(self, identity_pairs: int) -> "ServiceConfig":
-        return replace(self, identity_pairs=identity_pairs)
-
-    def with_check_pairs(self, check_pairs_per_round: int) -> "ServiceConfig":
-        return replace(self, check_pairs_per_round=check_pairs_per_round)
-
-    def with_check_bits(self, num_check_bits: "int | None") -> "ServiceConfig":
-        return replace(self, num_check_bits=num_check_bits)
-
-    def with_tolerances(
-        self,
-        authentication_tolerance: "float | None" = None,
-        check_bit_tolerance: "float | None" = None,
-    ) -> "ServiceConfig":
-        updates: dict[str, float] = {}
-        if authentication_tolerance is not None:
-            updates["authentication_tolerance"] = authentication_tolerance
-        if check_bit_tolerance is not None:
-            updates["check_bit_tolerance"] = check_bit_tolerance
-        return replace(self, **updates)
+    def with_session(self, **changes: Any) -> "ServiceConfig":
+        """A copy whose ``session`` takes *changes* (SessionParameters fields)."""
+        try:
+            session = replace(self.session, **changes)
+        except TypeError as error:
+            raise ConfigurationError(f"with_session: {error}") from None
+        return replace(self, session=session)
 
     def with_memory(
         self, decoherence: "KrausChannel | None", hold_time: float
@@ -261,7 +250,6 @@ class ServiceConfig:
         topology: Any = None,
         source: "str | None" = None,
         target: "str | None" = None,
-        session_params: Any = None,
         routing_policy: "str | None" = None,
         max_wait: "float | None" = None,
     ) -> "ServiceConfig":
@@ -273,8 +261,6 @@ class ServiceConfig:
             updates["source"] = source
         if target is not None:
             updates["target"] = target
-        if session_params is not None:
-            updates["session_params"] = session_params
         if routing_policy is not None:
             updates["routing_policy"] = routing_policy
         if max_wait is not None:
@@ -288,16 +274,23 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; known: {BACKEND_NAMES}"
             )
-        if not 1 <= self.fragment_bits <= MAX_FRAGMENT_BITS:
+        if check_count(self.fragment_bits, "fragment_bits") > MAX_FRAGMENT_BITS:
             raise ConfigurationError(
                 f"fragment_bits must lie in 1..{MAX_FRAGMENT_BITS}, "
                 f"got {self.fragment_bits}"
             )
         check_count(self.max_retries, "max_retries", minimum=0)
+        check_seed(self.seed)
         if self.executor not in API_EXECUTORS:
             raise ConfigurationError(
                 f"unknown executor {self.executor!r}; the service supports "
                 f"{API_EXECUTORS}"
+            )
+        if self.max_workers is not None:
+            check_count(self.max_workers, "max_workers")
+        if not isinstance(self.session, SessionParameters):
+            raise ConfigurationError(
+                f"session must be a SessionParameters, got {type(self.session).__name__}"
             )
         if self.attack_factory is not None and self.scenario is not None:
             raise ConfigurationError(
@@ -320,8 +313,8 @@ class ServiceConfig:
             for name in _PER_FRAGMENT_FIELDS:
                 if getattr(self, name) != getattr(defaults, name):
                     raise ConfigurationError(
-                        f"the network backend ignores {name}: set session_params "
-                        "(SessionParameters) and the link channels instead"
+                        f"the network backend ignores {name}: its hops run on "
+                        "the links' channels and the nodes' memories"
                     )
         # Delegate per-fragment parameter validation to ProtocolConfig using a
         # representative even-length fragment.
@@ -331,37 +324,15 @@ class ServiceConfig:
     def protocol_config(self, message_length: int, seed: int) -> ProtocolConfig:
         """The :class:`ProtocolConfig` for one fragment of *message_length* bits.
 
-        Check bits follow :meth:`ProtocolConfig.default_check_bits`: the
-        quarter-length rule when ``num_check_bits`` is None, and in either
-        case an upward parity adjustment so ``n + c`` is even — an explicit
-        count may therefore run as ``num_check_bits + 1`` on odd-length
-        fragments (the same convention as the network layer's
-        :meth:`~repro.network.sessions.SessionParameters.check_bits_for`).
+        Check bits follow :meth:`ProtocolConfig.default_check_bits`: an
+        explicit count may run as ``num_check_bits + 1`` on odd lengths.
         """
-        return ProtocolConfig(
-            message_length=message_length,
-            num_check_bits=ProtocolConfig.default_check_bits(
-                message_length, self.num_check_bits
-            ),
-            identity_pairs=self.identity_pairs,
-            check_pairs_per_round=self.check_pairs_per_round,
-            authentication_tolerance=self.authentication_tolerance,
-            check_bit_tolerance=self.check_bit_tolerance,
-            channel=self.channel,
-            distribution_channel=self.distribution_channel,
-            memory_decoherence=self.memory_decoherence,
-            memory_hold_time=self.memory_hold_time,
-            alice_identity=self.alice_identity,
-            bob_identity=self.bob_identity,
+        return self.session.protocol_config(
+            message_length,
             seed=seed,
             scenario=self.scenario,
+            **{name: getattr(self, name) for name in _PER_FRAGMENT_FIELDS},
         )
-
-    def session_parameters(self) -> Any:
-        """The :class:`~repro.network.sessions.SessionParameters` of every network hop."""
-        from repro.network.sessions import SessionParameters
-
-        return self.session_params or SessionParameters()
 
     def create_backend(self) -> Any:
         """Instantiate the configured :class:`~repro.api.backends.Backend`."""
@@ -376,17 +347,15 @@ class ServiceConfig:
             from repro.attacks.scenarios import as_schedule
 
             scenario_label = as_schedule(self.scenario).label
-        # Network hops run on session_parameters() and their links' channels.
-        network = self.backend == "network"
-        params = self.session_parameters() if network else self
+        # Network hops run on their links' channels.
         return {
             "backend": self.backend,
             **({"scenario": scenario_label} if scenario_label else {}),
             "fragment_bits": self.fragment_bits,
             "framing": self.framing,
             "max_retries": self.max_retries,
-            **({} if network else {"channel": self.channel.name}),
-            "identity_pairs": params.identity_pairs,
-            "check_pairs_per_round": params.check_pairs_per_round,
+            **({} if self.backend == "network" else {"channel": self.channel.name}),
+            "identity_pairs": self.session.identity_pairs,
+            "check_pairs_per_round": self.session.check_pairs_per_round,
             "executor": self.executor,
         }

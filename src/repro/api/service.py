@@ -47,6 +47,7 @@ from repro.api.fragmentation import (
     reassemble,
 )
 from repro.api.report import DeliveryReport, FragmentRecord
+from repro.protocol.config import check_seed
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits
 from repro.utils.logging import get_logger
@@ -116,18 +117,18 @@ class MessagingService:
             Payload kind override (``"auto"`` detects from the type; pass
             ``"bits"`` to send a ``'0'``/``'1'`` string as raw bits).
         seed:
-            Per-send seed override (defaults to ``config.seed``; None there
-            too draws fresh entropy, making the send irreproducible).
+            Per-send seed override, None or a non-negative integer (defaults
+            to ``config.seed``; None there too draws fresh entropy, making
+            the send irreproducible).
         """
         config = self.config
         backend = self._backend
         if to is not None and config.backend == "network":
             config = config.with_network(target=to)
 
-        base_seed = seed if seed is not None else config.seed
+        base_seed = check_seed(seed if seed is not None else config.seed)
         if base_seed is None:
             base_seed = int(as_rng(None).integers(0, 2**63 - 1))
-        base_seed = int(base_seed)
 
         payload_bits, resolved_kind = encode_payload(payload, kind)
         if config.framing:

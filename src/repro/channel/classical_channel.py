@@ -6,21 +6,18 @@ positions of the ``D_A`` and ``C_A`` sets, Bob's Bell-measurement results
 during authentication and the check-bit verification.  The paper assumes this
 channel is authenticated (Eve can read but not modify messages).
 
-:class:`ClassicalChannel` records every announcement in order so that
-
-* the protocol transcript can be audited after the fact, and
-* the information-leakage analysis (§III-E) can quantify what an eavesdropper
-  reading the channel learns about the secret message (nothing, because
-  message-decoding outcomes are never announced).
-
-Eavesdropper taps registered with :meth:`ClassicalChannel.add_tap` receive a
-copy of every announcement, which is how the attack models listen in.
+:class:`ClassicalChannel` keeps no record of its own: it is heard only through
+taps registered with :meth:`ClassicalChannel.add_tap`, which receive every
+announcement in order.  That is how the attack models listen in, and how the
+information-leakage analysis (§III-E) quantifies what an eavesdropper reading
+the channel learns about the secret message (nothing, because
+message-decoding outcomes are never announced).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ChannelError
@@ -42,7 +39,8 @@ class Announcement:
     payload:
         The announced data (positions, bases, outcomes, ...).
     sequence:
-        Monotonic index assigned by the channel.
+        Monotonic index assigned by the channel: the number of announcements
+        sent on it before this one.
     """
 
     sender: str
@@ -53,73 +51,37 @@ class Announcement:
 
 
 class ClassicalChannel:
-    """An authenticated, public, logged classical channel."""
+    """An authenticated, public classical channel, heard through taps.
+
+    The channel keeps no log: an :class:`Announcement` is built only when a
+    tap listens, and every tap sees each one as it is sent.  Sequence
+    numbers count every send, heard or not.
+    """
 
     def __init__(self, name: str = "classical"):
         self.name = name
-        self._log: list[Announcement] = []
+        self._sequence = 0
         self._taps: list[Callable[[Announcement], None]] = []
 
     # -- messaging ------------------------------------------------------------------
-    def send(self, sender: str, receiver: str, topic: str, payload: Any) -> Announcement:
-        """Send an announcement and return the logged record.
+    def send(self, sender: str, receiver: str, topic: str, payload: Any) -> None:
+        """Send an announcement to every tap.
 
         The channel is authenticated: the library never mutates payloads in
         transit, and attack models may only *read* them through taps.
         """
         if not topic:
             raise ChannelError("announcements need a non-empty topic")
-        announcement = Announcement(
-            sender=str(sender),
-            receiver=str(receiver),
-            topic=str(topic),
-            payload=payload,
-            sequence=len(self._log),
-        )
-        self._log.append(announcement)
-        for tap in self._taps:
-            tap(announcement)
-        return announcement
+        sequence = self._sequence
+        self._sequence += 1
+        if self._taps:
+            announcement = Announcement(sender, receiver, topic, payload, sequence)
+            for tap in self._taps:
+                tap(announcement)
 
-    def broadcast(self, sender: str, topic: str, payload: Any) -> Announcement:
+    def broadcast(self, sender: str, topic: str, payload: Any) -> None:
         """Announce to every listener (receiver recorded as ``"broadcast"``)."""
-        return self.send(sender, "broadcast", topic, payload)
-
-    # -- reading the log ---------------------------------------------------------------
-    @property
-    def log(self) -> list[Announcement]:
-        """All announcements in order (returns a copy)."""
-        return list(self._log)
-
-    def announcements(self, topic: str | None = None, sender: str | None = None) -> list[Announcement]:
-        """Filter the log by topic and/or sender."""
-        result = self._log
-        if topic is not None:
-            result = [a for a in result if a.topic == topic]
-        if sender is not None:
-            result = [a for a in result if a.sender == sender]
-        return list(result)
-
-    def last(self, topic: str) -> Announcement:
-        """The most recent announcement with the given topic."""
-        for announcement in reversed(self._log):
-            if announcement.topic == topic:
-                return announcement
-        raise ChannelError(f"no announcement with topic {topic!r}")
-
-    def topics(self) -> list[str]:
-        """All distinct topics that have appeared, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for announcement in self._log:
-            seen.setdefault(announcement.topic, None)
-        return list(seen)
-
-    def clear(self) -> None:
-        """Erase the log (used between protocol sessions)."""
-        self._log.clear()
-
-    def __len__(self) -> int:
-        return len(self._log)
+        self.send(sender, "broadcast", topic, payload)
 
     # -- eavesdropping -------------------------------------------------------------------
     def add_tap(self, tap: Callable[[Announcement], None]) -> None:
@@ -136,4 +98,4 @@ class ClassicalChannel:
             raise ChannelError("tap was not registered") from exc
 
     def __repr__(self) -> str:
-        return f"ClassicalChannel(name={self.name!r}, announcements={len(self._log)})"
+        return f"ClassicalChannel(name={self.name!r}, sent={self._sequence})"

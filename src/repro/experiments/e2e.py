@@ -96,8 +96,7 @@ def run_end_to_end(
         ServiceConfig.paper_default()
         .with_framing(False)
         .with_retries(0)
-        .with_identity_pairs(identity_pairs)
-        .with_check_pairs(check_pairs)
+        .with_session(identity_pairs=identity_pairs, check_pairs_per_round=check_pairs)
     )
     for channel, bucket in (
         (NoiselessChannel(), result.ideal_results),

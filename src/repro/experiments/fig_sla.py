@@ -45,8 +45,8 @@ from repro.network.scheduler import (
     QoSPolicy,
     simulate_network,
 )
-from repro.network.sessions import SessionParameters
 from repro.network.topology import NetworkTopology
+from repro.protocol.config import SessionParameters
 
 __all__ = ["SLAPoint", "SLAStudyResult", "run_fig_sla"]
 

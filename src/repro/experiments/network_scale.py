@@ -25,8 +25,8 @@ from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.exceptions import ExperimentError
 from repro.network.metrics import NetworkResult
 from repro.network.scheduler import PoissonTraffic, simulate_network
-from repro.network.sessions import SessionParameters
 from repro.network.topology import NetworkTopology, build_topology
+from repro.protocol.config import SessionParameters
 from repro.quantum.channels import depolarizing_channel
 
 __all__ = ["build_network", "run_network_scale"]

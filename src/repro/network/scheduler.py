@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -60,12 +61,11 @@ from repro.network.metrics import NetworkResult, SessionRecord
 from repro.network.routing import ROUTING_POLICIES, Route, RoutingTable
 from repro.network.sessions import (
     SessionOutcome,
-    SessionParameters,
     SessionRequest,
-    check_request_count,
     run_session,
 )
 from repro.network.topology import NetworkTopology
+from repro.protocol.config import SessionParameters, check_count
 from repro.runtime.admission import NodeCapacityLedger, WeightedFairSelector
 from repro.telemetry import runtime as telemetry
 from repro.utils.logging import get_logger
@@ -90,6 +90,12 @@ SCHEDULER_EXECUTORS = ("serial", "thread")
 
 #: Default weighted-fair weights of the conventional priority classes.
 DEFAULT_QOS_WEIGHTS = {"control": 4.0, "interactive": 2.0, "bulk": 1.0}
+
+
+def _finite_real(value: Any) -> bool:
+    """True if *value* is a finite real number (a string or None is not)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
 
 # Event-kind priorities at equal timestamps: completions free capacity, then
 # recoveries (an outage window ending) free elements, both before timeouts
@@ -122,10 +128,10 @@ class PoissonTraffic:
         message_length: int = 8,
         priority_mix: Mapping[str, float] | None = None,
     ):
-        check_request_count(num_sessions, "num_sessions")
+        check_count(num_sessions, "num_sessions", error=NetworkError)
         if not (math.isfinite(rate) and rate > 0):
             raise NetworkError("rate must be finite and positive")
-        check_request_count(message_length, "message_length")
+        check_count(message_length, "message_length", error=NetworkError)
         if priority_mix is not None:
             if not priority_mix:
                 raise NetworkError("priority_mix must name at least one class")
@@ -205,7 +211,7 @@ class TraceTraffic:
             time = float(time)
             if not math.isfinite(time):
                 raise NetworkError(f"trace entry time must be finite, got {entry!r}")
-            length = check_request_count(length, "trace entry length")
+            length = check_count(length, "trace entry length", error=NetworkError)
             normalized.append((time, str(source), str(target), length, str(priority)))
         self.entries = sorted(normalized)
 
@@ -308,8 +314,8 @@ class NetworkScheduler:
     routing_policy:
         ``"hops"`` or ``"loss"`` (see :mod:`repro.network.routing`).
     session_params:
-        Fleet-wide protocol parameters (defaults:
-        :class:`~repro.network.sessions.SessionParameters`).
+        Fleet-wide session tunables (defaults:
+        :class:`~repro.protocol.config.SessionParameters`).
     hop_overhead:
         Classical coordination time added per hop (seconds); dominates hop
         duration since per-pair channel delays are microseconds.
@@ -321,11 +327,13 @@ class NetworkScheduler:
         Patience window: a session still queued this long after arrival is
         rejected (``None`` = wait indefinitely).
     seed:
-        Master seed; traffic and every per-session seed derive from it.
+        Master seed, a non-negative integer; traffic and every per-session
+        seed derive from it.
     executor:
         ``"serial"`` or ``"thread"`` — both produce identical results.
     max_workers:
-        Worker-pool size for the ``"thread"`` executor.
+        Worker-pool size for the ``"thread"`` executor: None (one per core,
+        up to the session count) or a positive integer.
     dynamics:
         Optional :class:`~repro.network.dynamics.NetworkDynamics` — drift,
         aging and outage conditions evaluated at each session's admission
@@ -362,11 +370,11 @@ class NetworkScheduler:
                 f"{SCHEDULER_EXECUTORS} (session workers close over the live "
                 "topology and cannot be pickled for process pools)"
             )
-        if not (math.isfinite(hop_overhead) and hop_overhead >= 0):
+        if not _finite_real(hop_overhead) or hop_overhead < 0:
             raise NetworkError("hop_overhead must be finite and non-negative")
-        if not (math.isfinite(hold_time_unit) and hold_time_unit > 0):
+        if not _finite_real(hold_time_unit) or hold_time_unit <= 0:
             raise NetworkError("hold_time_unit must be finite and positive")
-        if max_wait is not None and not (math.isfinite(max_wait) and max_wait >= 0):
+        if max_wait is not None and (not _finite_real(max_wait) or max_wait < 0):
             raise NetworkError("max_wait must be finite and non-negative, or None")
         if dynamics is not None and not isinstance(dynamics, NetworkDynamics):
             raise NetworkError(
@@ -374,13 +382,20 @@ class NetworkScheduler:
             )
         if qos is not None and not isinstance(qos, QoSPolicy):
             raise NetworkError(f"qos must be a QoSPolicy, got {type(qos).__name__}")
+        if session_params is not None and not isinstance(session_params, SessionParameters):
+            raise NetworkError(
+                "session_params must be a SessionParameters, got "
+                f"{type(session_params).__name__}"
+            )
+        if max_workers is not None:
+            check_count(max_workers, "max_workers", error=NetworkError)
         self.topology = topology
         self.routing = RoutingTable(topology, policy=routing_policy)
         self.session_params = session_params or SessionParameters()
         self.hop_overhead = hop_overhead
         self.hold_time_unit = hold_time_unit
         self.max_wait = max_wait
-        self.seed = int(seed)
+        self.seed = check_count(seed, "seed", minimum=0, error=NetworkError)
         self.executor = executor
         self.max_workers = max_workers
         self.dynamics = dynamics

@@ -27,13 +27,14 @@ message bits and any attack randomness derive from it via
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.exceptions import ConfigurationError, NetworkError
+from repro.exceptions import NetworkError
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
-from repro.protocol.config import ProtocolConfig, check_count
+from repro.protocol.config import SessionParameters, check_count, check_seed
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import (
@@ -51,7 +52,7 @@ __all__ = [
     "STATUS_ABORTED",
     "STATUS_REJECTED",
     "SessionRequest",
-    "SessionParameters",
+    "SessionParameters",  # re-exported; it lives in repro.protocol.config
     "HopReport",
     "SessionOutcome",
     "run_session",
@@ -62,14 +63,6 @@ STATUS_DELIVERED = "delivered"
 STATUS_DELIVERED_WITH_ERRORS = "delivered_with_errors"
 STATUS_ABORTED = "aborted"
 STATUS_REJECTED = "rejected"
-
-
-def check_request_count(value: Any, name: str) -> int:
-    """:func:`~repro.protocol.config.check_count`, raising :class:`NetworkError`."""
-    try:
-        return check_count(value, name)
-    except ConfigurationError as error:
-        raise NetworkError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,10 @@ class SessionRequest:
         messaging-service facade sets this to carry real payload fragments
         across the network.
     seed:
-        Optional explicit per-session seed.  ``None`` (the historical
-        behaviour) lets the scheduler derive one from its own seed; the
-        facade sets it so retransmission seeds stay deterministic per
-        fragment and attempt.
+        Optional explicit per-session seed, a non-negative integer.  ``None``
+        (the historical behaviour) lets the scheduler derive one from its
+        own seed; the facade sets it so retransmission seeds stay
+        deterministic per fragment and attempt.
     scenario:
         Optional declarative adversary
         (:class:`~repro.attacks.scenarios.AttackScenario`,
@@ -131,11 +124,14 @@ class SessionRequest:
             raise NetworkError("session source and target must differ")
         if not self.priority:
             raise NetworkError("priority must be a non-empty class name")
-        check_request_count(self.message_length, "message_length")
-        if not 0 <= self.arrival_time < math.inf:
+        check_count(self.message_length, "message_length", error=NetworkError)
+        check_seed(self.seed, error=NetworkError)
+        if not isinstance(self.arrival_time, numbers.Real) or not (
+            0 <= self.arrival_time < math.inf
+        ):
             raise NetworkError("arrival_time must be finite and non-negative")
         if self.message is not None:
-            if not all(ch in "01" for ch in self.message):
+            if not isinstance(self.message, str) or not all(ch in "01" for ch in self.message):
                 raise NetworkError("message must be a '0'/'1' bitstring")
             if len(self.message) != self.message_length:
                 raise NetworkError(
@@ -149,71 +145,6 @@ class SessionRequest:
                 as_schedule(self.scenario)
             except Exception as error:
                 raise NetworkError(f"invalid session scenario: {error}") from error
-
-
-@dataclass(frozen=True)
-class SessionParameters:
-    """Protocol-level parameters shared by every hop of every session.
-
-    The per-hop quantum channel always comes from the link; these are the
-    remaining :class:`~repro.protocol.config.ProtocolConfig` tunables a
-    network operator would fix fleet-wide.  Construction raises
-    :class:`~repro.exceptions.ConfigurationError` unless the pair counts are
-    positive integers, ``num_check_bits`` is None or a non-negative integer
-    and both tolerances lie in [0, 1), so the scheduler never reserves a
-    NaN or fractional qubit count.
-    """
-
-    identity_pairs: int = 2
-    check_pairs_per_round: int = 32
-    num_check_bits: int | None = None
-    authentication_tolerance: float = 0.25
-    check_bit_tolerance: float = 0.15
-
-    def __post_init__(self):
-        check_count(self.identity_pairs, "identity_pairs")
-        check_count(self.check_pairs_per_round, "check_pairs_per_round")
-        if self.num_check_bits is not None:
-            check_count(self.num_check_bits, "num_check_bits", minimum=0)
-        # Written so NaN fails too, as in ProtocolConfig.validate.
-        for name in ("authentication_tolerance", "check_bit_tolerance"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1)")
-
-    def check_bits_for(self, message_length: int) -> int:
-        """Check-bit count for a message (auto: the `ProtocolConfig.default` rule)."""
-        return ProtocolConfig.default_check_bits(message_length, self.num_check_bits)
-
-    def pairs_per_hop(self, message_length: int) -> int:
-        """EPR pairs one hop consumes: ``N + 2l + 2d`` (qubits held per endpoint)."""
-        message_pairs = (message_length + self.check_bits_for(message_length)) // 2
-        return (
-            message_pairs
-            + 2 * self.identity_pairs
-            + 2 * self.check_pairs_per_round
-        )
-
-    def hop_config(
-        self,
-        message_length: int,
-        channel: Any,
-        seed: int,
-        memory_decoherence: Any = None,
-        memory_hold_time: float = 0.0,
-    ) -> ProtocolConfig:
-        """Build the :class:`ProtocolConfig` for one hop."""
-        return ProtocolConfig(
-            message_length=message_length,
-            num_check_bits=self.check_bits_for(message_length),
-            identity_pairs=self.identity_pairs,
-            check_pairs_per_round=self.check_pairs_per_round,
-            authentication_tolerance=self.authentication_tolerance,
-            check_bit_tolerance=self.check_bit_tolerance,
-            channel=channel,
-            memory_decoherence=memory_decoherence,
-            memory_hold_time=memory_hold_time,
-            seed=seed,
-        )
 
 
 @dataclass
@@ -414,10 +345,10 @@ def _run_hops(
             if channel_overrides is not None
             else link.quantum_channel
         )
-        config = params.hop_config(
-            message_length=len(current),
-            channel=channel,
-            seed=hop_seed,
+        config = params.protocol_config(
+            len(current),
+            channel,
+            hop_seed,
             memory_decoherence=topology.node(sender).memory_decoherence,
             memory_hold_time=hold_time if index == 0 else 0.0,
         )

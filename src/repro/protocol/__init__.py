@@ -24,7 +24,7 @@ The subpackage is organised by protocol concern:
 """
 
 from repro.protocol.chsh import CHSHEstimate, CHSHSettings, DISecurityCheck
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import ProtocolConfig, SessionParameters
 from repro.protocol.efficiency import ResourceAccount, account_for_config
 from repro.protocol.encoding import (
     BELL_STATE_TO_BITS,
@@ -51,6 +51,7 @@ __all__ = [
     "CHSHSettings",
     "DISecurityCheck",
     "ProtocolConfig",
+    "SessionParameters",
     "ResourceAccount",
     "account_for_config",
     "BELL_STATE_TO_BITS",

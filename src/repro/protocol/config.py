@@ -1,15 +1,17 @@
 """Protocol configuration.
 
-:class:`ProtocolConfig` gathers every tunable of a UA-DI-QSDC session: message
-and check-bit sizes, identity length ``l``, DI-check sample size ``d``, the
-CHSH settings and abort thresholds, the quantum channel model, the
-entanglement source and the RNG seed.  :meth:`ProtocolConfig.default` builds a
-configuration with the paper's parameters for a given message length.
+:class:`SessionParameters` holds the five tunables that fix a session (§II):
+identity length ``l``, DI-round size ``d``, check bits ``c`` and two
+tolerances.  Every layer that runs sessions holds one, and its
+:meth:`~SessionParameters.protocol_config` builds each session's
+:class:`ProtocolConfig`, which adds the message length, channel model,
+entanglement source, CHSH settings and seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -21,11 +23,11 @@ from repro.protocol.identity import Identity
 from repro.protocol.source import EntanglementSource
 from repro.utils.rng import as_rng
 
-__all__ = ["ProtocolConfig", "check_count"]
+__all__ = ["ProtocolConfig", "SessionParameters", "check_count", "check_seed"]
 
 
-def check_count(value, name: str, minimum: int = 1) -> int:
-    """*value* as an ``int``; :class:`ConfigurationError` unless it is an integer ≥ *minimum*.
+def check_count(value, name: str, minimum: int = 1, error: type = ConfigurationError) -> int:
+    """*value* as an ``int``; *error* unless it is an integer ≥ *minimum*.
 
     Any integer type passes (``operator.index``: ``int``, ``np.int64`` …),
     as in :func:`~repro.quantum.batch.check_shots`, so NaN, ±∞, fractions
@@ -34,10 +36,100 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     try:
         count = operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
-        raise ConfigurationError(f"{name} must be at least {minimum}, got {count}")
+        raise error(f"{name} must be at least {minimum}, got {count}")
     return count
+
+
+def check_seed(value, name: str = "seed", error: type = ConfigurationError) -> "int | None":
+    """*value* as an ``int`` or None; *error* unless it is None or an integer ≥ 0.
+
+    The seed rule of every session config (NumPy seeds with non-negative
+    integers), so fractions, NaN and strings fail here, not in a session.
+    """
+    return None if value is None else check_count(value, name, minimum=0, error=error)
+
+
+def _check_fraction(value, name: str) -> None:
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:
+        raise ConfigurationError(f"{name} must lie in [0, 1)")
+
+
+def _check_tunables(params) -> None:
+    """The checks of the five session tunables, shared by both config classes."""
+    check_count(params.identity_pairs, "identity_pairs")
+    check_count(params.check_pairs_per_round, "check_pairs_per_round")
+    if params.num_check_bits is not None:
+        check_count(params.num_check_bits, "num_check_bits", minimum=0)
+    _check_fraction(params.authentication_tolerance, "authentication_tolerance")
+    _check_fraction(params.check_bit_tolerance, "check_bit_tolerance")
+
+
+def _pair_count(message_length, check_bits, identity_pairs, check_pairs) -> int:
+    """``N + 2l + 2d`` with ``N = (n + c) / 2``: the EPR pairs one session shares."""
+    return (message_length + check_bits) // 2 + 2 * identity_pairs + 2 * check_pairs
+
+
+@dataclass(frozen=True)
+class SessionParameters:
+    """The five tunables of a protocol session, shared by every layer.
+
+    Fields mean what they do on :class:`ProtocolConfig`, except that
+    ``num_check_bits=None`` applies :meth:`ProtocolConfig.default_check_bits`
+    per message (which also bumps an odd ``n + c``).  The defaults
+    (``l = 2``, ``d = 32``) are the network fleet's; the paper uses
+    ``l = 8``, ``d = 256``.  Construction raises
+    :class:`~repro.exceptions.ConfigurationError` on an invalid tunable, so a
+    scheduler never reserves a NaN or fractional qubit count.
+    """
+
+    identity_pairs: int = 2
+    check_pairs_per_round: int = 32
+    num_check_bits: int | None = None
+    authentication_tolerance: float = 0.25
+    check_bit_tolerance: float = 0.15
+
+    def __post_init__(self):
+        _check_tunables(self)
+
+    def pairs_per_hop(self, message_length: int) -> int:
+        """EPR pairs one session of *message_length* bits consumes: ``N + 2l + 2d``."""
+        check_bits = ProtocolConfig.default_check_bits(message_length, self.num_check_bits)
+        return _pair_count(
+            message_length, check_bits, self.identity_pairs, self.check_pairs_per_round
+        )
+
+    def protocol_config(
+        self, message_length: int, channel: QuantumChannel, seed, **single_link_fields
+    ) -> "ProtocolConfig":
+        """One session's :class:`ProtocolConfig`; *single_link_fields* set its other fields."""
+        return ProtocolConfig(
+            message_length=message_length,
+            num_check_bits=ProtocolConfig.default_check_bits(
+                message_length, self.num_check_bits
+            ),
+            identity_pairs=self.identity_pairs,
+            check_pairs_per_round=self.check_pairs_per_round,
+            authentication_tolerance=self.authentication_tolerance,
+            check_bit_tolerance=self.check_bit_tolerance,
+            channel=channel,
+            seed=seed,
+            **single_link_fields,
+        )
+
+
+#: ``(name, type, None allowed)`` of every object-valued :class:`ProtocolConfig` field.
+_OBJECT_FIELDS = (
+    ("channel", QuantumChannel, False),
+    ("distribution_channel", QuantumChannel, True),
+    ("source", EntanglementSource, False),
+    ("chsh_settings", CHSHSettings, False),
+    ("memory_decoherence", KrausChannel, True),
+    ("alice_identity", Identity, True),
+    ("bob_identity", Identity, True),
+)
 
 
 @dataclass
@@ -130,12 +222,10 @@ class ProtocolConfig:
         With ``num_check_bits=None`` the paper's rule applies: roughly a
         quarter of the message length, at least 2.  Either way the count is
         adjusted upward by one if needed so ``n + c`` is even (2 bits per
-        EPR pair).  This is the single implementation of the rule; the
-        service layer (:meth:`repro.api.config.ServiceConfig.protocol_config`)
-        and the network layer
-        (:meth:`repro.network.sessions.SessionParameters.check_bits_for`)
-        delegate here so per-fragment/per-hop sessions stay bit-identical to
-        direct :meth:`default` configurations.
+        EPR pair).  This is the single implementation of the rule;
+        :meth:`SessionParameters.protocol_config` applies it to every
+        fragment and hop session, so they stay bit-identical to direct
+        :meth:`default` configurations.
         """
         check_bits = (
             max(2, message_length // 4) if num_check_bits is None else num_check_bits
@@ -159,15 +249,10 @@ class ProtocolConfig:
         length (at least 2), adjusted so ``n + c`` is even.
         """
         check_count(message_length, "message_length")
-        num_check_bits = cls.default_check_bits(message_length)
-        return cls(
-            message_length=message_length,
-            num_check_bits=num_check_bits,
-            identity_pairs=identity_pairs,
-            check_pairs_per_round=check_pairs_per_round,
-            channel=IdentityChainChannel(eta=eta),
-            seed=seed,
+        session = SessionParameters(
+            identity_pairs=identity_pairs, check_pairs_per_round=check_pairs_per_round
         )
+        return session.protocol_config(message_length, IdentityChainChannel(eta=eta), seed)
 
     # -- derived quantities ---------------------------------------------------------
     @property
@@ -178,10 +263,9 @@ class ProtocolConfig:
     @property
     def total_pairs(self) -> int:
         """``N + 2l + 2d`` — total EPR pairs shared in step 1."""
-        return (
-            self.num_message_pairs
-            + 2 * self.identity_pairs
-            + 2 * self.check_pairs_per_round
+        return _pair_count(
+            self.message_length, self.num_check_bits, self.identity_pairs,
+            self.check_pairs_per_round,
         )
 
     @property
@@ -202,18 +286,21 @@ class ProtocolConfig:
             raise ConfigurationError(
                 "message_length + num_check_bits must be even (2 bits per EPR pair)"
             )
-        check_count(self.identity_pairs, "identity_pairs")
-        check_count(self.check_pairs_per_round, "check_pairs_per_round")
-        if not 0.0 <= self.authentication_tolerance < 1.0:
-            raise ConfigurationError("authentication_tolerance must lie in [0, 1)")
-        if not 0.0 <= self.check_bit_tolerance < 1.0:
-            raise ConfigurationError("check_bit_tolerance must lie in [0, 1)")
+        _check_tunables(self)
+        check_seed(self.seed)
         # Written so NaN fails too: every comparison with NaN is false.
-        if not 0.0 <= self.memory_hold_time < math.inf:
+        hold_time = self.memory_hold_time
+        if not isinstance(hold_time, numbers.Real) or not 0.0 <= hold_time < math.inf:
             raise ConfigurationError(
-                f"memory_hold_time must be finite and non-negative, "
-                f"got {self.memory_hold_time!r}"
+                f"memory_hold_time must be finite and non-negative, got {hold_time!r}"
             )
+        for name, kind, optional in _OBJECT_FIELDS:
+            value = getattr(self, name)
+            if not (optional and value is None or isinstance(value, kind)):
+                raise ConfigurationError(
+                    f"{name} must be a {kind.__name__}"
+                    f"{' or None' if optional else ''}, got {type(value).__name__}"
+                )
         if self.memory_decoherence is not None and self.memory_decoherence.num_qubits != 1:
             raise ConfigurationError("memory_decoherence must be a single-qubit channel")
         if self.alice_identity is not None and self.alice_identity.num_pairs != self.identity_pairs:

@@ -31,7 +31,7 @@ from repro.exceptions import (
     ProtocolError,
     SecurityCheckFailure,
 )
-from repro.protocol.chsh import CHSHEstimate, DISecurityCheck
+from repro.protocol.chsh import DISecurityCheck
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.encoding import MessageEncoder
 from repro.protocol.pairs import EPRPairRegister
@@ -40,10 +40,19 @@ from repro.protocol.results import AbortReason, ProtocolResult
 from repro.protocol.transcript import ProtocolTranscript
 from repro.quantum.density import DensityMatrix, PairTable, map_distinct
 from repro.telemetry import runtime as telemetry
-from repro.utils.bits import Bits, bits_to_str, bitstring_to_bits, hamming_distance, validate_bits
+from repro.utils.bits import Bits, bitstring_to_bits, hamming_distance, validate_bits
 from repro.utils.rng import as_rng, derive_rng
 
 __all__ = ["UADIQSDCProtocol"]
+
+#: The exception ``raise_on_abort`` raises for each abort reason.
+_ABORT_ERRORS = {
+    AbortReason.ROUND1_CHSH_FAILED: SecurityCheckFailure,
+    AbortReason.ROUND2_CHSH_FAILED: SecurityCheckFailure,
+    AbortReason.BOB_AUTHENTICATION_FAILED: AuthenticationFailure,
+    AbortReason.ALICE_AUTHENTICATION_FAILED: AuthenticationFailure,
+    AbortReason.MESSAGE_INTEGRITY_FAILED: ProtocolAbort,
+}
 
 
 class UADIQSDCProtocol:
@@ -112,6 +121,29 @@ class UADIQSDCProtocol:
             num_identity_pairs=self.config.identity_pairs,
             num_check_pairs=self.config.check_pairs_per_round,
         )
+        # The ProtocolResult fields the session reaches, filled in as it goes.
+        reached: dict[str, Any] = {}
+        reason = self._steps(
+            message_bits, alice, bob, chsh_rng, attack, transcript, register, reached
+        )
+        if reason is not AbortReason.NONE and self.config.raise_on_abort:
+            raise _ABORT_ERRORS[reason](reason.value, f"protocol aborted: {reason.value}")
+        return ProtocolResult(
+            success=reason is AbortReason.NONE,
+            abort_reason=reason,
+            sent_message=message_bits,
+            phases=transcript.phases,
+            pair_summary=register.summary(),
+            metadata=self._metadata(attack),
+            **reached,
+        )
+
+    def _steps(
+        self, message_bits: Bits, alice: Alice, bob: Bob, chsh_rng, attack,
+        transcript: ProtocolTranscript, register: EPRPairRegister, reached: dict[str, Any],
+    ) -> AbortReason:
+        """Run steps 1–6 into *reached*; return the abort reason (NONE on delivery)."""
+        alice_rng = alice.rng
 
         # ----- Step 1: entanglement sharing -------------------------------------------
         pairs = self._share_entanglement(register, attack)
@@ -124,6 +156,7 @@ class UADIQSDCProtocol:
         transcript.announce("alice", "round1_check_positions", list(round1_positions))
         security_check = DISecurityCheck(self.config.chsh_settings)
         chsh_round1 = security_check.estimate(pairs.take(round1_positions), rng=chsh_rng)
+        reached["chsh_round1"] = chsh_round1
         transcript.announce("both", "round1_chsh_value", chsh_round1.value)
         transcript.record_phase(
             "round1_security_check",
@@ -133,14 +166,7 @@ class UADIQSDCProtocol:
         )
         pairs = pairs.drop(round1_positions)
         if not chsh_round1.passed():
-            return self._abort(
-                attack,
-                AbortReason.ROUND1_CHSH_FAILED,
-                message_bits,
-                transcript,
-                register,
-                chsh_round1=chsh_round1,
-            )
+            return AbortReason.ROUND1_CHSH_FAILED
 
         # ----- Hold period: Alice stores her halves between check and encoding ---------------
         pairs = self._memory_hold(pairs, transcript)
@@ -188,45 +214,31 @@ class UADIQSDCProtocol:
         )
         pairs = pairs.drop(bob_id_positions)
         bob_auth_error = alice.verify_bob(announced_outcomes, bob_id_positions)
+        reached["bob_authentication_error"] = bob_auth_error
         bob_auth_passed = bob_auth_error <= self.config.authentication_tolerance
         transcript.record_phase(
             "bob_authentication", bob_auth_passed, error_rate=bob_auth_error
         )
         if not bob_auth_passed:
-            return self._abort(
-                attack,
-                AbortReason.BOB_AUTHENTICATION_FAILED,
-                message_bits,
-                transcript,
-                register,
-                chsh_round1=chsh_round1,
-                bob_authentication_error=bob_auth_error,
-            )
+            return AbortReason.BOB_AUTHENTICATION_FAILED
 
         transcript.announce("alice", "alice_identity_positions", list(alice_id_positions))
         alice_id_outcomes = bob.bell_measure(pairs, alice_id_positions)
         # The C_A outcomes are deliberately NOT announced so id_A stays reusable.
         pairs = pairs.drop(alice_id_positions)
         alice_auth_error = bob.verify_alice(alice_id_outcomes, alice_id_positions)
+        reached["alice_authentication_error"] = alice_auth_error
         alice_auth_passed = alice_auth_error <= self.config.authentication_tolerance
         transcript.record_phase(
             "alice_authentication", alice_auth_passed, error_rate=alice_auth_error
         )
         if not alice_auth_passed:
-            return self._abort(
-                attack,
-                AbortReason.ALICE_AUTHENTICATION_FAILED,
-                message_bits,
-                transcript,
-                register,
-                chsh_round1=chsh_round1,
-                bob_authentication_error=bob_auth_error,
-                alice_authentication_error=alice_auth_error,
-            )
+            return AbortReason.ALICE_AUTHENTICATION_FAILED
 
         # ----- Step 5: second DI security check -----------------------------------------------------
         transcript.announce("alice", "round2_check_positions", list(round2_positions))
         chsh_round2 = security_check.estimate(pairs.take(round2_positions), rng=chsh_rng)
+        reached["chsh_round2"] = chsh_round2
         transcript.announce("bob", "round2_chsh_value", chsh_round2.value)
         transcript.record_phase(
             "round2_security_check",
@@ -236,17 +248,7 @@ class UADIQSDCProtocol:
         )
         pairs = pairs.drop(round2_positions)
         if not chsh_round2.passed():
-            return self._abort(
-                attack,
-                AbortReason.ROUND2_CHSH_FAILED,
-                message_bits,
-                transcript,
-                register,
-                chsh_round1=chsh_round1,
-                chsh_round2=chsh_round2,
-                bob_authentication_error=bob_auth_error,
-                alice_authentication_error=alice_auth_error,
-            )
+            return AbortReason.ROUND2_CHSH_FAILED
 
         # ----- Step 6: message decoding ----------------------------------------------------------------
         message_outcomes = bob.bell_measure(pairs, message_positions)
@@ -268,42 +270,19 @@ class UADIQSDCProtocol:
             )
         else:
             check_bit_error = 0.0
+        reached["check_bit_error_rate"] = check_bit_error
         integrity_passed = check_bit_error <= self.config.check_bit_tolerance
         transcript.record_phase(
             "message_decoding", integrity_passed, check_bit_error_rate=check_bit_error
         )
         if not integrity_passed:
-            return self._abort(
-                attack,
-                AbortReason.MESSAGE_INTEGRITY_FAILED,
-                message_bits,
-                transcript,
-                register,
-                chsh_round1=chsh_round1,
-                chsh_round2=chsh_round2,
-                bob_authentication_error=bob_auth_error,
-                alice_authentication_error=alice_auth_error,
-                check_bit_error_rate=check_bit_error,
-            )
+            return AbortReason.MESSAGE_INTEGRITY_FAILED
 
-        message_bit_error = (
+        reached["delivered_message"] = decoded_message
+        reached["message_bit_error_rate"] = (
             hamming_distance(decoded_message, message_bits) / len(message_bits)
         )
-        return ProtocolResult(
-            success=True,
-            abort_reason=AbortReason.NONE,
-            sent_message=message_bits,
-            delivered_message=decoded_message,
-            chsh_round1=chsh_round1,
-            chsh_round2=chsh_round2,
-            bob_authentication_error=bob_auth_error,
-            alice_authentication_error=alice_auth_error,
-            check_bit_error_rate=check_bit_error,
-            message_bit_error_rate=message_bit_error,
-            phases=list(transcript.phases),
-            pair_summary=register.summary(),
-            metadata=self._metadata(attack),
-        )
+        return AbortReason.NONE
 
     # -- helpers -----------------------------------------------------------------------
     @staticmethod
@@ -392,45 +371,3 @@ class UADIQSDCProtocol:
             "message_length": self.config.message_length,
             "num_check_bits": self.config.num_check_bits,
         }
-
-    def _abort(
-        self,
-        attack,
-        reason: AbortReason,
-        message_bits: Bits,
-        transcript: ProtocolTranscript,
-        register: EPRPairRegister,
-        chsh_round1: CHSHEstimate | None = None,
-        chsh_round2: CHSHEstimate | None = None,
-        bob_authentication_error: float | None = None,
-        alice_authentication_error: float | None = None,
-        check_bit_error_rate: float | None = None,
-    ) -> ProtocolResult:
-        if self.config.raise_on_abort:
-            message = f"protocol aborted: {reason.value}"
-            if reason in (
-                AbortReason.ROUND1_CHSH_FAILED,
-                AbortReason.ROUND2_CHSH_FAILED,
-            ):
-                raise SecurityCheckFailure(reason.value, message)
-            if reason in (
-                AbortReason.BOB_AUTHENTICATION_FAILED,
-                AbortReason.ALICE_AUTHENTICATION_FAILED,
-            ):
-                raise AuthenticationFailure(reason.value, message)
-            raise ProtocolAbort(reason.value, message)
-        return ProtocolResult(
-            success=False,
-            abort_reason=reason,
-            sent_message=message_bits,
-            delivered_message=None,
-            chsh_round1=chsh_round1,
-            chsh_round2=chsh_round2,
-            bob_authentication_error=bob_authentication_error,
-            alice_authentication_error=alice_authentication_error,
-            check_bit_error_rate=check_bit_error_rate,
-            message_bit_error_rate=None,
-            phases=list(transcript.phases),
-            pair_summary=register.summary(),
-            metadata=self._metadata(attack),
-        )

@@ -1,20 +1,21 @@
 """Protocol transcript: classical announcements plus phase-by-phase reports.
 
 Everything Alice and Bob say over the public classical channel, and the
-outcome of every protocol phase, ends up in a :class:`ProtocolTranscript`
+outcome of every protocol phase, passes through a :class:`ProtocolTranscript`
 for one session.  Its phase reports become the
-:class:`~repro.protocol.results.ProtocolResult`'s ``phases`` audit trail;
-its announcements stay with the session, where attack models tap the
-underlying :class:`~repro.channel.classical_channel.ClassicalChannel` — the
-information-leakage analysis (§III-E) is such a tap, showing that no message
-information crosses the classical channel.
+:class:`~repro.protocol.results.ProtocolResult`'s ``phases`` audit trail
+(:meth:`~repro.protocol.results.ProtocolResult.phase` looks one up); its
+announcements are heard only by taps on the underlying
+:class:`~repro.channel.classical_channel.ClassicalChannel`, which is how
+attack models listen — the information-leakage analysis (§III-E) is such a
+tap, showing that no message information crosses the classical channel.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.channel.classical_channel import Announcement, ClassicalChannel
+from repro.channel.classical_channel import ClassicalChannel
 from repro.protocol.results import PhaseReport
 from repro.telemetry import runtime as telemetry
 
@@ -22,7 +23,7 @@ __all__ = ["ProtocolTranscript"]
 
 
 class ProtocolTranscript:
-    """Ordered record of classical announcements and phase outcomes.
+    """One session's classical announcements and ordered phase outcomes.
 
     When a telemetry session is active, every :meth:`record_phase` call also
     emits a ``phase.<name>`` span covering the work since the previous phase
@@ -38,17 +39,9 @@ class ProtocolTranscript:
         self._phase_mark = telemetry.clock_mark()
 
     # -- classical announcements -----------------------------------------------------
-    def announce(self, sender: str, topic: str, payload: Any) -> Announcement:
-        """Broadcast an announcement on the public channel and log it."""
-        return self.classical_channel.broadcast(sender, topic, payload)
-
-    def announcements(self, topic: str | None = None) -> list[Announcement]:
-        """All announcements, optionally filtered by topic."""
-        return self.classical_channel.announcements(topic=topic)
-
-    def announced_topics(self) -> list[str]:
-        """Distinct announcement topics in order of first appearance."""
-        return self.classical_channel.topics()
+    def announce(self, sender: str, topic: str, payload: Any) -> None:
+        """Broadcast an announcement to the public channel's taps."""
+        self.classical_channel.broadcast(sender, topic, payload)
 
     # -- phase reports ------------------------------------------------------------------
     def record_phase(self, name: str, passed: bool, **details: Any) -> PhaseReport:
@@ -67,19 +60,5 @@ class ProtocolTranscript:
             )
         return report
 
-    def phase(self, name: str) -> PhaseReport:
-        """Look up a phase report by name."""
-        for report in self.phases:
-            if report.name == name:
-                return report
-        raise KeyError(f"no phase named {name!r}")
-
-    def passed_all_phases(self) -> bool:
-        """True if every recorded phase passed."""
-        return all(report.passed for report in self.phases)
-
     def __repr__(self) -> str:
-        return (
-            f"ProtocolTranscript(phases={[p.name for p in self.phases]}, "
-            f"announcements={len(self.classical_channel)})"
-        )
+        return f"ProtocolTranscript(phases={[p.name for p in self.phases]})"

@@ -135,7 +135,7 @@ class ServiceTimeModel:
         :class:`~repro.network.scheduler.NetworkScheduler` charges a session
         per hop — averaged over the topology's links.
         """
-        from repro.network.sessions import SessionParameters
+        from repro.protocol.config import SessionParameters
 
         params = session_params or SessionParameters()
         pairs = params.pairs_per_hop(message_length)

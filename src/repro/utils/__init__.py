@@ -1,4 +1,4 @@
-"""Shared utilities: bitstrings, random number plumbing, serialization, logging."""
+"""Shared utilities: bitstrings, random number plumbing, bounded memos, logging."""
 
 from repro.utils.bits import (
     bits_to_int,
@@ -14,7 +14,6 @@ from repro.utils.bits import (
     xor_bits,
 )
 from repro.utils.rng import as_rng, derive_rng, spawn_rngs
-from repro.utils.serialization import from_json, to_json
 
 __all__ = [
     "bits_to_int",
@@ -31,6 +30,4 @@ __all__ = [
     "as_rng",
     "derive_rng",
     "spawn_rngs",
-    "from_json",
-    "to_json",
 ]

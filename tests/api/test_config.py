@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro.api import BACKEND_NAMES, MessagingService, ServiceConfig
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
 from repro.exceptions import ConfigurationError
 from repro.network import line_topology
-from repro.protocol import Identity
+from repro.protocol import Identity, SessionParameters
 from repro.quantum.channels import phase_damping_channel
 
 
@@ -22,8 +22,8 @@ class TestPresets:
         config = ServiceConfig.paper_default(seed=3).validate()
         assert config.backend == "local"
         assert isinstance(config.channel, IdentityChainChannel)
-        assert config.identity_pairs == 8
-        assert config.check_pairs_per_round == 256
+        assert config.session.identity_pairs == 8
+        assert config.session.check_pairs_per_round == 256
         assert config.seed == 3
 
     def test_ideal(self):
@@ -41,6 +41,30 @@ class TestPresets:
         assert config.topology is topology
         assert (config.source, config.target) == ("n0", "n2")
 
+    @pytest.mark.parametrize(
+        "preset, pairs",
+        [
+            (ServiceConfig.paper_default, (8, 256)),
+            (ServiceConfig.ideal, (8, 128)),
+            (ServiceConfig.noisy_nisq, (8, 128)),
+            (lambda: ServiceConfig.networked(line_topology(3)), (2, 32)),
+        ],
+        ids=["paper_default", "ideal", "noisy_nisq", "networked"],
+    )
+    def test_preset_sessions(self, preset, pairs):
+        session = preset().session
+        assert (session.identity_pairs, session.check_pairs_per_round) == pairs
+        assert session.num_check_bits is None
+        assert (session.authentication_tolerance, session.check_bit_tolerance) == (
+            0.25,
+            0.15,
+        )
+
+    def test_networked_session_survives_a_backend_switch(self):
+        config = ServiceConfig.networked(line_topology(3)).with_backend("local")
+        assert config.session == SessionParameters()
+        assert config.protocol_config(8, seed=0).check_pairs_per_round == 32
+
 
 class TestFluentBuilder:
     def test_withers_return_new_objects(self):
@@ -57,16 +81,32 @@ class TestFluentBuilder:
             .with_retries(0)
             .with_framing(False)
             .with_executor("serial", max_workers=2)
-            .with_identity_pairs(2)
-            .with_check_pairs(32)
-            .with_tolerances(check_bit_tolerance=0.2)
+            .with_session(identity_pairs=2, check_pairs_per_round=32)
+            .with_session(check_bit_tolerance=0.2)
         )
         assert config.backend == "batch"
         assert config.seed == 11 and config.max_retries == 0
         assert not config.framing
         assert (config.executor, config.max_workers) == ("serial", 2)
-        assert config.check_bit_tolerance == 0.2
-        assert config.authentication_tolerance == 0.25  # untouched
+        assert config.session == SessionParameters(
+            identity_pairs=2, check_pairs_per_round=32, check_bit_tolerance=0.2
+        )
+        assert config.session.authentication_tolerance == 0.25  # untouched
+
+    def test_with_session_rejects_unknown_names_and_bad_values(self):
+        config = ServiceConfig.paper_default()
+        with pytest.raises(ConfigurationError, match="identity_pair"):
+            config.with_session(identity_pair=2)
+        with pytest.raises(ConfigurationError, match="check_bit_tolerance"):
+            config.with_session(check_bit_tolerance=1.0)
+
+    def test_one_field_holds_the_session(self):
+        # The five tunables live on `session`; the six single-link fields
+        # and the service fields make up the rest.
+        names = [field.name for field in fields(ServiceConfig)]
+        assert len(names) == 21
+        assert "session" in names
+        assert not set(names) & {field.name for field in fields(SessionParameters)}
 
     def test_with_network_partial_update(self):
         topology = line_topology(3)
@@ -119,11 +159,6 @@ class TestValidation:
         [
             ("channel", IdentityChainChannel(eta=700)),
             ("distribution_channel", NoiselessChannel()),
-            ("identity_pairs", 4),
-            ("check_pairs_per_round", 512),
-            ("num_check_bits", 6),
-            ("authentication_tolerance", 0.0),
-            ("check_bit_tolerance", 0.0),
             ("memory_decoherence", phase_damping_channel(0.1)),
             ("memory_hold_time", 1.0),
             ("alice_identity", Identity.from_string("1101" * 4, owner="alice")),
@@ -131,24 +166,21 @@ class TestValidation:
         ],
     )
     def test_network_rejects_per_fragment_fields(self, name, value):
-        # The network backend runs every hop on session_params and the link
-        # channels, so these fields would change nothing but the report.
+        # The network backend runs every hop on its link's channel and its
+        # sender's memory, so these fields would change nothing but the report.
         config = ServiceConfig.networked(
             line_topology(3), source="n0", target="n2", seed=5
         ).validate()
-        with pytest.raises(
-            ConfigurationError, match=rf"ignores {name}: .*session_params.*link"
-        ):
+        with pytest.raises(ConfigurationError, match=rf"ignores {name}: .*links"):
             replace(config, **{name: value}).validate()
 
     def test_network_names_the_first_ignored_field(self):
         config = (
             ServiceConfig.networked(line_topology(3), source="n0", target="n2", seed=5)
             .with_executor("serial")
-            .with_identity_pairs(4)
-            .with_check_pairs(512)
+            .with_session(identity_pairs=4, check_pairs_per_round=512)
             .with_channel(IdentityChainChannel(eta=700))
-            .with_tolerances(0.0, 0.0)
+            .with_memory(phase_damping_channel(0.1), 1.0)
         )
         with pytest.raises(ConfigurationError, match="ignores channel:"):
             MessagingService(config)
@@ -162,11 +194,11 @@ class TestValidation:
 
 class TestProtocolConfigMapping:
     def test_fields_map_one_to_one(self):
-        config = (
-            ServiceConfig.noisy_nisq(eta=30)
-            .with_identity_pairs(4)
-            .with_check_pairs(48)
-            .with_tolerances(0.3, 0.1)
+        config = ServiceConfig.noisy_nisq(eta=30).with_session(
+            identity_pairs=4,
+            check_pairs_per_round=48,
+            authentication_tolerance=0.3,
+            check_bit_tolerance=0.1,
         )
         protocol = config.protocol_config(message_length=10, seed=77)
         assert protocol.message_length == 10
@@ -185,18 +217,18 @@ class TestProtocolConfigMapping:
             assert (protocol.message_length + protocol.num_check_bits) % 2 == 0
 
     def test_explicit_check_bits_respected(self):
-        protocol = ServiceConfig.paper_default().with_check_bits(6).protocol_config(
-            message_length=10, seed=0
-        )
+        protocol = ServiceConfig.paper_default().with_session(
+            num_check_bits=6
+        ).protocol_config(message_length=10, seed=0)
         assert protocol.num_check_bits == 6
 
     def test_explicit_check_bits_parity_bumped_on_odd_fragments(self):
         # n + c must be even; an explicit count is adjusted upward by one on
-        # odd-length fragments (documented; same convention as the network
-        # layer's SessionParameters.check_bits_for).
-        protocol = ServiceConfig.paper_default().with_check_bits(6).protocol_config(
-            message_length=11, seed=0
-        )
+        # odd-length fragments (documented; SessionParameters.protocol_config
+        # builds fragment and hop sessions alike).
+        protocol = ServiceConfig.paper_default().with_session(
+            num_check_bits=6
+        ).protocol_config(message_length=11, seed=0)
         assert protocol.num_check_bits == 7
 
     def test_check_bit_rule_shared_across_layers(self):
@@ -208,7 +240,9 @@ class TestProtocolConfigMapping:
         for length in (1, 4, 7, 8, 16, 33):
             expected = ProtocolConfig.default_check_bits(length)
             assert service.protocol_config(length, seed=0).num_check_bits == expected
-            assert network.check_bits_for(length) == expected
+            hop = network.protocol_config(length, NoiselessChannel(), 0)
+            assert hop.num_check_bits == expected
+            assert network.pairs_per_hop(length) == hop.total_pairs
             assert ProtocolConfig.default(length).num_check_bits == expected
 
 

@@ -63,14 +63,14 @@ class TestServiceLayer:
     def test_with_scenario_aborts_delivery(self):
         config = (
             ServiceConfig.ideal(seed=9)
-            .with_check_pairs(32)
+            .with_session(check_pairs_per_round=32)
             .with_retries(0)
             .with_scenario(SCENARIO)
         )
         report = MessagingService(config).send("hi")
         assert not report.success
         honest = MessagingService(
-            ServiceConfig.ideal(seed=9).with_check_pairs(32).with_retries(0)
+            ServiceConfig.ideal(seed=9).with_session(check_pairs_per_round=32).with_retries(0)
         ).send("hi")
         assert honest.success
 
@@ -89,7 +89,7 @@ class TestServiceLayer:
     def test_scenario_deterministic_per_seed(self):
         config = (
             ServiceConfig.ideal(seed=31)
-            .with_check_pairs(32)
+            .with_session(check_pairs_per_round=32)
             .with_scenario(AttackScenario("intercept_resend", strength=0.5))
         )
         first = MessagingService(config).send("hello")

@@ -16,6 +16,7 @@ from repro.api.backends import FragmentJob, LocalBackend, NetworkBackend
 from repro.attacks import InterceptResendAttack
 from repro.channel.quantum_channel import NoiselessChannel
 from repro.network import SessionParameters, line_topology
+from repro.protocol import ProtocolConfig
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.utils.bits import bits_to_str
 
@@ -23,8 +24,7 @@ from repro.utils.bits import bits_to_str
 def fast_config(seed: int = 7) -> ServiceConfig:
     return (
         ServiceConfig.ideal(seed=seed)
-        .with_identity_pairs(2)
-        .with_check_pairs(64)
+        .with_session(identity_pairs=2, check_pairs_per_round=64)
         .with_fragment_bits(16)
     )
 
@@ -181,9 +181,7 @@ def network_config(seed: int = 5) -> ServiceConfig:
     return (
         ServiceConfig.networked(noiseless_line(), source="n0", target="n2", seed=seed)
         .with_fragment_bits(16)
-        .with_network(
-            session_params=SessionParameters(identity_pairs=2, check_pairs_per_round=64)
-        )
+        .with_session(check_pairs_per_round=64)
     )
 
 
@@ -200,12 +198,40 @@ class TestNetworkBackend:
     def test_send_to_overrides_target(self):
         config = ServiceConfig.networked(
             noiseless_line(), source="n0", target="n1", seed=5
-        ).with_network(
-            session_params=SessionParameters(identity_pairs=2, check_pairs_per_round=64)
-        )
+        ).with_session(check_pairs_per_round=64)
         report = MessagingService(config).send(b"x", to="n2")
         assert report.success
         assert report.fragments[0].attempts[0].details["route"] == ["n0", "n1", "n2"]
+
+    def test_every_hop_runs_with_the_session_tunables(self, monkeypatch):
+        # The network backend used to reject these fields.
+        import repro.network.sessions as sessions
+
+        configs = []
+
+        class RecordingProtocol(UADIQSDCProtocol):
+            def __init__(self, config, attack=None):
+                configs.append(config)
+                super().__init__(config, attack=attack)
+
+        monkeypatch.setattr(sessions, "UADIQSDCProtocol", RecordingProtocol)
+        tunables = dict(
+            identity_pairs=3,
+            check_pairs_per_round=40,
+            authentication_tolerance=0.1,
+            check_bit_tolerance=0.05,
+        )
+        config = network_config().with_session(num_check_bits=6, **tunables)
+        report = MessagingService(config).send(b"x")
+        assert report.success
+        assert report.metadata["identity_pairs"] == 3
+        assert report.metadata["check_pairs_per_round"] == 40
+        assert len(configs) == 2  # one fragment, two hops
+        for hop in configs:
+            assert {name: getattr(hop, name) for name in tunables} == tunables
+            assert hop.num_check_bits == ProtocolConfig.default_check_bits(
+                hop.message_length, 6
+            )
 
     def test_metadata_reports_the_session_parameters_used(self):
         report = MessagingService(network_config()).send(b"x")
@@ -228,11 +254,7 @@ class TestNetworkBackend:
             ServiceConfig.networked(topology, source="n0", target="n2", seed=5)
             .with_fragment_bits(32)
             .with_retries(1)
-            .with_network(
-                session_params=SessionParameters(
-                    identity_pairs=2, check_pairs_per_round=64
-                )
-            )
+            .with_session(check_pairs_per_round=64)
         )
         report = MessagingService(config).send(b"secret")
         assert not report.success

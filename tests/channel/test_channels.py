@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.channel.classical_channel import ClassicalChannel
+from repro.channel.classical_channel import Announcement, ClassicalChannel
 from repro.channel.quantum_channel import (
     FiberLossChannel,
     IdentityChainChannel,
@@ -161,39 +161,42 @@ class TestFiberLossChannel:
 
 
 class TestClassicalChannel:
-    def test_send_and_log(self):
+    def test_taps_see_every_field(self):
         channel = ClassicalChannel()
+        seen = []
+        channel.add_tap(seen.append)
         channel.send("alice", "bob", "check_positions", [1, 5, 9])
         channel.broadcast("bob", "bsm_results", ["phi_plus"])
-        assert len(channel) == 2
-        assert channel.log[0].payload == [1, 5, 9]
-        assert channel.log[1].receiver == "broadcast"
+        assert seen == [
+            Announcement("alice", "bob", "check_positions", [1, 5, 9], 0),
+            Announcement("bob", "broadcast", "bsm_results", ["phi_plus"], 1),
+        ]
 
-    def test_sequence_numbers_are_monotonic(self):
+    def test_sequence_numbers_count_every_send(self):
         channel = ClassicalChannel()
-        first = channel.send("alice", "bob", "a", 1)
-        second = channel.send("bob", "alice", "b", 2)
-        assert (first.sequence, second.sequence) == (0, 1)
+        channel.send("alice", "bob", "a", 1)  # nobody listens yet
+        seen = []
+        channel.add_tap(seen.append)
+        channel.send("bob", "alice", "b", 2)
+        channel.send("alice", "bob", "c", 3)
+        assert [announcement.sequence for announcement in seen] == [1, 2]
 
-    def test_filtering(self):
-        channel = ClassicalChannel()
-        channel.send("alice", "bob", "bases", [0, 1])
-        channel.send("bob", "alice", "bases", [1, 1])
-        channel.send("alice", "bob", "positions", [3])
-        assert len(channel.announcements(topic="bases")) == 2
-        assert len(channel.announcements(sender="alice")) == 2
-        assert len(channel.announcements(topic="bases", sender="bob")) == 1
+    def test_announcements_are_built_only_for_taps(self, monkeypatch):
+        import repro.channel.classical_channel as classical
 
-    def test_last_and_topics(self):
+        built = []
+
+        def recording_announcement(*args):
+            built.append(args)
+            return Announcement(*args)
+
+        monkeypatch.setattr(classical, "Announcement", recording_announcement)
         channel = ClassicalChannel()
         channel.send("alice", "bob", "bases", [0])
+        assert built == []
+        channel.add_tap(lambda announcement: None)
         channel.send("alice", "bob", "bases", [1])
-        assert channel.last("bases").payload == [1]
-        assert channel.topics() == ["bases"]
-
-    def test_last_missing_topic_raises(self):
-        with pytest.raises(ChannelError):
-            ClassicalChannel().last("nothing")
+        assert built == [("alice", "bob", "bases", [1], 1)]
 
     def test_empty_topic_rejected(self):
         with pytest.raises(ChannelError):
@@ -222,9 +225,3 @@ class TestClassicalChannel:
     def test_add_non_callable_tap_raises(self):
         with pytest.raises(ChannelError):
             ClassicalChannel().add_tap("not callable")
-
-    def test_clear(self):
-        channel = ClassicalChannel()
-        channel.send("alice", "bob", "bases", [])
-        channel.clear()
-        assert len(channel) == 0

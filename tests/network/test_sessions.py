@@ -105,7 +105,7 @@ class TestSessionParameters:
     def test_check_bits_parity_rule(self):
         params = SessionParameters()
         for length in (4, 8, 9, 16, 33):
-            check_bits = params.check_bits_for(length)
+            check_bits = params.protocol_config(length, NoiselessChannel(), 0).num_check_bits
             assert (length + check_bits) % 2 == 0
             assert check_bits >= 2
 
@@ -116,8 +116,10 @@ class TestSessionParameters:
 
     def test_explicit_check_bits_respected(self):
         params = SessionParameters(num_check_bits=4)
-        assert params.check_bits_for(8) == 4
-        assert params.check_bits_for(9) == 5  # parity adjustment
+        for length, check_bits in ((8, 4), (9, 5)):  # parity adjustment on 9
+            config = params.protocol_config(length, NoiselessChannel(), 0)
+            assert config.num_check_bits == check_bits
+            assert params.pairs_per_hop(length) == config.total_pairs
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -190,14 +192,14 @@ class TestTrustedRelay:
         for name, model in models.items():
             topology.node(name).memory_decoherence = model
         calls = []
-        hop_config = SessionParameters.hop_config
+        protocol_config = SessionParameters.protocol_config
 
-        def recording_hop_config(self, *args, **kwargs):
-            config = hop_config(self, *args, **kwargs)
+        def recording_protocol_config(self, *args, **kwargs):
+            config = protocol_config(self, *args, **kwargs)
             calls.append((config.memory_decoherence, config.memory_hold_time))
             return config
 
-        monkeypatch.setattr(SessionParameters, "hop_config", recording_hop_config)
+        monkeypatch.setattr(SessionParameters, "protocol_config", recording_protocol_config)
         route = find_route(topology, "n0", "n2")
         outcome = run_session(
             topology, route, _request(topology), PARAMS, seed=21, hold_time=3.0

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
-from repro.exceptions import SecurityCheckFailure
+from repro.attacks.impersonation import ImpersonationAttack
+from repro.exceptions import AuthenticationFailure, ProtocolAbort, SecurityCheckFailure
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.identity import Identity
 from repro.protocol.results import AbortReason
-from repro.protocol.runner import UADIQSDCProtocol
+from repro.protocol.runner import _ABORT_ERRORS, UADIQSDCProtocol
 from repro.protocol.source import EntanglementSource
 from repro.quantum.channels import depolarizing_channel
 from repro.quantum.density import DensityMatrix
@@ -125,6 +126,30 @@ class TestMaliciousSources:
         )
         with pytest.raises(SecurityCheckFailure):
             UADIQSDCProtocol(config).run("10110010")
+
+    @pytest.mark.parametrize(
+        "impersonates, reason",
+        [
+            ("bob", AbortReason.BOB_AUTHENTICATION_FAILED),
+            ("alice", AbortReason.ALICE_AUTHENTICATION_FAILED),
+        ],
+    )
+    def test_raise_on_abort_raises_the_reason_it_would_return(self, impersonates, reason):
+        config = small_config(seed=2)
+        returned = UADIQSDCProtocol(
+            config, attack=ImpersonationAttack(impersonates, rng=5)
+        ).run("10110010")
+        assert returned.abort_reason is reason
+        config.raise_on_abort = True
+        with pytest.raises(AuthenticationFailure) as raised:
+            UADIQSDCProtocol(config, attack=ImpersonationAttack(impersonates, rng=5)).run(
+                "10110010"
+            )
+        assert raised.value.reason == reason.value
+
+    def test_every_abort_reason_has_an_exception(self):
+        assert set(_ABORT_ERRORS) == set(AbortReason) - {AbortReason.NONE}
+        assert all(issubclass(error, ProtocolAbort) for error in _ABORT_ERRORS.values())
 
     def test_weakly_entangled_source_still_works_if_above_threshold(self):
         noisy_source = EntanglementSource(preparation_noise=depolarizing_channel(0.05))

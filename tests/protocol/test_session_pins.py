@@ -9,14 +9,18 @@ here hold it to:
 
 * fingerprints of whole sessions recorded before the sharing was
   centralised (``SESSION_PINS``), whatever the memo state;
+* digests of the announcements a tap hears (``ANNOUNCEMENT_PINS``);
 * ``DISecurityCheck.estimate`` and ``Bob.bell_measure`` must match
   test-local per-pair loops over the public references
   (``measure_observable``, ``bell_measurement``), RNG consumption included.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.attacks.information_leakage import ClassicalEavesdropper
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.channel.quantum_channel import IdentityChainChannel
 from repro.protocol.chsh import CHSHSettings, DISecurityCheck
@@ -130,6 +134,58 @@ class TestSessionPins:
     def test_session_matches_pin(self, name):
         factory, pinned = SESSION_PINS[name]
         assert _session_fingerprint(_run(factory)) == pinned
+
+
+#: ``(attack factory, seed, message, topics, SHA-256 of what the tap heard)``
+#: recorded while the classical channel still kept its own log: taps must
+#: keep hearing the same announcements, payload types included.
+ANNOUNCEMENT_PINS = {
+    "passive-7": (
+        ClassicalEavesdropper,
+        7,
+        "0110" * 8,
+        [
+            "round1_check_positions",
+            "round1_chsh_value",
+            "bob_identity_positions",
+            "authentication_bsm_results",
+            "alice_identity_positions",
+            "round2_check_positions",
+            "round2_chsh_value",
+            "check_bit_disclosure",
+        ],
+        "e264d97734bf475cf04d2412ee8126da879673d1ce01c08f444a44fa5fb0a4d5",
+    ),
+    "intercept-resend-11": (
+        lambda: InterceptResendAttack(rng=11),
+        11,
+        "10" * 8,
+        [
+            "round1_check_positions",
+            "round1_chsh_value",
+            "bob_identity_positions",
+            "authentication_bsm_results",
+            "alice_identity_positions",
+        ],
+        "3ff61bf8d34846a3ff9ee552b0e7267387c3ca0849726398f30e93957a82fef7",
+    ),
+}
+
+
+class TestAnnouncementPins:
+    @pytest.mark.parametrize("name", sorted(ANNOUNCEMENT_PINS))
+    def test_tap_hears_pinned_announcements(self, name):
+        make_attack, seed, message, topics, digest = ANNOUNCEMENT_PINS[name]
+        attack = make_attack()
+        config = ProtocolConfig.default(len(message), seed=seed)
+        UADIQSDCProtocol(config, attack=attack).run(message)
+        heard = [
+            (a.sender, a.receiver, a.topic, a.payload, a.sequence)
+            for a in attack.overheard_announcements
+        ]
+        assert [topic for _, _, topic, _, _ in heard] == topics
+        assert [sequence for *_, sequence in heard] == list(range(len(topics)))
+        assert hashlib.sha256(repr(heard).encode()).hexdigest() == digest
 
 
 def _mixed_pairs(count):

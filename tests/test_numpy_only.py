@@ -8,9 +8,10 @@ them scipy) a numpy-only install failed on its first networked send; the
 device coupling maps once needed networkx.
 
 Run as a script, this module blocks every scipy and networkx import and then
-runs a 2-session ``simulate_network``, one send each through the batch and
-network backends and one Bell circuit on the emulated ``ibm_brisbane``, so it
-checks the promise whether or not scipy and networkx are installed::
+runs a 2-session ``simulate_network``, one send each through the local, batch
+and network backends (each set up through ``with_session``) and one Bell
+circuit on the emulated ``ibm_brisbane``, so it checks the promise whether or
+not scipy and networkx are installed::
 
     python tests/test_numpy_only.py
 
@@ -56,11 +57,16 @@ def main() -> None:
     )
     assert result.num_sessions == 2 and not result.rejected_count, result.summary()
 
-    batch = ServiceConfig.ideal(seed=3).with_check_pairs(64).with_backend("batch")
+    local = ServiceConfig.ideal(seed=3).with_session(check_pairs_per_round=64)
     network = ServiceConfig.networked(topology, source="n0", target="n2", seed=3)
-    for config in (batch, network.with_network(session_params=session_params)):
+    for config in (
+        local,
+        local.with_backend("batch"),
+        network.with_session(check_pairs_per_round=64),
+    ):
         report = MessagingService(config.with_fragment_bits(16)).send(b"ok")
         assert report.success, report.summary()
+        assert report.metadata["check_pairs_per_round"] == 64, report.metadata
     from repro.device import DeviceModel, NoisyBackend
     from repro.quantum.circuit import QuantumCircuit
 

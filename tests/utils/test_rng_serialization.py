@@ -1,15 +1,11 @@
-"""Unit tests for RNG plumbing and JSON serialization helpers."""
+"""Unit tests for RNG plumbing."""
 
 from __future__ import annotations
-
-import dataclasses
-from enum import Enum
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_rng, derive_rng, spawn_rngs
-from repro.utils.serialization import from_json, to_json, to_jsonable
 
 
 class TestAsRng:
@@ -50,42 +46,3 @@ class TestDeriveAndSpawn:
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class Colour(Enum):
-    RED = "red"
-
-
-@dataclasses.dataclass
-class Sample:
-    name: str
-    values: list
-    score: float
-
-
-class TestSerialization:
-    def test_numpy_scalars(self):
-        payload = {"a": np.int64(3), "b": np.float64(2.5), "c": np.bool_(True)}
-        assert to_jsonable(payload) == {"a": 3, "b": 2.5, "c": True}
-
-    def test_numpy_array(self):
-        assert to_jsonable(np.array([1, 2, 3])) == [1, 2, 3]
-
-    def test_complex_number(self):
-        assert to_jsonable(1 + 2j) == {"real": 1.0, "imag": 2.0}
-
-    def test_enum(self):
-        assert to_jsonable(Colour.RED) == "red"
-
-    def test_dataclass_round_trip(self):
-        sample = Sample(name="x", values=[1, 2], score=0.5)
-        parsed = from_json(to_json(sample))
-        assert parsed == {"name": "x", "values": [1, 2], "score": 0.5}
-
-    def test_nested_structures(self):
-        data = {"outer": [{"inner": np.array([0.5])}, (1, 2)]}
-        assert to_jsonable(data) == {"outer": [{"inner": [0.5]}, [1, 2]]}
-
-    def test_unserialisable_type_rejected(self):
-        with pytest.raises(TypeError):
-            to_jsonable(object())
