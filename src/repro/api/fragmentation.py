@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError
+from repro.protocol.config import check_count
 from repro.utils.bits import Bits, bits_to_int, int_to_bits, validate_bits
 from repro.utils.rng import point_seed
 
@@ -176,7 +177,8 @@ def fragment_payload(bits: Bits, fragment_bits: int) -> list[FragmentFrame]:
     tbits = validate_bits(bits)
     if not tbits:
         raise ReproError("cannot fragment an empty payload")
-    if not 1 <= fragment_bits <= MAX_FRAGMENT_BITS:
+    fragment_bits = check_count(fragment_bits, "fragment_bits", error=ReproError)
+    if fragment_bits > MAX_FRAGMENT_BITS:
         raise ReproError(
             f"fragment_bits must lie in 1..{MAX_FRAGMENT_BITS}, got {fragment_bits}"
         )

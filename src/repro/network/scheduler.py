@@ -129,14 +129,14 @@ class PoissonTraffic:
         priority_mix: Mapping[str, float] | None = None,
     ):
         check_count(num_sessions, "num_sessions", error=NetworkError)
-        if not (math.isfinite(rate) and rate > 0):
-            raise NetworkError("rate must be finite and positive")
+        if not (_finite_real(rate) and rate > 0):
+            raise NetworkError(f"rate must be finite and positive, got {rate!r}")
         check_count(message_length, "message_length", error=NetworkError)
         if priority_mix is not None:
             if not priority_mix:
                 raise NetworkError("priority_mix must name at least one class")
             if not all(
-                math.isfinite(weight) and weight > 0 for weight in priority_mix.values()
+                _finite_real(weight) and weight > 0 for weight in priority_mix.values()
             ):
                 raise NetworkError("priority_mix weights must be finite and positive")
         self.num_sessions = num_sessions
@@ -208,9 +208,9 @@ class TraceTraffic:
                     "trace entries are (time, source, target, length[, priority]) "
                     f"tuples, got {entry!r}"
                 )
-            time = float(time)
-            if not math.isfinite(time):
+            if not _finite_real(time):
                 raise NetworkError(f"trace entry time must be finite, got {entry!r}")
+            time = float(time)
             length = check_count(length, "trace entry length", error=NetworkError)
             normalized.append((time, str(source), str(target), length, str(priority)))
         self.entries = sorted(normalized)
@@ -260,7 +260,7 @@ class QoSPolicy:
         for name, weight in weights.items():
             if not name:
                 raise NetworkError("QoS class names must be non-empty")
-            if not 0 < weight < math.inf:
+            if not (_finite_real(weight) and weight > 0):
                 raise NetworkError(
                     f"QoS weight for {name!r} must be positive and finite"
                 )

@@ -28,7 +28,12 @@ import numpy as np
 from repro.exceptions import NonPhysicalStateError, ProtocolError
 from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
 from repro.quantum.density import DensityMatrix, PairTable, state_statistic
-from repro.quantum.measurement import equatorial_observable, observable_branches
+from repro.quantum.measurement import (
+    equatorial_observable,
+    observable_branches,
+    observable_projectors,
+    plus_probability,
+)
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng, draw_setting_pairs
 
@@ -227,8 +232,14 @@ class DISecurityCheck:
         alice=+1, p_bob_plus | alice=−1)``; −1, which no probability is,
         where Alice's branch has no post-measurement state."""
         settings = self.settings
-        bob_observables = [
-            equatorial_observable(angle, conjugate=settings.conjugate_bob)
+        # Bob's +1 projectors, looked up once per block; only Alice's branches
+        # need post-measurement states.
+        bob_plus = [
+            observable_projectors(
+                equatorial_observable(angle, conjugate=settings.conjugate_bob),
+                [1],
+                pair.num_qubits,
+            )[0]
             for angle in settings.bob_angles
         ]
         rows = []
@@ -237,7 +248,7 @@ class DISecurityCheck:
             p_bob = [
                 [-1.0] * 2
                 if post is None
-                else [observable_branches(post, bob, [1])[0] for bob in bob_observables]
+                else [plus_probability(post, projector) for projector in bob_plus]
                 for post in posts
             ]
             rows.extend(zip([p_alice] * 2, *p_bob))

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.operators import embed_operator
+from repro.quantum.operators import embed_operator, embed_operators
 
 __all__ = [
     "BatchResult",
@@ -167,8 +167,11 @@ def superoperator_of_unitary(matrix: np.ndarray) -> np.ndarray:
 
 
 def superoperator_of_kraus(kraus_operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-stacking superoperator of a Kraus set: ``sum_k K_k ⊗ conj(K_k)``."""
-    if not kraus_operators:
+    """Row-stacking superoperator of a Kraus set: ``sum_k K_k ⊗ conj(K_k)``.
+
+    *kraus_operators* is a sequence of matrices or a ``(k, d, d)`` stack.
+    """
+    if len(kraus_operators) == 0:
         raise SimulationError("a channel needs at least one Kraus operator")
     total: np.ndarray | None = None
     for kraus in kraus_operators:
@@ -591,11 +594,9 @@ def _step_superoperator(
 ) -> np.ndarray:
     """Full-register superoperator of one instruction plus its attached noise."""
     if instruction.kind == "reset":
-        embedded = [
-            embed_operator(k, list(instruction.qubits), num_qubits)
-            for k in RESET_KRAUS
-        ]
-        return superoperator_of_kraus(embedded)
+        return superoperator_of_kraus(
+            embed_operators(RESET_KRAUS, instruction.qubits, num_qubits)
+        )
     if instruction.kind != "gate" or instruction.gate is None:
         raise SimulationError(
             f"cannot compile instruction {instruction.kind!r} into a superoperator"
@@ -621,18 +622,11 @@ def _error_superoperator(
     ``DensityMatrixSimulator._apply_error`` performs).
     """
     if error.num_qubits == len(qubits):
-        embedded = [
-            embed_operator(k, list(qubits), num_qubits)
-            for k in error.channel.kraus_operators
-        ]
-        return superoperator_of_kraus(embedded)
+        return superoperator_of_kraus(error.channel.embedded(tuple(qubits), num_qubits))
     if error.num_qubits == 1:
         total = np.eye(4**num_qubits, dtype=complex)
         for qubit in qubits:
-            embedded = [
-                embed_operator(k, [qubit], num_qubits)
-                for k in error.channel.kraus_operators
-            ]
+            embedded = error.channel.embedded((qubit,), num_qubits)
             total = superoperator_of_kraus(embedded) @ total
         return total
     raise SimulationError(

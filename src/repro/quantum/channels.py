@@ -12,6 +12,7 @@ compose sequentially and take tensor products.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -20,9 +21,11 @@ from repro.exceptions import DimensionError, NoiseModelError
 from repro.quantum.density import DensityMatrix
 from repro.quantum.operators import (
     I_MATRIX,
+    MAX_KEPT_EMBEDDING_QUBITS,
     X_MATRIX,
     Y_MATRIX,
     Z_MATRIX,
+    embed_operators,
     kron_all,
 )
 
@@ -45,60 +48,66 @@ _ATOL = 1e-8
 class KrausChannel:
     """A completely-positive trace-preserving map given by Kraus operators.
 
+    The operators are held as one read-only ``(k, d, d)`` array, and each
+    step over them (completeness check, composition, embedding, application)
+    is one NumPy call over that array.  A map is a value: its operators never
+    change, so it keeps its embedding into each register it is applied to.
+
     Parameters
     ----------
     kraus_operators:
-        Sequence of equally-shaped square matrices ``K_k`` satisfying
-        ``sum_k K_k† K_k = I``.
+        Equally-shaped square matrices ``K_k`` satisfying
+        ``sum_k K_k† K_k = I``: a sequence of matrices or a ``(k, d, d)``
+        array (copied).
     name:
         Optional human-readable name used in reprs and noise-model summaries.
     validate:
         If True (default), check the completeness relation.
     """
 
-    __slots__ = ("_kraus", "_num_qubits", "name")
+    __slots__ = ("_kraus", "_num_qubits", "_embeddings", "name")
 
     def __init__(
         self,
-        kraus_operators: Sequence[np.ndarray],
+        kraus_operators: "Sequence[np.ndarray] | np.ndarray",
         name: str = "kraus",
         validate: bool = True,
     ):
-        if not kraus_operators:
-            raise NoiseModelError("a channel needs at least one Kraus operator")
-        kraus = [np.array(k, dtype=complex) for k in kraus_operators]
-        dim = kraus[0].shape[0]
-        for k in kraus:
-            if k.ndim != 2 or k.shape != (dim, dim):
-                raise DimensionError(
-                    f"all Kraus operators must be square matrices of dimension {dim}"
-                )
-        num_qubits = int(round(math.log2(dim)))
-        if 2**num_qubits != dim:
-            raise DimensionError(f"Kraus dimension {dim} is not a power of two")
+        kraus = _kraus_array(kraus_operators)
+        dim = kraus.shape[1]
         if validate:
-            total = sum(k.conj().T @ k for k in kraus)
-            if not np.allclose(total, np.eye(dim), atol=1e-6):
+            total = np.add.reduce(kraus.conj().swapaxes(1, 2) @ kraus, axis=0)
+            eye = np.eye(dim)
+            # np.allclose(total, eye, atol=1e-6) without its wrappers: the same
+            # entrywise bound |total − I| ≤ 1e-6 + 1e-5·|I|, which NaN fails.
+            if not (np.abs(total - eye) <= 1e-6 + 1e-5 * eye).all():
                 raise NoiseModelError(
                     "Kraus operators do not satisfy the completeness relation"
                 )
+        kraus.setflags(write=False)
         self._kraus = kraus
-        self._num_qubits = num_qubits
+        self._num_qubits = dim.bit_length() - 1
+        self._embeddings: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self.name = name
+
+    def __reduce__(self):
+        # Rebuilt by the constructor, so a copy's operators are read-only too
+        # and its embeddings are built afresh rather than unpickled writable.
+        return KrausChannel, (self._kraus, self.name, False)
 
     # -- accessors -------------------------------------------------------------
     @property
     def kraus_operators(self) -> list[np.ndarray]:
-        """The list of Kraus matrices (not copied).
+        """The Kraus matrices: read-only rows of the map's ``(k, d, d)`` array.
 
-        Treat them as read-only: memos of their embeddings and of the map's
-        outputs are keyed by their bytes.
+        Memos of the map's outputs are keyed by their bytes
+        (:meth:`content_key`).
         """
-        return self._kraus
+        return list(self._kraus)
 
     def content_key(self) -> tuple[int, bytes]:
         """Dimension and raw Kraus bytes: the memo tag part naming this map."""
-        return self.dim, b"".join(kraus.tobytes() for kraus in self._kraus)
+        return self.dim, self._kraus.tobytes()
 
     @property
     def num_qubits(self) -> int:
@@ -108,7 +117,7 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         """Hilbert-space dimension of the channel input/output."""
-        return self._kraus[0].shape[0]
+        return self._kraus.shape[1]
 
     def is_unital(self, atol: float = _ATOL) -> bool:
         """True if the channel maps the identity to the identity."""
@@ -116,28 +125,61 @@ class KrausChannel:
         return bool(np.allclose(total, np.eye(self.dim), atol=atol))
 
     # -- algebra ------------------------------------------------------------------
+    def embedded(self, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+        """The operators embedded on *qubits* of a *num_qubits* register.
+
+        One read-only ``(k, 2**n, 2**n)`` array from one
+        :func:`~repro.quantum.operators.embed_operators` contraction, kept on
+        the map per (targets, register size) up to
+        :data:`~repro.quantum.operators.MAX_KEPT_EMBEDDING_QUBITS` qubits
+        (wider registers embed on every call).  The map never changes, so
+        racing first calls build equal arrays and need no lock.  Invalid
+        targets raise :class:`DimensionError` on every call.
+        """
+        key = (qubits, num_qubits)
+        stack = self._embeddings.get(key)
+        if stack is None:
+            stack = embed_operators(self._kraus, qubits, num_qubits)
+            if num_qubits <= MAX_KEPT_EMBEDDING_QUBITS:
+                stack.setflags(write=False)
+                self._embeddings[key] = stack
+        return stack
+
     def apply(
         self, state: DensityMatrix, qubits: Sequence[int] | None = None
     ) -> DensityMatrix:
         """Apply the channel to *state* (optionally on a subset of its qubits).
 
-        ``state.apply_kraus(self.kraus_operators, qubits)``, which embeds each
-        operator once per (bytes, targets, register size) through
-        :func:`~repro.quantum.operators.embedded_operator`.
+        :meth:`DensityMatrix.apply_embedded` of the map's
+        :meth:`embedded` stack: the bytes of
+        ``state.apply_kraus(self.kraus_operators, qubits)``.
         """
-        return state.apply_kraus(self._kraus, qubits)
+        if qubits is None:
+            return state.apply_embedded(self._kraus)
+        return state.apply_embedded(self.embedded(tuple(qubits), state.num_qubits))
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
-        """Sequential composition: apply *self* first, then *other*."""
+        """Sequential composition: apply *self* first, then *other*.
+
+        The operators are every ``B @ A`` (``A`` of *self* major, ``B`` of
+        *other* minor), from one batched product.
+        """
         if other.dim != self.dim:
             raise DimensionError("cannot compose channels of different dimensions")
-        kraus = [b @ a for a in self._kraus for b in other._kraus]
-        return KrausChannel(kraus, name=f"{other.name}∘{self.name}", validate=False)
+        kraus = other._kraus[None] @ self._kraus[:, None]
+        return KrausChannel(
+            kraus.reshape(-1, self.dim, self.dim),
+            name=f"{other.name}∘{self.name}",
+            validate=False,
+        )
 
     def tensor(self, other: "KrausChannel") -> "KrausChannel":
-        """Parallel composition ``self (x) other``."""
-        kraus = [np.kron(a, b) for a in self._kraus for b in other._kraus]
-        return KrausChannel(kraus, name=f"{self.name}⊗{other.name}", validate=False)
+        """Parallel composition ``self (x) other``: every ``A (x) B``, ``A`` major."""
+        return KrausChannel(
+            np.kron(self._kraus, other._kraus),
+            name=f"{self.name}⊗{other.name}",
+            validate=False,
+        )
 
     def choi_matrix(self) -> np.ndarray:
         """Return the Choi matrix ``sum_k (I (x) K_k) |Omega><Omega| (I (x) K_k)†``."""
@@ -169,16 +211,60 @@ class KrausChannel:
         )
 
 
+def _kraus_array(kraus_operators) -> np.ndarray:
+    """*kraus_operators* as a new complex ``(k, d, d)`` array, k ≥ 1 and d = 2**n."""
+    try:
+        kraus = np.array(kraus_operators, dtype=complex)
+    except (TypeError, ValueError):
+        try:
+            np.shape(kraus_operators)
+        except ValueError:  # operators of different shapes
+            raise DimensionError("all Kraus operators must have one shape") from None
+        raise NoiseModelError("Kraus operators must hold complex numbers") from None
+    if kraus.shape[:1] == (0,):
+        raise NoiseModelError("a channel needs at least one Kraus operator")
+    if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
+        raise DimensionError(
+            f"Kraus operators must be square matrices, got shape {kraus.shape[1:]}"
+        )
+    dim = kraus.shape[1]
+    if dim < 1 or dim & (dim - 1):
+        raise DimensionError(f"Kraus dimension {dim} is not a power of two")
+    return kraus
+
+
+def _check_real(value, name: str) -> float:
+    """*value* as a ``float``; :class:`NoiseModelError` unless it converts."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise NoiseModelError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _check_probability(p: float, name: str, upper: float = 1.0) -> float:
-    p = float(p)
+    p = _check_real(p, name)
     if not 0.0 <= p <= upper + 1e-12:
         raise NoiseModelError(f"{name} must lie in [0, {upper}], got {p}")
     return min(p, upper)
 
 
+def _check_qubit_count(num_qubits, what: str) -> int:
+    """*num_qubits* as an ``int``; :class:`NoiseModelError` unless it is an integer ≥ 1."""
+    try:
+        n = operator.index(num_qubits)
+    except TypeError:
+        raise NoiseModelError(
+            f"{what} needs an integer number of qubits, got {num_qubits!r}"
+        ) from None
+    if n < 1:
+        raise NoiseModelError(f"{what} needs at least one qubit")
+    return n
+
+
 def identity_channel(num_qubits: int = 1) -> KrausChannel:
     """The trivial (noiseless) channel on *num_qubits* qubits."""
-    return KrausChannel([np.eye(2**num_qubits, dtype=complex)], name="identity")
+    n = _check_qubit_count(num_qubits, "identity channel")
+    return KrausChannel([np.eye(2**n, dtype=complex)], name="identity")
 
 
 def depolarizing_channel(probability: float, num_qubits: int = 1) -> KrausChannel:
@@ -188,9 +274,7 @@ def depolarizing_channel(probability: float, num_qubits: int = 1) -> KrausChanne
     Kraus decomposition, which is exact for any number of qubits.
     """
     p = _check_probability(probability, "depolarizing probability")
-    n = int(num_qubits)
-    if n < 1:
-        raise NoiseModelError("depolarizing channel needs at least one qubit")
+    n = _check_qubit_count(num_qubits, "depolarizing channel")
     paulis = [I_MATRIX, X_MATRIX, Y_MATRIX, Z_MATRIX]
     dim = 4**n
     kraus = []
@@ -279,9 +363,11 @@ def thermal_relaxation_channel(
     *excited_state_population* mixes in the inverted amplitude-damping channel
     to model a finite-temperature environment.
     """
-    if t1 <= 0 or t2 <= 0:
+    t1, t2 = _check_real(t1, "T1"), _check_real(t2, "T2")
+    gate_time = _check_real(gate_time, "gate_time")
+    if not (t1 > 0 and t2 > 0):
         raise NoiseModelError("T1 and T2 must be positive")
-    if gate_time < 0:
+    if not gate_time >= 0:
         raise NoiseModelError("gate_time must be non-negative")
     if t2 > 2 * t1 + 1e-12:
         raise NoiseModelError(f"unphysical relaxation times: T2={t2} > 2*T1={2 * t1}")
@@ -304,8 +390,9 @@ def thermal_relaxation_channel(
         k1 = np.array([[0, 0], [math.sqrt(gamma), 0]], dtype=complex)
         damping_up = KrausChannel([k0, k1], name="amplitude_damping_up")
         up = damping_up.compose(dephasing)
-        kraus = [math.sqrt(1 - p_excited) * k for k in channel.kraus_operators]
-        kraus += [math.sqrt(p_excited) * k for k in up.kraus_operators]
+        kraus = np.concatenate(
+            [math.sqrt(1 - p_excited) * channel._kraus, math.sqrt(p_excited) * up._kraus]
+        )
         channel = KrausChannel(kraus, name="thermal_relaxation", validate=False)
 
     channel.name = (

@@ -26,7 +26,7 @@ from typing import Any, TypeVar
 import numpy as np
 
 from repro.exceptions import DimensionError, NonPhysicalStateError, PairPositionError
-from repro.quantum.operators import Operator, embedded_operator
+from repro.quantum.operators import Operator, embed_operators, embedded_operator
 from repro.quantum.states import Statevector
 from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
@@ -179,24 +179,36 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """Apply a quantum channel given by Kraus operators to the listed qubits.
 
-        Each operator's full-register embedding comes from
-        :func:`~repro.quantum.operators.embedded_operator`.
+        The operators become one ``(k, d, d)`` array, embedded by one
+        :func:`~repro.quantum.operators.embed_operators` contraction and
+        applied by :meth:`apply_embedded`.  A
+        :class:`~repro.quantum.channels.KrausChannel` keeps its embedding, so
+        ``channel.apply(state, qubits)`` builds it once per register.
         """
-        if not kraus_operators:
+        try:
+            stack = np.asarray(kraus_operators, dtype=complex)
+        except (TypeError, ValueError):
+            raise DimensionError(
+                "Kraus operators must be equally shaped matrices of numbers"
+            ) from None
+        if stack.shape[:1] == (0,):
             raise DimensionError("at least one Kraus operator is required")
-        targets = None if qubits is None else tuple(qubits)
-        result = np.zeros_like(self._matrix)
-        for kraus in kraus_operators:
-            if targets is None:
-                full = np.asarray(kraus, dtype=complex)
-                if full.shape != self._matrix.shape:
-                    raise DimensionError(
-                        f"Kraus operator shape {full.shape} does not match state"
-                    )
-            else:
-                full = embedded_operator(kraus, targets, self._num_qubits)
-            result = result + full @ self._matrix @ full.conj().T
-        return DensityMatrix(result, validate=False)
+        if qubits is not None:
+            stack = embed_operators(stack, tuple(qubits), self._num_qubits)
+        return self.apply_embedded(stack)
+
+    def apply_embedded(self, operators: np.ndarray) -> "DensityMatrix":
+        """``sum_k E_k ρ E_k†`` for a ``(k, 2**n, 2**n)`` stack of full-register operators.
+
+        Two batched products give every term, and one reduction adds them in
+        order from zero, as a loop ``result = result + E_k ρ E_k†`` would.
+        """
+        if operators.ndim != 3 or operators.shape[1:] != self._matrix.shape:
+            raise DimensionError(
+                f"Kraus operator shape {operators.shape[1:]} does not match state"
+            )
+        terms = operators @ self._matrix @ operators.conj().swapaxes(1, 2)
+        return DensityMatrix(np.add.reduce(terms, axis=0, initial=0j), validate=False)
 
     # -- reductions -----------------------------------------------------------------
     def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":

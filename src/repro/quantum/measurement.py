@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError, NonPhysicalStateError
 from repro.quantum.bell import BellState, bell_projector, equatorial_observable_matrix
+from repro.quantum.channels import KrausChannel
 from repro.quantum.density import DensityMatrix
 from repro.quantum.operators import Operator, embed_operator, embedded_operator
 from repro.quantum.states import Statevector
@@ -32,6 +33,8 @@ __all__ = [
     "projective_measurement",
     "measure_observable",
     "observable_branches",
+    "observable_projectors",
+    "plus_probability",
     "bell_measurement",
     "bell_measurement_probabilities",
     "bell_basis_probability_vector",
@@ -144,14 +147,53 @@ def _observable_projectors(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     return _PROJECTORS.get((op.dim, op.matrix.tobytes()), _eigenprojectors, op)
 
 
-def _embedded_projectors(
-    op: Operator, qubits: tuple[int, ...], num_qubits: int
+def observable_projectors(
+    observable: "Operator | np.ndarray", qubits: Sequence[int], num_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-register embeddings of an observable's eigenprojectors, memoised."""
+    """Full-register (+1, −1) eigenprojectors of a ±1 observable on *qubits*.
+
+    Both the eigenprojectors and their embeddings are memoised
+    (:func:`~repro.quantum.operators.embedded_operator`), so a caller that
+    measures many states with one observable looks them up once.
+    """
+    op = observable if isinstance(observable, Operator) else Operator(observable)
+    targets = tuple(int(q) for q in qubits)
     return tuple(
-        embedded_operator(local, qubits, num_qubits)
+        embedded_operator(local, targets, num_qubits)
         for local in _observable_projectors(op)
     )
+
+
+def plus_probability(
+    state: "Statevector | DensityMatrix", projector_plus: np.ndarray
+) -> float:
+    """The +1 outcome's probability, ``Tr(P₊ρ)`` (``⟨ψ|P₊|ψ⟩``), clipped into [0, 1].
+
+    *projector_plus* is a full-register projector from
+    :func:`observable_projectors`.  Every observable measurement here reads
+    its probability from this one expression.
+    """
+    if isinstance(state, Statevector):
+        vec = state.vector
+        prob_plus = float(np.real(vec.conj() @ (projector_plus @ vec)))
+    elif isinstance(state, DensityMatrix):
+        prob_plus = float(np.real(np.trace(projector_plus @ state.matrix)))
+    else:
+        raise DimensionError(f"cannot measure object of type {type(state).__name__}")
+    return min(max(prob_plus, 0.0), 1.0)
+
+
+def _post_state(
+    state: "Statevector | DensityMatrix", projector: np.ndarray
+) -> "Statevector | DensityMatrix | None":
+    """*state* projected by *projector* and renormalised; None for a zero-norm branch."""
+    if isinstance(state, Statevector):
+        post = projector @ state.vector
+        norm = np.linalg.norm(post)
+        return None if norm <= 1e-12 else Statevector(post / norm, validate=False)
+    projected = projector @ state.matrix @ projector
+    norm = float(np.real(np.trace(projected)))
+    return None if norm <= 1e-12 else DensityMatrix(projected / norm, validate=False)
 
 
 def observable_branches(
@@ -167,40 +209,9 @@ def observable_branches(
     statistics per distinct state (the CHSH check) draws from identical
     floats with identical RNG consumption.
     """
-    op = observable if isinstance(observable, Operator) else Operator(observable)
-    projector_plus, projector_minus = _embedded_projectors(
-        op, tuple(int(q) for q in qubits), state.num_qubits
-    )
-
-    if isinstance(state, Statevector):
-        vec = state.vector
-        prob_plus = float(np.real(vec.conj() @ (projector_plus @ vec)))
-        prob_plus = min(max(prob_plus, 0.0), 1.0)
-        posts: list[Statevector | None] = []
-        for projector in (projector_plus, projector_minus):
-            post = projector @ vec
-            norm = np.linalg.norm(post)
-            posts.append(
-                None if norm <= 1e-12 else Statevector(post / norm, validate=False)
-            )
-        return prob_plus, posts[0], posts[1]
-
-    if isinstance(state, DensityMatrix):
-        rho = state.matrix
-        prob_plus = float(np.real(np.trace(projector_plus @ rho)))
-        prob_plus = min(max(prob_plus, 0.0), 1.0)
-        posts_dm: list[DensityMatrix | None] = []
-        for projector in (projector_plus, projector_minus):
-            projected = projector @ rho @ projector
-            norm = float(np.real(np.trace(projected)))
-            posts_dm.append(
-                None
-                if norm <= 1e-12
-                else DensityMatrix(projected / norm, validate=False)
-            )
-        return prob_plus, posts_dm[0], posts_dm[1]
-
-    raise DimensionError(f"cannot measure object of type {type(state).__name__}")
+    projectors = observable_projectors(observable, qubits, state.num_qubits)
+    prob_plus = plus_probability(state, projectors[0])
+    return prob_plus, *(_post_state(state, projector) for projector in projectors)
 
 
 def measure_observable(
@@ -216,41 +227,15 @@ def measure_observable(
     and the post-measurement state.  One uniform draw is consumed from *rng*
     per call; only the drawn branch's post state is computed.
     """
-    op = observable if isinstance(observable, Operator) else Operator(observable)
-    projector_plus, projector_minus = _embedded_projectors(
-        op, tuple(int(q) for q in qubits), state.num_qubits
+    projector_plus, projector_minus = observable_projectors(
+        observable, qubits, state.num_qubits
     )
-    generator = as_rng(rng)
-
-    if isinstance(state, Statevector):
-        vec = state.vector
-        prob_plus = float(np.real(vec.conj() @ (projector_plus @ vec)))
-        prob_plus = min(max(prob_plus, 0.0), 1.0)
-        outcome = 1 if generator.random() < prob_plus else -1
-        projector = projector_plus if outcome == 1 else projector_minus
-        post = projector @ vec
-        norm = np.linalg.norm(post)
-        if norm <= 1e-12:
-            raise NonPhysicalStateError(
-                "observable measurement hit a zero-probability outcome"
-            )
-        return outcome, Statevector(post / norm, validate=False)
-
-    if isinstance(state, DensityMatrix):
-        rho = state.matrix
-        prob_plus = float(np.real(np.trace(projector_plus @ rho)))
-        prob_plus = min(max(prob_plus, 0.0), 1.0)
-        outcome = 1 if generator.random() < prob_plus else -1
-        projector = projector_plus if outcome == 1 else projector_minus
-        projected = projector @ rho @ projector
-        norm = float(np.real(np.trace(projected)))
-        if norm <= 1e-12:
-            raise NonPhysicalStateError(
-                "observable measurement hit a zero-probability outcome"
-            )
-        return outcome, DensityMatrix(projected / norm, validate=False)
-
-    raise DimensionError(f"cannot measure object of type {type(state).__name__}")
+    prob_plus = plus_probability(state, projector_plus)
+    outcome = 1 if as_rng(rng).random() < prob_plus else -1
+    post = _post_state(state, projector_plus if outcome == 1 else projector_minus)
+    if post is None:
+        raise NonPhysicalStateError("observable measurement hit a zero-probability outcome")
+    return outcome, post
 
 
 #: The canonical Bell-outcome ordering used by every sampling helper below.
@@ -261,8 +246,15 @@ BELL_OUTCOME_ORDER = (
     BellState.PSI_MINUS,
 )
 
-#: Each outcome's local projector, in :data:`BELL_OUTCOME_ORDER`.
-_BELL_PROJECTORS = tuple(bell_projector(which) for which in BELL_OUTCOME_ORDER)
+#: The Bell measurement as a map whose Kraus operators are the outcomes'
+#: local projectors, in :data:`BELL_OUTCOME_ORDER`: it keeps their stacked
+#: embedding per register (:meth:`~repro.quantum.channels.KrausChannel.embedded`),
+#: built on first use.
+_BELL_MEASUREMENT = KrausChannel(
+    [bell_projector(which).matrix for which in BELL_OUTCOME_ORDER],
+    name="bell_measurement",
+    validate=False,
+)
 
 
 def bell_basis_probability_vector(
@@ -271,10 +263,21 @@ def bell_basis_probability_vector(
     """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
 
     Callers that measure many pairs of one state (Bob's Bell measurement)
-    compute the vector once and sample each outcome from it.
+    compute the vector once and sample each outcome from it.  A density
+    matrix takes one stacked trace ``Tr(ρ P_b)`` over the four embedded
+    projectors; a statevector takes ``⟨ψ|P_b|ψ⟩`` per outcome.
     """
-    values = [state.expectation_value(local, qubit_pair) for local in _BELL_PROJECTORS]
-    probs = np.array([max(float(np.real(value)), 0.0) for value in values])
+    if isinstance(state, DensityMatrix):
+        projectors = _BELL_MEASUREMENT.embedded(
+            tuple(int(q) for q in qubit_pair), state.num_qubits
+        )
+        values = np.trace(state.matrix @ projectors, axis1=1, axis2=2).tolist()
+    else:
+        values = [
+            state.expectation_value(local, qubit_pair)
+            for local in _BELL_MEASUREMENT.kraus_operators
+        ]
+    probs = np.array([max(value.real, 0.0) for value in values])
     total = probs.sum()
     if total <= 0:
         raise NonPhysicalStateError("state has no support on the Bell basis")

@@ -38,7 +38,9 @@ __all__ = [
     "is_hermitian_matrix",
     "kron_all",
     "embed_operator",
+    "embed_operators",
     "embedded_operator",
+    "MAX_KEPT_EMBEDDING_QUBITS",
 ]
 
 _ATOL = 1e-10
@@ -88,24 +90,26 @@ def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _num_qubits_from_dim(dim: int, what: str = "operator") -> int:
-    n = int(round(math.log2(dim)))
-    if 2**n != dim:
+    n = dim.bit_length() - 1
+    if dim < 1 or 2**n != dim:
         raise DimensionError(f"{what} dimension {dim} is not a power of two")
     return n
 
 
-def embed_operator(
-    matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
+def embed_operators(
+    operators: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Embed a k-qubit *matrix* acting on *qubits* into an *num_qubits* register.
+    """Embed a ``(m, 2**k, 2**k)`` stack of k-qubit matrices acting on *qubits*.
 
     ``qubits[i]`` is the register qubit on which the i-th tensor factor of
-    *matrix* acts.  Returns the full ``2**num_qubits`` square matrix.
+    each matrix acts.  Returns the ``(m, 2**num_qubits, 2**num_qubits)``
+    stack of full-register matrices, from one contraction for the whole
+    stack.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    k = _num_qubits_from_dim(matrix.shape[0])
-    if matrix.shape != (2**k, 2**k):
-        raise DimensionError(f"operator must be square, got shape {matrix.shape}")
+    operators = np.asarray(operators, dtype=complex)
+    if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
+        raise DimensionError(f"operator must be square, got shape {operators.shape[1:]}")
+    k = _num_qubits_from_dim(operators.shape[1])
     if len(qubits) != k:
         raise DimensionError(
             f"operator acts on {k} qubits but {len(qubits)} targets were given"
@@ -117,27 +121,46 @@ def embed_operator(
             f"target qubits {qubits} out of range for a {num_qubits}-qubit register"
         )
 
-    # Reshape the full operator as a 2n-index tensor and contract the gate in.
+    # Reshape the full operator as a 2n-index tensor and contract the gates in.
     full = np.eye(2**num_qubits, dtype=complex)
     full = full.reshape([2] * (2 * num_qubits))
-    gate = matrix.reshape([2] * (2 * k))
-    # Indices: output indices 0..n-1, input indices n..2n-1.
-    # Applying the gate to the *output* side of the identity yields the
-    # embedded matrix.
+    count = operators.shape[0]
+    gates = operators.reshape([count] + [2] * (2 * k))
+    # Indices: output indices 0..n-1, input indices n..2n-1.  Applying each
+    # gate to the *output* side of the identity yields its embedded matrix.
     out_axes = [int(q) for q in qubits]
-    gate_in_axes = list(range(k, 2 * k))
-    contracted = np.tensordot(gate, full, axes=(gate_in_axes, out_axes))
-    # tensordot puts the gate's output axes first; move them back into place.
-    contracted = np.moveaxis(contracted, range(k), out_axes)
-    return contracted.reshape(2**num_qubits, 2**num_qubits)
+    gate_in_axes = list(range(k + 1, 2 * k + 1))
+    contracted = np.tensordot(gates, full, axes=(gate_in_axes, out_axes))
+    # tensordot puts the stack axis, then the gates' output axes first; move
+    # the output axes back into place.
+    contracted = np.moveaxis(contracted, range(1, k + 1), [1 + q for q in out_axes])
+    return contracted.reshape(count, 2**num_qubits, 2**num_qubits)
 
 
-#: Embeddings kept by :func:`embedded_operator`: registers of at most
-#: :data:`_EMBED_MEMO_MAX_QUBITS` qubits (an entry then takes ≤ 8 KB with its
-#: key).  Wider registers, which only the per-gate reference simulator
-#: builds, embed on every call.
+def embed_operator(
+    matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Embed a k-qubit *matrix* acting on *qubits* into an *num_qubits* register.
+
+    The one-matrix case of :func:`embed_operators`: returns the full
+    ``2**num_qubits`` square matrix.
+    """
+    return embed_operators(np.asarray(matrix, dtype=complex)[None], qubits, num_qubits)[0]
+
+
+#: Widest register whose embeddings are kept: by :func:`embedded_operator`
+#: (an entry then takes ≤ 8 KB with its key) and by each
+#: :class:`~repro.quantum.channels.KrausChannel` for its stack.  Wider
+#: registers, which only the per-gate reference simulator builds, embed on
+#: every call.
+MAX_KEPT_EMBEDDING_QUBITS = 4
+
+#: Embeddings kept by :func:`embedded_operator`, one operator per entry: the
+#: observable projectors, Paulis and intercept projectors that many states
+#: meet.  A Kraus map keeps the stacked embedding of all its operators on
+#: itself (:meth:`~repro.quantum.channels.KrausChannel.embedded`), so a
+#: drifted snapshot's operators never pass through here.
 _EMBEDDINGS = BoundedMemo(1024)
-_EMBED_MEMO_MAX_QUBITS = 4
 
 
 def _read_only_embedding(
@@ -154,13 +177,13 @@ def embedded_operator(
     """``embed_operator(matrix, qubits, num_qubits)``, memoised and read-only.
 
     Equal operator bytes, targets and register size return the one array the
-    first call embedded, so a constant operator (a projector, a Pauli, a
-    channel's Kraus operator) applied to many states is embedded once.
-    Registers wider than four qubits get a fresh, writable embedding per
-    call.  Invalid targets raise :class:`DimensionError` on every call.
+    first call embedded, so a constant operator (a projector, a Pauli)
+    applied to many states is embedded once.  Registers wider than
+    :data:`MAX_KEPT_EMBEDDING_QUBITS` qubits get a fresh, writable embedding
+    per call.  Invalid targets raise :class:`DimensionError` on every call.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    if num_qubits > _EMBED_MEMO_MAX_QUBITS:
+    if num_qubits > MAX_KEPT_EMBEDDING_QUBITS:
         return embed_operator(matrix, qubits, num_qubits)
     key = (matrix.shape[0], matrix.tobytes(), qubits, num_qubits)
     return _EMBEDDINGS.get(key, _read_only_embedding, matrix, qubits, num_qubits)

@@ -1,4 +1,4 @@
-"""Per-object channel maps, memoised Kraus embeddings and memoised session maps.
+"""Per-object channel maps, each map's kept Kraus embeddings and memoised session maps.
 
 Every cached path is held byte for byte to its uncached reference:
 ``state.apply_kraus(channel.single_use_channel().kraus_operators, [qubit])``
@@ -37,7 +37,6 @@ from repro.quantum.channels import (
     thermal_relaxation_channel,
 )
 from repro.quantum.density import DensityMatrix, PairTable
-from repro.quantum.operators import embedded_operator
 
 
 def _random_mixed(num_qubits: int, seed: int) -> DensityMatrix:
@@ -202,15 +201,15 @@ class TestKrausEmbedding:
             with pytest.raises(DimensionError):
                 kraus_channel.apply(state, (1, 1))
 
-    def test_cached_embeddings_are_read_only(self):
+    def test_kept_embeddings_are_read_only(self):
         kraus_channel = thermal_relaxation_channel(100e-6, 80e-6, 5e-6)
         kraus_channel.apply(_random_mixed(3, seed=2), [1])
-        embedded = [embedded_operator(k, (1,), 3) for k in kraus_channel.kraus_operators]
+        embedded = kraus_channel.embedded((1,), 3)
+        assert kraus_channel.embedded((1,), 3) is embedded
         assert len(embedded) == len(kraus_channel.kraus_operators)
-        for matrix in embedded:
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 0.0
+        assert not embedded.flags.writeable
+        with pytest.raises(ValueError):
+            embedded[0, 0, 0] = 0.0
 
 
 class TestFrozenChannels:
@@ -261,11 +260,9 @@ class TestPickling:
         density._STATISTICS.clear()
         after = [restored.transmit(state, 0).matrix.tobytes() for state in states]
         assert after == before
-        embedded = [
-            embedded_operator(k, (0,), 2)
-            for k in restored.single_use_channel().kraus_operators
-        ]
-        assert not any(matrix.flags.writeable for matrix in embedded)
+        restored_map = restored.single_use_channel()
+        assert not restored_map.embedded((0,), 2).flags.writeable
+        assert not any(row.flags.writeable for row in restored_map.kraus_operators)
 
 
 class TestConcurrency:

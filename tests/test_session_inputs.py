@@ -4,12 +4,16 @@ Every public constructor that fixes a protocol session — ``ProtocolConfig``,
 ``ServiceConfig`` (and ``MessagingService.send``'s seed), ``NetworkScheduler``
 and ``SessionRequest`` — either succeeds or raises a
 :class:`~repro.exceptions.ReproError`: ``ConfigurationError`` from the
-configs, ``NetworkError`` from the scheduler and the request.  Each explicit
-case below used to escape as a bare ``TypeError``/``ValueError``/
-``AttributeError`` or to be accepted (a fractional seed was truncated,
-``max_workers=0`` meant the default); the derandomized Hypothesis suite then
-builds each constructor from mixed valid and invalid values and runs one tiny
-session.
+configs, ``NetworkError`` from the scheduler and the request.  So do the
+noise channels of :mod:`repro.quantum.channels` (``NoiseModelError``, or
+``DimensionError`` for a shape error), the traffic generators and QoS policy
+of the scheduler (``NetworkError``) and ``fragment_payload`` (``ReproError``).
+Each explicit case below used to escape as a bare ``TypeError``/
+``ValueError``/``AttributeError`` or to be accepted (a fractional seed was
+truncated, ``max_workers=0`` meant the default, a fractional qubit count built
+a one-qubit channel); the derandomized Hypothesis suite then builds each
+constructor from mixed valid and invalid values and runs one tiny session, or
+applies the channel, generates the traffic or frames the payload.
 """
 
 from __future__ import annotations
@@ -19,10 +23,20 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
 from repro.api import MessagingService, ServiceConfig
+from repro.api.fragmentation import fragment_payload
 from repro.channel.quantum_channel import DepolarizingChannel, NoiselessChannel
-from repro.exceptions import ConfigurationError, NetworkError, ReproError
+from repro.exceptions import (
+    ConfigurationError,
+    DimensionError,
+    NetworkError,
+    NoiseModelError,
+    ReproError,
+)
 from repro.network import NetworkScheduler, SessionRequest, line_topology
+from repro.network.scheduler import PoissonTraffic, QoSPolicy, TraceTraffic
 from repro.protocol import (
     CHSHSettings,
     EntanglementSource,
@@ -31,7 +45,9 @@ from repro.protocol import (
     SessionParameters,
     UADIQSDCProtocol,
 )
-from repro.quantum.channels import depolarizing_channel, phase_damping_channel
+from repro.quantum import channels
+from repro.quantum.channels import KrausChannel, depolarizing_channel, phase_damping_channel
+from repro.quantum.density import DensityMatrix
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -176,6 +192,88 @@ class TestNetwork:
         )
         with pytest.raises(NetworkError):
             SessionRequest(**{**fields, **changes})
+
+
+class TestChannelConstructors:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: KrausChannel(["a"]),
+            lambda: KrausChannel([[["a", "b"], ["c", "d"]]]),
+            lambda: channels.depolarizing_channel("x"),
+            lambda: channels.depolarizing_channel(0.1, num_qubits=1.5),
+            lambda: channels.depolarizing_channel(0.1, num_qubits="x"),
+            lambda: channels.identity_channel(1.5),
+            lambda: channels.thermal_relaxation_channel(1e-4, 1e-4, 1e-6, "x"),
+            lambda: channels.thermal_relaxation_channel("x", 1e-4, 1e-6),
+            lambda: channels.thermal_relaxation_channel(1e-4, None, 1e-6),
+            lambda: channels.thermal_relaxation_channel(1e-4, 1e-4, "x"),
+        ],
+        ids=[
+            "kraus-string",
+            "kraus-string-matrix",
+            "depolarizing-string",
+            "depolarizing-fractional-qubits",
+            "depolarizing-string-qubits",
+            "identity-fractional-qubits",
+            "thermal-string-population",
+            "thermal-string-t1",
+            "thermal-none-t2",
+            "thermal-string-time",
+        ],
+    )
+    def test_non_numbers_raise_noise_model_error(self, build):
+        with pytest.raises(NoiseModelError):
+            build()
+
+    @pytest.mark.parametrize(
+        "operators",
+        [[np.eye(2), np.eye(4)], [np.ones(2)], np.zeros((1, 3, 3)), 5, np.zeros((1, 0, 0))],
+        ids=["ragged", "vectors", "dimension-3", "scalar", "dimension-0"],
+    )
+    def test_shape_errors_raise_dimension_error(self, operators):
+        with pytest.raises(DimensionError):
+            KrausChannel(operators)
+
+    def test_an_operator_array_is_accepted(self):
+        operators = np.array(depolarizing_channel(0.2).kraus_operators)
+        assert KrausChannel(operators).num_qubits == 1
+        with pytest.raises(NoiseModelError, match="at least one"):
+            KrausChannel(operators[:0])
+
+
+class TestTrafficAndFragments:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PoissonTraffic(4, rate="x"),
+            lambda: PoissonTraffic(4, rate=None),
+            lambda: PoissonTraffic(4, priority_mix={"a": "x"}),
+            lambda: PoissonTraffic(4, priority_mix={"a": None}),
+            lambda: TraceTraffic([("x", "a", "b", 1)]),
+            lambda: TraceTraffic([(None, "a", "b", 1)]),
+            lambda: QoSPolicy({"control": "x"}),
+            lambda: QoSPolicy({"control": None}),
+        ],
+        ids=[
+            "rate-string",
+            "rate-none",
+            "weight-string",
+            "weight-none",
+            "trace-time-string",
+            "trace-time-none",
+            "qos-weight-string",
+            "qos-weight-none",
+        ],
+    )
+    def test_non_numbers_raise_network_error(self, build):
+        with pytest.raises(NetworkError):
+            build()
+
+    @pytest.mark.parametrize("fragment_bits", [1.5, "x", None, 0, 2**16])
+    def test_bad_fragment_bits_raise_repro_error(self, fragment_bits):
+        with pytest.raises(ReproError, match="fragment_bits"):
+            fragment_payload((1, 0, 1), fragment_bits)
 
 
 # -- fuzzing ------------------------------------------------------------------------
@@ -328,3 +426,93 @@ class TestFuzz:
             scheduler.run(_Requests([session]))
 
         _runs_or_raises_repro_error(run)
+
+
+#: Each channel factory with strategies for its valid arguments.
+PROBABILITY = st.floats(0.0, 1.0)
+CHANNEL_FACTORIES = {
+    "kraus": (
+        KrausChannel,
+        {
+            "kraus_operators": st.sampled_from(
+                [
+                    depolarizing_channel(0.2).kraus_operators,
+                    np.array(phase_damping_channel(0.3).kraus_operators),
+                    [np.eye(4)],
+                ]
+            ),
+            "validate": st.booleans(),
+        },
+    ),
+    "identity": (channels.identity_channel, {"num_qubits": st.integers(1, 2)}),
+    "depolarizing": (
+        channels.depolarizing_channel,
+        {"probability": PROBABILITY, "num_qubits": st.integers(1, 2)},
+    ),
+    "bit_flip": (channels.bit_flip_channel, {"probability": PROBABILITY}),
+    "phase_flip": (channels.phase_flip_channel, {"probability": PROBABILITY}),
+    "bit_phase_flip": (channels.bit_phase_flip_channel, {"probability": PROBABILITY}),
+    "pauli": (
+        channels.pauli_channel,
+        {"p_x": st.floats(0.0, 0.3), "p_y": st.floats(0.0, 0.3), "p_z": st.floats(0.0, 0.3)},
+    ),
+    "amplitude_damping": (channels.amplitude_damping_channel, {"gamma": PROBABILITY}),
+    "phase_damping": (channels.phase_damping_channel, {"lambda_pd": PROBABILITY}),
+    "thermal_relaxation": (
+        channels.thermal_relaxation_channel,
+        {
+            "t1": st.floats(1e-6, 1e-3),
+            "t2": st.floats(1e-6, 1e-3),
+            "gate_time": st.floats(0.0, 1e-5),
+            "excited_state_population": PROBABILITY,
+        },
+    ),
+}
+
+
+class TestConstructorFuzz:
+    @FUZZ
+    @given(
+        drawn=st.sampled_from(sorted(CHANNEL_FACTORIES)).flatmap(
+            lambda name: st.tuples(st.just(name), _mixed(CHANNEL_FACTORIES[name][1]))
+        )
+    )
+    def test_channels(self, drawn):
+        name, kwargs = drawn
+
+        def build_and_apply():
+            channel = CHANNEL_FACTORIES[name][0](**kwargs)
+            channel.apply(DensityMatrix.maximally_mixed(channel.num_qubits))
+            wider = DensityMatrix.maximally_mixed(channel.num_qubits + 1)
+            channel.compose(channel).apply(wider, range(1, channel.num_qubits + 1))
+
+        _runs_or_raises_repro_error(build_and_apply)
+
+    @FUZZ
+    @given(
+        poisson=_mixed(
+            {
+                "num_sessions": st.integers(1, 4),
+                "rate": st.floats(0.1, 100.0),
+                "message_length": st.integers(1, 8),
+                "priority_mix": st.sampled_from([None, {"bulk": 1.0, "control": 2.0}]),
+            }
+        ),
+        entry=_mixed(
+            {
+                "time": st.floats(0.0, 1.0),
+                "source": st.just("n0"),
+                "target": st.just("n2"),
+                "length": st.integers(1, 8),
+            }
+        ),
+        weight=st.one_of(st.floats(0.1, 4.0), BAD),
+        fragment=_mixed({"fragment_bits": st.integers(1, 8)}),
+    )
+    def test_traffic_and_fragments(self, poisson, entry, weight, fragment):
+        topology = _noiseless_line()
+        entry = tuple(entry[field] for field in ("time", "source", "target", "length"))
+        _runs_or_raises_repro_error(lambda: PoissonTraffic(**poisson).generate(topology, rng=1))
+        _runs_or_raises_repro_error(lambda: TraceTraffic([entry]).generate(topology))
+        _runs_or_raises_repro_error(lambda: QoSPolicy({"control": weight}).selector())
+        _runs_or_raises_repro_error(lambda: fragment_payload((1, 0, 1), **fragment))
