@@ -41,9 +41,10 @@ from repro.channel.quantum_channel import (
     QuantumChannel,
 )
 from repro.exceptions import ConfigurationError
-from repro.protocol.config import ProtocolConfig, SessionParameters, check_count, check_seed
+from repro.protocol.config import ProtocolConfig, SessionParameters
 from repro.protocol.identity import Identity
 from repro.quantum.channels import KrausChannel
+from repro.utils.checks import check_count, check_seed
 
 __all__ = ["BACKEND_NAMES", "ServiceConfig"]
 

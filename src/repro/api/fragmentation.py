@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError
-from repro.protocol.config import check_count
 from repro.utils.bits import Bits, bits_to_int, int_to_bits, validate_bits
+from repro.utils.checks import check_count
 from repro.utils.rng import point_seed
 
 __all__ = [

@@ -47,9 +47,9 @@ from repro.api.fragmentation import (
     reassemble,
 )
 from repro.api.report import DeliveryReport, FragmentRecord
-from repro.protocol.config import check_seed
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import Bits
+from repro.utils.checks import check_seed
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng
 

@@ -33,9 +33,9 @@ from collections.abc import Sequence
 from repro.attacks.base import Attack
 from repro.channel.classical_channel import Announcement
 from repro.exceptions import AttackError, ConfigurationError
-from repro.protocol.config import check_count
 from repro.protocol.identity import Identity
 from repro.quantum.density import DensityMatrix
+from repro.utils.checks import check_count
 
 __all__ = ["ScheduledAttack", "ComposedAttack", "check_schedule"]
 

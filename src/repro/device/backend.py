@@ -24,9 +24,15 @@ resolved backend and the dispatch reason are recorded in every
 execution body (validate, dispatch, simulate, record jobs) and differ only in
 dispatching as a single-circuit or a whole-batch submission.  Either way one
 simulator ``run_batch`` call executes the circuits and dense circuits run
-compiled.  Stabilizer eligibility is decided in :mod:`repro.quantum.dispatch`
-alone: ``select_backend`` walks each submitted circuit once, and the
-stabilizer simulator only when its distribution memo computes.
+compiled.  Each submitted circuit's structure key
+(:func:`~repro.quantum.batch.circuit_structure_key`) is computed once, when
+it is validated, and handed to ``select_backend`` and to the chosen
+simulator, which key their memos with it.  Stabilizer eligibility is decided
+in :mod:`repro.quantum.dispatch` alone: ``select_backend`` walks a circuit
+only for a (structure, noise-model version) it has not seen, and the
+stabilizer simulator only when its distribution memo computes.  A device
+with a coupling map rejects a two-qubit gate on an uncoupled pair, checked
+once per structure per backend.
 """
 
 from __future__ import annotations
@@ -35,15 +41,19 @@ from dataclasses import dataclass, field
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.device.counts import Counts
 from repro.device.device_model import DeviceModel
 from repro.exceptions import DeviceError
-from repro.quantum.batch import PropagatorCache
+from repro.quantum.batch import PropagatorCache, circuit_structure_key
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.dispatch import BACKEND_CHOICES, select_backend
 from repro.quantum.simulator import DensityMatrixSimulator, SimulationResult
 from repro.quantum.stabilizer import StabilizerSimulator
 from repro.quantum.density import DensityMatrix
+from repro.utils.checks import check_seed
+from repro.utils.memo import BoundedMemo
 from repro.utils.rng import as_rng
 
 __all__ = ["NoisyBackend", "BackendJob"]
@@ -67,7 +77,8 @@ class NoisyBackend:
     device:
         The device model; defaults to the ``ibm_brisbane`` preset.
     seed:
-        Seed or generator for all sampling performed by this backend.
+        Seed (``None`` or an integer ≥ 0) or generator for all sampling
+        performed by this backend.
     simulator_backend:
         ``"auto"`` (default: stabilizer fast path when provably exact, dense
         otherwise), ``"dense"`` (always the density-matrix simulator),
@@ -94,7 +105,13 @@ class NoisyBackend:
                 f"unknown simulator backend {simulator_backend!r}; "
                 f"choose from {BACKEND_CHOICES}"
             )
-        self.device = device or DeviceModel.ibm_brisbane()
+        if device is not None and not isinstance(device, DeviceModel):
+            raise DeviceError(f"device must be a DeviceModel, got {device!r}")
+        if cache is not None and not isinstance(cache, PropagatorCache):
+            raise DeviceError(f"cache must be a PropagatorCache, got {cache!r}")
+        if not isinstance(seed, np.random.Generator):
+            seed = check_seed(seed, error=DeviceError)
+        self.device = DeviceModel.ibm_brisbane() if device is None else device
         self._rng = as_rng(seed)
         self.simulator_backend = simulator_backend
         self._noise_model = self.device.noise_model()
@@ -110,6 +127,11 @@ class NoisyBackend:
             cache=cache,
         )
         self._stabilizer: StabilizerSimulator | None = None
+        #: One key object per validated structure (its two-qubit gates sit on
+        #: coupled pairs of ``_coupling``; emptied when the map changes), so
+        #: the memos downstream compare keys by identity.
+        self._structures = BoundedMemo(256)
+        self._coupling = self.device.coupling_map
         self.jobs: list[BackendJob] = []
 
     def _stabilizer_simulator(self) -> StabilizerSimulator:
@@ -196,6 +218,7 @@ class NoisyBackend:
         matter for the paper's figures), so the simple sum over instructions is
         the relevant quantity: ``η`` identity gates take ``η * 60 ns``.
         """
+        self._check_type(circuit)
         total = 0.0
         for instruction in circuit.instructions:
             if instruction.kind == "gate":
@@ -207,16 +230,25 @@ class NoisyBackend:
         self, circuits: Iterable[QuantumCircuit], shots: int, batch: bool
     ) -> list[Counts]:
         """The one execution body: validate, dispatch, simulate, record jobs."""
-        circuits = list(circuits)
-        for circuit in circuits:
-            self._validate(circuit)
+        try:
+            iterator = iter(circuits)
+        except TypeError:
+            raise DeviceError(f"expected an iterable of circuits, got {circuits!r}") from None
+        circuits = list(iterator)
+        keys = [self._validate(circuit) for circuit in circuits]
         decision = select_backend(
-            self.simulator_backend, circuits, self._effective_noise, batch=batch
+            self.simulator_backend,
+            circuits,
+            self._effective_noise,
+            batch=batch,
+            structure_keys=keys,
         )
         simulator = (
             self._stabilizer_simulator() if decision.use_stabilizer else self._simulator
         )
-        results = simulator.run_batch(circuits, shots=shots, rng=self._rng)
+        results = simulator.run_batch(
+            circuits, shots=shots, rng=self._rng, structure_keys=keys
+        )
         histograms = [Counts(result.counts, shots=results.shots) for result in results]
         for circuit, result, counts in zip(circuits, results, histograms):
             metadata = {
@@ -227,12 +259,38 @@ class NoisyBackend:
             self.jobs.append(BackendJob(circuit.name, results.shots, counts, metadata))
         return histograms
 
-    def _validate(self, circuit: QuantumCircuit) -> None:
+    @staticmethod
+    def _check_type(circuit) -> None:
+        if not isinstance(circuit, QuantumCircuit):
+            raise DeviceError(f"a circuit must be a QuantumCircuit, got {circuit!r}")
+
+    def _validate(self, circuit: QuantumCircuit) -> tuple:
+        """Check *circuit* against the device and return its structure key."""
+        self._check_type(circuit)
         if circuit.num_qubits > self.device.num_qubits:
             raise DeviceError(
                 f"circuit needs {circuit.num_qubits} qubits but {self.device.name!r} "
                 f"has only {self.device.num_qubits}"
             )
+        if self.device.coupling_map is not self._coupling:
+            self._structures.clear()
+            self._coupling = self.device.coupling_map
+        key = circuit_structure_key(circuit)
+        return self._structures.get(key, self._check_coupling, circuit, key)
+
+    def _check_coupling(self, circuit: QuantumCircuit, key: tuple) -> tuple:
+        """*key*, once every two-qubit gate of *circuit* is found on a coupled pair."""
+        for instruction in circuit.instructions:
+            if (
+                instruction.kind == "gate"
+                and len(instruction.qubits) == 2
+                and not self.device.supports_coupling(*instruction.qubits)
+            ):
+                raise DeviceError(
+                    f"gate {instruction.name!r} on qubits {instruction.qubits} needs a "
+                    f"coupling that {self.device.name!r} does not have"
+                )
+        return key
 
     def __repr__(self) -> str:
         return f"NoisyBackend(device={self.device.name!r}, noisy={self.is_noisy()})"

@@ -65,9 +65,10 @@ from repro.network.sessions import (
     run_session,
 )
 from repro.network.topology import NetworkTopology
-from repro.protocol.config import SessionParameters, check_count
+from repro.protocol.config import SessionParameters
 from repro.runtime.admission import NodeCapacityLedger, WeightedFairSelector
 from repro.telemetry import runtime as telemetry
+from repro.utils.checks import check_count
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng, point_seed
 

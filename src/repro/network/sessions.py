@@ -34,7 +34,7 @@ from typing import Any
 from repro.exceptions import NetworkError
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
-from repro.protocol.config import SessionParameters, check_count, check_seed
+from repro.protocol.config import SessionParameters
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.telemetry import runtime as telemetry
 from repro.utils.bits import (
@@ -44,6 +44,7 @@ from repro.utils.bits import (
     hamming_distance,
     random_bits,
 )
+from repro.utils.checks import check_count, check_seed
 from repro.utils.rng import as_rng, derive_rng
 
 __all__ = [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field, replace
 
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
@@ -21,34 +20,10 @@ from repro.protocol.chsh import CHSHSettings
 from repro.quantum.channels import KrausChannel
 from repro.protocol.identity import Identity
 from repro.protocol.source import EntanglementSource
+from repro.utils.checks import check_count, check_seed
 from repro.utils.rng import as_rng
 
-__all__ = ["ProtocolConfig", "SessionParameters", "check_count", "check_seed"]
-
-
-def check_count(value, name: str, minimum: int = 1, error: type = ConfigurationError) -> int:
-    """*value* as an ``int``; *error* unless it is an integer ≥ *minimum*.
-
-    Any integer type passes (``operator.index``: ``int``, ``np.int64`` …),
-    as in :func:`~repro.quantum.batch.check_shots`, so NaN, ±∞, fractions
-    and strings fail.
-    """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise error(f"{name} must be at least {minimum}, got {count}")
-    return count
-
-
-def check_seed(value, name: str = "seed", error: type = ConfigurationError) -> "int | None":
-    """*value* as an ``int`` or None; *error* unless it is None or an integer ≥ 0.
-
-    The seed rule of every session config (NumPy seeds with non-negative
-    integers), so fractions, NaN and strings fail here, not in a session.
-    """
-    return None if value is None else check_count(value, name, minimum=0, error=error)
+__all__ = ["ProtocolConfig", "SessionParameters"]
 
 
 def _check_fraction(value, name: str) -> None:

@@ -445,6 +445,7 @@ def _compile(
     step_builder,
     identity_dim: int,
     wrap,
+    structure_key: tuple | None = None,
 ):
     """Shared compilation loop for both propagator flavors.
 
@@ -453,18 +454,22 @@ def _compile(
     superoperator entries, or superoperators compiled under different noise
     models.  *step_builder* maps one non-measure instruction to its
     full-register step matrix; *wrap* packages ``(matrix, measure_map)`` into
-    the caller's compiled dataclass.
+    the caller's compiled dataclass.  *structure_key* is the circuit's
+    :func:`circuit_structure_key` if the caller has it.  The cache keeps only
+    compiled circuits, so a hit needs no terminal-measurement check.
     """
+    if cache is not None:
+        if structure_key is None:
+            structure_key = circuit_structure_key(circuit)
+        key = (scope, structure_key)
+        compiled = cache.get(key)
+        if compiled is not None:
+            return compiled
     if not measurements_are_terminal(circuit):
         raise SimulationError(
             "compiled propagators require terminal measurements; "
             f"circuit {circuit.name!r} operates on a qubit after measuring it"
         )
-    key = (scope, circuit_structure_key(circuit))
-    if cache is not None:
-        compiled = cache.get(key)
-        if compiled is not None:
-            return compiled
 
     n = circuit.num_qubits
     matrix = np.eye(identity_dim, dtype=complex)
@@ -552,6 +557,7 @@ def compile_channel(
     circuit: QuantumCircuit,
     noise_model=None,
     cache: PropagatorCache | None = None,
+    structure_key: tuple | None = None,
 ) -> CompiledChannel:
     """Fold a terminal-measurement circuit (gates + noise + resets) into one superoperator.
 
@@ -559,6 +565,8 @@ def compile_channel(
     attaches to a gate is composed into that gate's step superoperator, so the
     compiled map is exactly the channel the per-gate reference evolution
     (``DensityMatrixSimulator._evolve_per_gate``) applies step by step.
+    *structure_key* is the circuit's :func:`circuit_structure_key` if the
+    caller has it (it keys the cache).
     """
     num_qubits = circuit.num_qubits
     if noise_model is None:
@@ -586,6 +594,7 @@ def compile_channel(
             num_qubits=num_qubits,
             num_clbits=circuit.num_clbits,
         ),
+        structure_key=structure_key,
     )
 
 

@@ -15,12 +15,15 @@ accordingly:
   (e.g. thermal relaxation) return ``None`` and force the dense path.
 * :func:`stabilizer_mixtures` — the one eligibility walk (gate names, then
   :func:`noise_model_mixtures`, memoised per error under the propagator-cache
-  key ``(cache_token, version)``; duck-typed models skip the memo), made once
-  per submitted circuit by :func:`select_backend` and, by the stabilizer
-  engine, only where its distribution memo computes.
+  key ``(cache_token, version)``; duck-typed models skip the memo), made by
+  :func:`select_backend` once per (circuit structure, noise-model version)
+  and, by the stabilizer engine, only where its distribution memo computes.
 * :func:`select_backend` — the routing decision for a batch of circuits
   under a requested backend (``"auto"``, ``"dense"``, ``"stabilizer"`` or
-  its synonym ``"stabilizer_batched"``).
+  its synonym ``"stabilizer_batched"``).  Each circuit's verdict (eligible,
+  non-Clifford or non-Pauli) is kept per ``(circuit_structure_key,
+  (cache_token, version))``, so a repeated structure is looked up, not
+  walked; a model without a token is walked every time.
   ``auto`` never changes semantics: it picks the tableau only when the
   result is provably distribution-identical to the dense simulators.
   Requesting ``"stabilizer"`` outright raises on ineligible input instead
@@ -48,7 +51,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.quantum.batch import _noise_token
+from repro.quantum.batch import _noise_token, circuit_structure_key
 from repro.quantum.channels import KrausChannel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, QuantumError
@@ -98,6 +101,12 @@ _ATOL = 1e-9
 #: model's dict are unlocked but deterministic, so a race costs a duplicate
 #: scan only.
 _MIXTURES = BoundedMemo(64)
+
+#: The walk's verdict per ``(circuit_structure_key, noise token)``: equal
+#: structures under one model state walk alike, so a kept verdict answers
+#: without a walk.  A model without a token keeps nothing here.
+_VERDICTS = BoundedMemo(256)
+_ELIGIBLE, _NON_CLIFFORD, _NON_PAULI = "eligible", "non_clifford", "non_pauli"
 
 _log = get_logger("quantum.dispatch")
 
@@ -291,11 +300,24 @@ def noise_model_is_pauli(
     return True
 
 
+def _walk(noise_model: NoiseModel | None, circuit: QuantumCircuit, walked: list) -> str:
+    """*circuit*'s verdict by one :func:`stabilizer_mixtures` walk, noted in *walked*."""
+    walked.append(circuit)
+    try:
+        stabilizer_mixtures(noise_model, circuit)
+    except _NotClifford:
+        return _NON_CLIFFORD
+    except SimulationError:
+        return _NON_PAULI
+    return _ELIGIBLE
+
+
 def select_backend(
     requested: str,
     circuits: "QuantumCircuit | Sequence[QuantumCircuit]",
     noise_model: NoiseModel | None = None,
     batch: bool = False,
+    structure_keys: "Sequence[tuple] | None" = None,
 ) -> DispatchDecision:
     """Resolve a requested backend for a (circuit batch, noise model) pair.
 
@@ -309,6 +331,10 @@ def select_backend(
     ``"stabilizer"`` / ``"stabilizer_batched"`` raise
     :class:`~repro.exceptions.SimulationError` on ineligible input so that
     misconfiguration fails loudly rather than silently approximating.
+
+    *structure_keys*, when given, holds each circuit's
+    :func:`~repro.quantum.batch.circuit_structure_key` in order (a caller
+    that has them passes them on); otherwise they are computed here.
     """
     if requested not in BACKEND_CHOICES:
         raise SimulationError(
@@ -319,22 +345,42 @@ def select_backend(
     if isinstance(circuits, QuantumCircuit):
         circuits = [circuits]
     forced_stabilizer = requested in _STABILIZER_BACKENDS
+    token = _noise_token(noise_model)
+    kept = noise_model is None or token is not None
 
-    # One walk per circuit; any non-Clifford circuit outranks a non-Pauli one.
-    non_pauli = None
-    for circuit in circuits:
-        try:
-            stabilizer_mixtures(noise_model, circuit)
-        except _NotClifford:
-            reason = f"circuit {circuit.name!r} contains non-Clifford gates"
-            if forced_stabilizer:
-                raise SimulationError(
-                    f"simulator_backend={requested!r} was forced but {reason}"
-                ) from None
-            return _decide(requested, "dense", reason)
-        except SimulationError:
-            if non_pauli is None:
-                non_pauli = circuit
+    # One verdict per circuit, walked only for a structure not yet kept; the
+    # first non-Clifford circuit outranks any non-Pauli one.
+    walked: list[QuantumCircuit] = []
+    looked_up = 0
+    non_clifford = non_pauli = None
+    for index, circuit in enumerate(circuits):
+        looked_up += 1
+        if kept:
+            key = (
+                circuit_structure_key(circuit)
+                if structure_keys is None
+                else structure_keys[index]
+            )
+            verdict = _VERDICTS.get((key, token), _walk, noise_model, circuit, walked)
+        else:
+            verdict = _walk(noise_model, circuit, walked)
+        if verdict == _NON_CLIFFORD:
+            non_clifford = circuit
+            break
+        if verdict == _NON_PAULI and non_pauli is None:
+            non_pauli = circuit
+    if looked_up > len(walked):
+        telemetry.counter_inc("dispatch.eligibility", looked_up - len(walked), result="hit")
+    if walked:
+        telemetry.counter_inc("dispatch.eligibility", len(walked), result="walk")
+
+    if non_clifford is not None:
+        reason = f"circuit {non_clifford.name!r} contains non-Clifford gates"
+        if forced_stabilizer:
+            raise SimulationError(
+                f"simulator_backend={requested!r} was forced but {reason}"
+            )
+        return _decide(requested, "dense", reason)
     if non_pauli is not None:
         reason = (
             f"noise model {getattr(noise_model, 'name', 'noise_model')!r} attaches "

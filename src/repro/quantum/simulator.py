@@ -414,6 +414,7 @@ class DensityMatrixSimulator:
         shots: int = 1024,
         initial_state: "DensityMatrix | Statevector | None" = None,
         rng=None,
+        structure_keys: "Sequence[tuple] | None" = None,
     ) -> BatchResult:
         """Execute a sequence of circuits through the compiled path.
 
@@ -437,6 +438,10 @@ class DensityMatrixSimulator:
         rng:
             Seed or generator for all sampling in this batch; defaults to the
             simulator's own generator.
+        structure_keys:
+            Each circuit's :func:`~repro.quantum.batch.circuit_structure_key`,
+            in order, if the caller has them (they key the propagator cache);
+            computed when a compile needs one otherwise.
 
         Returns
         -------
@@ -448,13 +453,15 @@ class DensityMatrixSimulator:
         hits_before, misses_before = self._cache.hits, self._cache.misses
         mark = telemetry.clock_mark()
         results = []
-        for circuit in circuits:
+        for index, circuit in enumerate(circuits):
             if not measurements_are_terminal(circuit):
                 raise SimulationError(
                     "DensityMatrixSimulator supports only terminal measurements"
                 )
             state = self._initial_state(circuit, initial_state)
-            final, measure_map = self._evolve(circuit, state)
+            final, measure_map = self._evolve(
+                circuit, state, None if structure_keys is None else structure_keys[index]
+            )
             results.append(
                 self._sample_measurements(
                     final, measure_map, circuit.num_clbits, shots, generator
@@ -571,12 +578,13 @@ class DensityMatrixSimulator:
         }
 
     def _evolve(
-        self, circuit: QuantumCircuit, state: DensityMatrix
+        self, circuit: QuantumCircuit, state: DensityMatrix, key: "tuple | None" = None
     ) -> tuple[DensityMatrix, dict[int, int]]:
-        """Final state and ``qubit -> clbit`` measure map of a terminal-measurement circuit."""
+        """Final state and ``qubit -> clbit`` measure map of a terminal-measurement
+        circuit (*key*: its structure key, if known)."""
         if circuit.num_qubits > MAX_SUPEROP_QUBITS:
             return self._evolve_per_gate(circuit, state)
-        compiled = compile_channel(circuit, self.noise_model, self._cache)
+        compiled = compile_channel(circuit, self.noise_model, self._cache, key)
         final = DensityMatrix(compiled.propagate(state.matrix), validate=False)
         return final, compiled.measure_map
 

@@ -663,13 +663,17 @@ class StabilizerSimulator:
         initial_state=None,
         rng=None,
         method: str = "auto",
+        structure_keys: "Sequence[tuple] | None" = None,
     ) -> BatchResult:
         """Execute a sequence of circuits, sharing per-structure work.
 
         Each circuit object is resolved once per call; structurally identical
         circuits under the same noise model share one cached distribution
         across calls.  Every analytic circuit then draws one ``multinomial``
-        in submission order.  ``method`` is as for :meth:`run`.
+        in submission order.  ``method`` is as for :meth:`run`;
+        *structure_keys*, when given, holds each circuit's
+        :func:`~repro.quantum.batch.circuit_structure_key` in order (otherwise
+        a circuit's key is computed when its memo lookup needs it).
         """
         shots = check_shots(shots)
         if initial_state is not None:
@@ -689,10 +693,11 @@ class StabilizerSimulator:
         resolved: dict[int, tuple] = {}
         structures = 0
         results: list[SimulationResult] = []
-        for circuit in circuits:
+        for index, circuit in enumerate(circuits):
             entry = resolved.get(id(circuit))
             if entry is None:
-                entry = resolved[id(circuit)] = (circuit, self._resolve(circuit, method))
+                key = None if structure_keys is None else structure_keys[index]
+                entry = resolved[id(circuit)] = (circuit, self._resolve(circuit, method, key))
                 structures += isinstance(entry[1], _AnalyticDistribution)
             plan = entry[1]
             if isinstance(plan, _AnalyticDistribution):
@@ -736,14 +741,14 @@ class StabilizerSimulator:
             )
         return tableau
 
-    def _resolve(self, circuit: QuantumCircuit, method: str):
+    def _resolve(self, circuit: QuantumCircuit, method: str, key: "tuple | None"):
         """The cached distribution of *circuit*, else its mixtures for trajectories.
 
         A memo entry passed eligibility where the memo computed it (the key
         implies it on a hit), and an out-of-envelope entry carries the
         mixtures found there; anything else is checked here, first.
         """
-        plan = None if method == "trajectory" else self._analytic(circuit)
+        plan = None if method == "trajectory" else self._analytic(circuit, key)
         if isinstance(plan, _AnalyticDistribution):
             return plan
         mixtures = (
@@ -760,10 +765,22 @@ class StabilizerSimulator:
         return mixtures
 
     # -- analytic path -------------------------------------------------------------------
-    def _analytic(self, circuit: QuantumCircuit):
+    def _analytic(self, circuit: QuantumCircuit, key: "tuple | None" = None):
         """Exact outcome distribution of *circuit*, an :class:`_OutOfEnvelope`
         entry if its random outcomes overflow, or ``None`` if its
-        measurements are not terminal or too many qubits are measured."""
+        measurements are not terminal or too many qubits are measured.
+
+        The memo answers first: it keeps an entry only for a structure that
+        passed the checks below, so only a miss runs them (and only a miss
+        that passes them counts as one).
+        """
+        token = _noise_token(self._noise_model)
+        kept = self._noise_model is None or token is not None  # else no stable key
+        if kept:
+            memo_key = (circuit_structure_key(circuit) if key is None else key, token)
+            plan = self._distributions.peek(memo_key)
+            if plan is not None:
+                return plan
         if not measurements_are_terminal(circuit):
             return None
         measure_map = circuit_measure_map(circuit)
@@ -772,16 +789,10 @@ class StabilizerSimulator:
         # ANALYTIC_MAX_MEASURED_QUBITS measured qubits stays analytic.
         if len(measured_qubits) > ANALYTIC_MAX_MEASURED_QUBITS:
             return None
-
-        token = _noise_token(self._noise_model)
-        if self._noise_model is not None and token is None:  # no stable key
+        if not kept:
             return self._compute_distribution(circuit, measured_qubits, measure_map)
         return self._distributions.get(
-            (circuit_structure_key(circuit), token),
-            self._compute_distribution,
-            circuit,
-            measured_qubits,
-            measure_map,
+            memo_key, self._compute_distribution, circuit, measured_qubits, measure_map
         )
 
     def _compute_distribution(

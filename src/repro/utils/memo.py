@@ -1,8 +1,9 @@
 """A bounded, thread-safe memo with least-recently-used eviction.
 
-Every bounded memo of :mod:`repro.quantum` (pair-state statistics, operator
-embeddings, observable projectors, Pauli mixtures, stabilizer distributions)
-is a :class:`BoundedMemo`, so bound, eviction and locking are decided once.
+Every bounded memo of :mod:`repro.quantum` and :mod:`repro.device` (pair-state
+statistics, operator embeddings, observable projectors, Pauli mixtures,
+eligibility verdicts, stabilizer distributions, checked couplings) is a
+:class:`BoundedMemo`, so bound, eviction and locking are decided once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class BoundedMemo:
     eviction and insertion one step; *compute* runs outside it, so racing
     misses may each compute (the computes must be deterministic) and the last
     insertion wins.  A ``None`` result is not kept, so it is computed again.
-    ``hits`` and ``misses`` count lookups.
+    ``hits`` and ``misses`` count lookups (a :meth:`peek` that finds nothing
+    counts neither).
     """
 
     __slots__ = ("max_entries", "hits", "misses", "_entries", "_lock")
@@ -45,8 +47,23 @@ class BoundedMemo:
         with self._lock:
             self._entries.clear()
 
+    def peek(self, key: Hashable) -> Any:
+        """The value kept under *key* (a hit), else ``None``, counted as nothing.
+
+        For a caller that must check its arguments before a miss may count:
+        it follows a ``None`` with :meth:`get`.
+        """
+        entries = self._entries
+        with self._lock:
+            value = entries.pop(key, None)
+            if value is not None:
+                entries[key] = value
+                self.hits += 1
+            return value
+
     def get(self, key: Hashable, compute: Callable[..., _T], *args: Any) -> _T:
         """The value kept under *key*, else ``compute(*args)``, kept under *key*."""
+        # The hit half of peek(), inline: this is the hot path of every memo.
         entries = self._entries
         with self._lock:
             value = entries.pop(key, None)

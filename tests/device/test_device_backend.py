@@ -9,7 +9,7 @@ import pytest
 from repro.device.backend import NoisyBackend
 from repro.device.calibration import ibm_brisbane_calibration
 from repro.device.device_model import DeviceModel
-from repro.device.topology import linear_coupling_map
+from repro.device.topology import CouplingMap, linear_coupling_map
 from repro.exceptions import DeviceError, SimulationError
 from repro.experiments.emulation import build_message_transfer_circuit
 from repro.quantum import dispatch
@@ -148,6 +148,66 @@ class TestNoisyBackend:
         device = DeviceModel.linear_chain(5, calibration=ibm_brisbane_calibration())
         backend = NoisyBackend(device, seed=8)
         assert backend.is_noisy()
+
+
+def uncoupled_circuit() -> QuantumCircuit:
+    """``cx(0, 5)``: the heavy-hex layout couples qubit 0 only to 1 and 14."""
+    return QuantumCircuit(6, name="uncoupled").cx(0, 5).measure_all()
+
+
+class TestCouplingMap:
+    ENTRIES = {
+        "run": lambda backend, circuit: backend.run(circuit, shots=16),
+        "run_batch": lambda backend, circuit: backend.run_batch(
+            [bell_circuit(), circuit], shots=16
+        ),
+        "run_result": lambda backend, circuit: backend.run_result(circuit, shots=16),
+        "final_density_matrix": lambda backend, circuit: backend.final_density_matrix(
+            circuit
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_uncoupled_pair_raises_on_every_entry(self, entry):
+        backend = NoisyBackend(DeviceModel.ibm_brisbane(), seed=1)
+        with pytest.raises(
+            DeviceError, match=r"gate 'cx' on qubits \(0, 5\) .*'ibm_brisbane'"
+        ):
+            self.ENTRIES[entry](backend, uncoupled_circuit())
+        assert backend.jobs == []
+
+    def test_coupled_pair_runs_and_is_checked_once_per_structure(self, monkeypatch):
+        device = DeviceModel.ibm_brisbane()
+        checks = []
+        supports = device.supports_coupling
+        monkeypatch.setattr(
+            device, "supports_coupling", lambda a, b: checks.append((a, b)) or supports(a, b)
+        )
+        backend = NoisyBackend(device, seed=2)
+        backend.run(bell_circuit(), shots=16)
+        backend.run_batch([bell_circuit() for _ in range(3)], shots=16)
+        backend.run_result(bell_circuit(), shots=16)
+        assert len(backend.jobs) == 4
+        assert checks == [(0, 1)]
+
+    def test_linear_chain_rejects_a_skipped_neighbour(self):
+        backend = NoisyBackend(DeviceModel.linear_chain(3), seed=3)
+        backend.run(QuantumCircuit(3).cx(1, 2).measure_all(), shots=16)
+        with pytest.raises(DeviceError, match=r"\(0, 2\)"):
+            backend.run(QuantumCircuit(3).cx(0, 2).measure_all(), shots=16)
+
+    def test_ideal_device_accepts_any_pair(self):
+        backend = NoisyBackend(DeviceModel.ideal(6), seed=4)
+        counts = backend.run(uncoupled_circuit(), shots=16)
+        assert dict(counts) == {"000000": 16}
+
+    def test_a_replaced_coupling_map_is_checked_again(self):
+        device = DeviceModel.ibm_brisbane()
+        backend = NoisyBackend(device, seed=5)
+        backend.run(bell_circuit(), shots=16)
+        device.coupling_map = CouplingMap("sparse", device.num_qubits, frozenset({(1, 2)}))
+        with pytest.raises(DeviceError, match=r"\(0, 1\)"):
+            backend.run(bell_circuit(), shots=16)
 
 
 def pauli_only_device() -> DeviceModel:

@@ -1,16 +1,21 @@
 """Stabilizer eligibility is decided in one place: :mod:`repro.quantum.dispatch`.
 
-``select_backend`` walks each submitted circuit once through
-``stabilizer_mixtures`` (Clifford gates, then the Pauli mixtures of the
-errors that can fire on them).  ``StabilizerSimulator`` asks the same walk
-only where its distribution memo computes and on the paths that skip the
-memo (the trajectory fallback, ``method="trajectory"``, noise models
-without a cache token): a memo hit means an earlier compute under the same
-circuit structure and noise-model version already passed it.
+``select_backend`` walks a circuit through ``stabilizer_mixtures`` (Clifford
+gates, then the Pauli mixtures of the errors that can fire on them) once per
+(circuit structure, noise-model version) and keeps the verdict, so fresh
+objects of a known structure are looked up, not walked; a noise model
+without a cache token is walked on every submission.  ``StabilizerSimulator``
+asks the same walk only where its distribution memo computes and on the
+paths that skip the memo (the trajectory fallback, ``method="trajectory"``,
+noise models without a cache token): a memo hit means an earlier compute
+under the same circuit structure and noise-model version already passed it.
+``NoisyBackend`` computes each submitted circuit's structure key once and
+hands it to both.
 
-These tests count the walks, show that no stale answer survives a noise
-model change, pin the order of the engine's errors, and hold the counts and
-job metadata of a mixed ``NoisyBackend`` call list to literal digests.
+These tests count the walks and the key computations, show that no stale
+answer survives a noise model change, pin the order of the engine's errors,
+and hold the counts and job metadata of a mixed ``NoisyBackend`` call list to
+literal digests.
 """
 
 import hashlib
@@ -21,14 +26,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.device import backend as device_backend
 from repro.device.backend import NoisyBackend
 from repro.device.device_model import DeviceModel
 from repro.exceptions import SimulationError
-from repro.quantum import dispatch, stabilizer
+from repro.quantum import batch, dispatch, stabilizer
 from repro.quantum.channels import amplitude_damping_channel, depolarizing_channel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, QuantumError
 from repro.quantum.stabilizer import StabilizerSimulator
+from repro.telemetry import runtime as telemetry
 
 #: (Pauli frame, identity-chain length) of the four message structures.
 STRUCTURES = (("I", 10), ("X", 10), ("Z", 50), ("Y", 50))
@@ -97,35 +104,147 @@ def walks(monkeypatch) -> dict[str, list]:
     return calls
 
 
+class DuckNoise:
+    """A noise model without a cache token: depolarizing noise on ``cx``."""
+
+    name = "duck"
+
+    def __init__(self):
+        self.error = QuantumError(depolarizing_channel(0.05))
+
+    def errors_for(self, gate_name, qubits):
+        return [self.error] if gate_name == "cx" else []
+
+    def has_readout_error(self):
+        return False
+
+
+def damping_model() -> NoiseModel:
+    """Non-Pauli noise on ``h``: every circuit here is non-Pauli under it."""
+    return NoiseModel("damping").add_all_qubit_error(amplitude_damping_channel(0.1), "h")
+
+
 class TestWalkCount:
-    def test_engine_walks_on_misses_and_dispatch_once_per_circuit(self, walks):
+    def test_engine_walks_on_misses_and_dispatch_once_per_structure(self, walks):
         backend = pauli_device_backend(seed=3)
         picks = np.random.default_rng(7).integers(0, len(STRUCTURES), 64)
+        first_of_each = [list(picks).index(pick) for pick in dict.fromkeys(picks)]
 
         def submission() -> list[QuantumCircuit]:
             # Fresh objects per submission; only the structure repeats.
             return [message_circuit(*STRUCTURES[pick]) for pick in picks]
 
         memo = backend._stabilizer_simulator()._distributions
-        for call, expected_misses in ((1, len(set(picks))), (2, 0)):
+        for call, expected_walks in ((1, len(first_of_each)), (2, 0)):
             circuits = submission()
             misses = memo.misses
             walks["dispatch"].clear()
             walks["stabilizer"].clear()
             backend.run_batch(circuits)
             assert backend.jobs[-1].metadata["backend"] == "stabilizer_batched"
-            assert memo.misses - misses == expected_misses, call
-            assert len(walks["stabilizer"]) == expected_misses, call
-            assert Counter(map(id, walks["dispatch"])) == Counter(map(id, circuits))
+            assert memo.misses - misses == expected_walks, call
+            assert len(walks["stabilizer"]) == expected_walks, call
+            expected = [circuits[index] for index in first_of_each][:expected_walks]
+            assert list(map(id, walks["dispatch"])) == list(map(id, expected)), call
 
-    def test_single_runs_walk_once_in_dispatch_and_never_on_a_hit(self, walks):
+    def test_single_runs_walk_once_per_structure(self, walks):
         backend = pauli_device_backend(seed=4)
         for _ in range(3):
-            circuit = message_circuit("X", 10)
-            backend.run(circuit)
-            assert walks["dispatch"][-1] is circuit
-        assert len(walks["dispatch"]) == 3
+            backend.run(message_circuit("X", 10))
+        assert [job.metadata["backend"] for job in backend.jobs] == ["stabilizer"] * 3
+        assert len(walks["dispatch"]) == 1
         assert len(walks["stabilizer"]) == 1
+
+    def test_in_place_add_walks_again_and_reroutes(self, walks):
+        backend = pauli_device_backend(seed=5)
+        backend.run(message_circuit("Z", 10))
+        backend.run(message_circuit("Z", 10))
+        assert len(walks["dispatch"]) == 1
+        backend.noise_model.add_all_qubit_error(amplitude_damping_channel(0.1), "h")
+        for _ in range(2):
+            backend.run(message_circuit("Z", 10))
+            assert backend.jobs[-1].metadata["backend"] == "dense"
+            assert "non-Pauli" in backend.jobs[-1].metadata["dispatch_reason"]
+        assert len(walks["dispatch"]) == 2
+
+    @pytest.mark.parametrize("given_keys", [False, True])
+    def test_a_model_without_a_token_walks_every_submission(self, walks, given_keys):
+        duck = DuckNoise()
+        for call in range(1, 4):
+            circuits = [message_circuit("Y", 4), message_circuit("Y", 4)]
+            keys = [batch.circuit_structure_key(c) for c in circuits] if given_keys else None
+            decision = dispatch.select_backend("auto", circuits, duck, structure_keys=keys)
+            assert decision.backend == "stabilizer"
+            assert len(walks["dispatch"]) == 2 * call
+
+    def test_non_clifford_outranks_non_pauli_when_both_are_kept(self, walks):
+        model = damping_model()
+        for _ in range(2):  # both walked, then both kept
+            circuits = [message_circuit("X", 3), rotated_circuit()]
+            decision = dispatch.select_backend("auto", circuits, model)
+            assert decision.backend == "dense"
+            assert decision.reason == "circuit 'rotated' contains non-Clifford gates"
+            assert len(walks["dispatch"]) == 2
+        circuits = [message_circuit("X", 3), rotated_circuit()]
+        with pytest.raises(SimulationError, match="forced but circuit 'rotated' contains"):
+            dispatch.select_backend("stabilizer", circuits, model)
+        assert len(walks["dispatch"]) == 2
+        decision = dispatch.select_backend("auto", [message_circuit("X", 3)], model)
+        assert decision.reason == (
+            "noise model 'damping' attaches non-Pauli errors to circuit 'message_X_eta3'"
+        )
+        assert len(walks["dispatch"]) == 2
+
+    def test_each_structure_key_is_computed_once_per_submission(self, monkeypatch):
+        computed: list[int] = []
+        key = batch.circuit_structure_key
+
+        def counting(circuit):
+            computed.append(id(circuit))
+            return key(circuit)
+
+        for module in (batch, dispatch, stabilizer, device_backend):
+            monkeypatch.setattr(module, "circuit_structure_key", counting)
+        thermal = NoisyBackend(DeviceModel.ibm_brisbane(), seed=6)
+        pauli = pauli_device_backend(seed=7)
+        for backend in (thermal, pauli):
+            for repeat in range(2):  # memo misses, then hits
+                for circuits in (
+                    [message_circuit("I", 10)],
+                    [message_circuit(label, 10) for label in "IXZY"],
+                ):
+                    computed.clear()
+                    if len(circuits) == 1:
+                        backend.run(circuits[0], shots=16)
+                    else:
+                        backend.run_batch(circuits, shots=16)
+                    assert Counter(computed) == Counter(map(id, circuits)), repeat
+        assert {job.metadata["backend"] for job in thermal.jobs} == {"dense"}
+        assert {job.metadata["backend"] for job in pauli.jobs} == {
+            "stabilizer", "stabilizer_batched"
+        }
+
+
+class TestEligibilityMetric:
+    def test_walk_count_equals_the_walks_and_results_are_unchanged(self, walks):
+        def call_list(seed: int) -> list:
+            backend = pauli_device_backend(seed=seed)
+            for _ in range(2):
+                backend.run_batch([message_circuit(*structure) for structure in STRUCTURES])
+                backend.run(message_circuit("X", 10))
+            backend.run_batch([message_circuit("X", 10), rotated_circuit()])
+            return [(sorted(job.counts.items()), job.metadata) for job in backend.jobs]
+
+        untraced = call_list(8)
+        walks["dispatch"].clear()
+        with telemetry.capture(clock="ticks") as session:
+            traced = call_list(8)
+            walked = session.metrics.counter_value("dispatch.eligibility", result="walk")
+            kept = session.metrics.counter_value("dispatch.eligibility", result="hit")
+        assert traced == untraced
+        # 4 + 1 + 4 + 1 + 2 circuits looked up; 4 structures and the rotated one walked.
+        assert walked == len(walks["dispatch"]) == 5
+        assert kept == 12 - 5
 
 
 def reset_rounds_circuit(rounds: int = 17) -> QuantumCircuit:
@@ -215,18 +334,6 @@ class TestNoStaleAnswers:
             simulator.run_batch([message_circuit("Z", 5), rotated_circuit()])
 
     def test_duck_typed_model_is_checked_every_call(self):
-        class DuckNoise:
-            name = "duck"
-
-            def __init__(self):
-                self.error = QuantumError(depolarizing_channel(0.05))
-
-            def errors_for(self, gate_name, qubits):
-                return [self.error] if gate_name == "cx" else []
-
-            def has_readout_error(self):
-                return False
-
         duck = DuckNoise()
         simulator = StabilizerSimulator(noise_model=duck, seed=5)
         for _ in range(2):

@@ -295,3 +295,18 @@ class TestOperatorMemos:
         first = embedded_operator(X_MATRIX, (4,), 5)
         assert first.tobytes() == operators.embed_operator(X_MATRIX, [4], 5).tobytes()
         assert embedded_operator(X_MATRIX, (4,), 5) is not first
+
+
+class TestPeek:
+    def test_a_hit_counts_and_moves_a_miss_counts_nothing(self):
+        memo = BoundedMemo(2)
+        assert memo.peek("a") is None
+        assert (memo.hits, memo.misses) == (0, 0)
+        memo.get("a", str, "A")
+        memo.get("b", str, "B")
+        assert memo.peek("a") == "A"  # a hit, so "a" is now the most recent
+        assert (memo.hits, memo.misses) == (1, 2)
+        memo.get("c", str, "C")  # the memo is full: "b" goes, not "a"
+        assert memo.peek("b") is None
+        assert memo.peek("a") == "A"
+        assert (memo.hits, memo.misses) == (2, 3)

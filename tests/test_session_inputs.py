@@ -7,13 +7,16 @@ and ``SessionRequest`` — either succeeds or raises a
 configs, ``NetworkError`` from the scheduler and the request.  So do the
 noise channels of :mod:`repro.quantum.channels` (``NoiseModelError``, or
 ``DimensionError`` for a shape error), the traffic generators and QoS policy
-of the scheduler (``NetworkError``) and ``fragment_payload`` (``ReproError``).
+of the scheduler (``NetworkError``) and ``fragment_payload`` (``ReproError``),
+and ``NoisyBackend`` with its run entries (``DeviceError``, or a
+``SimulationError`` for shots and ineligible forced backends).
 Each explicit case below used to escape as a bare ``TypeError``/
 ``ValueError``/``AttributeError`` or to be accepted (a fractional seed was
 truncated, ``max_workers=0`` meant the default, a fractional qubit count built
 a one-qubit channel); the derandomized Hypothesis suite then builds each
 constructor from mixed valid and invalid values and runs one tiny session, or
-applies the channel, generates the traffic or frames the payload.
+applies the channel, generates the traffic, frames the payload or runs the
+backend once.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import numpy as np
 from repro.api import MessagingService, ServiceConfig
 from repro.api.fragmentation import fragment_payload
 from repro.channel.quantum_channel import DepolarizingChannel, NoiselessChannel
+from repro.device import DeviceModel, NoisyBackend
 from repro.exceptions import (
     ConfigurationError,
+    DeviceError,
     DimensionError,
     NetworkError,
     NoiseModelError,
@@ -46,8 +51,11 @@ from repro.protocol import (
     UADIQSDCProtocol,
 )
 from repro.quantum import channels
+from repro.quantum.batch import PropagatorCache
 from repro.quantum.channels import KrausChannel, depolarizing_channel, phase_damping_channel
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrix
+from repro.quantum.dispatch import BACKEND_CHOICES
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -274,6 +282,54 @@ class TestTrafficAndFragments:
     def test_bad_fragment_bits_raise_repro_error(self, fragment_bits):
         with pytest.raises(ReproError, match="fragment_bits"):
             fragment_payload((1, 0, 1), fragment_bits)
+
+
+def _bell() -> QuantumCircuit:
+    return QuantumCircuit(2, name="bell").h(0).cx(0, 1).measure_all()
+
+
+class TestNoisyBackend:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DeviceError, match="seed"):
+            NoisyBackend(DeviceModel.ideal(2), seed=seed)
+
+    def test_a_generator_is_still_a_seed(self):
+        runs = [
+            NoisyBackend(DeviceModel.ideal(2), seed=seed).run(_bell(), shots=64)
+            for seed in (np.random.default_rng(5), 5)
+        ]
+        assert dict(runs[0]) == dict(runs[1])
+
+    @pytest.mark.parametrize("device", ["x", 3, DeviceModel.ideal])
+    def test_wrong_type_device_rejected(self, device):
+        with pytest.raises(DeviceError, match="device"):
+            NoisyBackend(device, seed=1)
+
+    def test_wrong_type_cache_rejected(self):
+        with pytest.raises(DeviceError, match="cache"):
+            NoisyBackend(DeviceModel.ideal(2), seed=1, cache="x")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda backend: backend.run("x"),
+            lambda backend: backend.run_batch([_bell(), 3]),
+            lambda backend: backend.run_batch(None),
+            lambda backend: backend.run_result("x"),
+            lambda backend: backend.final_density_matrix(None),
+            lambda backend: backend.circuit_duration(3),
+        ],
+        ids=[
+            "run", "run_batch", "run_batch_none", "run_result", "final_density_matrix",
+            "circuit_duration",
+        ],
+    )
+    def test_non_circuits_rejected_before_any_job(self, call):
+        backend = NoisyBackend(DeviceModel.ideal(2), seed=1)
+        with pytest.raises(DeviceError, match="circuit"):
+            call(backend)
+        assert backend.jobs == []
 
 
 # -- fuzzing ------------------------------------------------------------------------
@@ -516,3 +572,48 @@ class TestConstructorFuzz:
         _runs_or_raises_repro_error(lambda: TraceTraffic([entry]).generate(topology))
         _runs_or_raises_repro_error(lambda: QoSPolicy({"control": weight}).selector())
         _runs_or_raises_repro_error(lambda: fragment_payload((1, 0, 1), **fragment))
+
+
+#: Circuits for the backend fuzz: coupled, uncoupled on ``ibm_brisbane``,
+#: non-Clifford, mid-circuit measured, and wider than the ideal device.
+BACKEND_CIRCUITS = [
+    _bell(),
+    QuantumCircuit(6, name="uncoupled").cx(0, 5).measure_all(),
+    QuantumCircuit(2, name="rotated").h(0).rx(0.3, 1).cx(0, 1).measure_all(),
+    QuantumCircuit(2, num_clbits=3, name="mid").h(0).measure([0], [2]).cx(0, 1).measure_all(),
+    QuantumCircuit(3, name="wide").h(0).measure_all(),
+]
+
+
+class TestBackendFuzz:
+    @FUZZ
+    @given(
+        kwargs=_mixed(
+            {
+                "device": st.sampled_from(
+                    [None, DeviceModel.ideal(2), DeviceModel.ibm_brisbane(False)]
+                ),
+                "seed": st.one_of(SEEDS, st.integers(0, 9).map(np.random.default_rng)),
+                "simulator_backend": st.sampled_from(BACKEND_CHOICES),
+                "cache": st.sampled_from([None, PropagatorCache()]),
+            }
+        ),
+        # Three valid draws to one bad value.
+        circuits=st.lists(
+            st.one_of(*[st.sampled_from(BACKEND_CIRCUITS)] * 3, BAD), min_size=1, max_size=3
+        ),
+        shots=st.one_of(st.integers(0, 64), BAD),
+        entry=st.sampled_from(["run", "run_batch", "run_result", "circuit_duration"]),
+    )
+    def test_backend_and_one_run(self, kwargs, circuits, shots, entry):
+        def run():
+            backend = NoisyBackend(**kwargs)
+            if entry == "run_batch":
+                backend.run_batch(circuits, shots=shots)
+                return
+            if entry == "circuit_duration":
+                backend.circuit_duration(circuits[0])
+            else:
+                getattr(backend, entry)(circuits[0], shots=shots)
+
+        _runs_or_raises_repro_error(run)
